@@ -2,7 +2,7 @@
 with singular, vertex-localized many-particle interactions."""
 
 from .graph_core import (BoundaryIndexMap, Edge, GraphError, MetricGraph,
-                         build_graph, index_maps)
+                         build_graph)
 from .vertex_conditions import (ConditionError, VertexConditions, ab_to_pl,
                                 delta_family, equivalence_check, is_local,
                                 standard_family, validate_ab)

@@ -343,18 +343,12 @@ def fold_to_plane(psi11, psi12, psi21, psi22) -> np.ndarray:
     acc = np.zeros((size, size), dtype=grids[0].dtype)
     cnt = np.zeros((size, size))
     c = n - 1  # index of x = 0 / y = 0
-
-    def put(comp, sx, sy):
-        for i in range(n):
-            for j in range(n):
-                I, J = c + sx * i, c + sy * j
-                acc[I, J] += comp[i, j]
-                cnt[I, J] += 1
-
-    put(grids[0], +1, +1)   # psi11
-    put(grids[1], +1, -1)   # psi12
-    put(grids[2], -1, +1)   # psi21
-    put(grids[3], -1, -1)   # psi22
+    i = np.arange(n)
+    for comp, sx, sy in ((grids[0], +1, +1), (grids[1], +1, -1),
+                         (grids[2], -1, +1), (grids[3], -1, -1)):
+        at = np.ix_(c + sx * i, c + sy * i)
+        acc[at] += comp
+        cnt[at] += 1
     return acc / cnt
 
 

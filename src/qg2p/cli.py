@@ -18,6 +18,7 @@ from .bc_maps import BoundaryMap, MapError, validate_map
 from .eigensolve import SolveError, SpectrumResult, counting_function, solve
 from .form_assembly import AssemblyError, DiscreteForm, Mesh
 from .graph_core import BoundaryIndexMap, GraphError, MetricGraph, build_graph
+from .symmetry import SymmetryError
 from .vertex_conditions import (ConditionError, VertexConditions,
                                 delta_family, standard_family, validate_ab)
 
@@ -156,6 +157,13 @@ def build_conditions(g: MetricGraph, spec: dict) -> VertexConditions:
                       "('A','B') or ('P','L')")
 
 
+def _entry(spec, key: str):
+    try:
+        return spec[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"map spec needs {key!r}") from None
+
+
 def build_map(cfg: RunConfig):
     """(graph, BoundaryMap) from the config; the delta example supplies its
     own truncated graph."""
@@ -170,18 +178,40 @@ def build_map(cfg: RunConfig):
         vc = build_conditions(g, spec)
         return g, bc_maps.lift_one_particle(vc, g)
     if kind == "constant":
-        return g, bc_maps.constant_map(matrix_from_json(spec["P"]),
-                                       matrix_from_json(spec["L"]))
+        return g, bc_maps.constant_map(matrix_from_json(_entry(spec, "P")),
+                                       matrix_from_json(_entry(spec, "L")))
     if kind == "piecewise":
-        pieces = [(matrix_from_json(p["P"]), matrix_from_json(p["L"]))
-                  for p in spec["pieces"]]
-        return g, bc_maps.piecewise_map(spec["breakpoints"], pieces)
+        pieces = [(matrix_from_json(_entry(p, "P")),
+                   matrix_from_json(_entry(p, "L")))
+                  for p in _entry(spec, "pieces")]
+        return g, bc_maps.piecewise_map(_entry(spec, "breakpoints"), pieces)
     raise ConfigError(f"unknown map kind {kind!r}")
 
 
-def assemble_from_config(cfg: RunConfig):
+def validate_on_mesh(m: BoundaryMap, mesh: Mesh = None):
+    """validate_map at the mesh's y-nodes, the points assembly evaluates
+    (the default samples without a mesh)."""
+    ys = None
+    if mesh is not None:
+        ys = np.unique(np.concatenate([mesh.normalized(e)
+                                       for e in range(mesh.graph.E)]))
+    return validate_map(m, ys=ys)
+
+
+def build_validated(cfg: RunConfig):
+    """(graph, map, mesh); a map that fails validate_on_mesh is a MapError,
+    raised before anything is assembled."""
     g, m = build_map(cfg)
     mesh = build_mesh(g, cfg.mesh)
+    errors = validate_on_mesh(m, mesh).errors
+    if errors:
+        raise MapError(f"{errors[0]} ({len(errors)} map error(s); "
+                       "see 'qg2p validate')")
+    return g, m, mesh
+
+
+def assemble_from_config(cfg: RunConfig):
+    g, m, mesh = build_validated(cfg)
     if cfg.particles == 1:
         vc = build_conditions(g, cfg.map)
         form = form_assembly.assemble_one_particle(g, vc, mesh)
@@ -242,11 +272,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
         mesh_hint = build_mesh(g, cfg.mesh)
     except (ConfigError, AssemblyError):
         pass
-    ys = None
-    if mesh_hint is not None:
-        ys = np.unique(np.concatenate([mesh_hint.normalized(e)
-                                       for e in range(g.E)]))
-    mrep = validate_map(m, ys=ys)
+    mrep = validate_on_mesh(m, mesh_hint)
     report["map"] = {
         "ok": mrep.ok,
         "L_max": mrep.L_max,
@@ -353,8 +379,7 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     to the plane; writes the folded grid and a continuity report."""
     if cfg.map.get("kind") != "delta_example":
         raise ConfigError("example-delta needs a map of kind 'delta_example'")
-    g, m = build_map(cfg)
-    mesh = build_mesh(g, cfg.mesh)
+    g, m, mesh = build_validated(cfg)
     form = form_assembly.assemble_two_particle(g, m, mesh)
     sym = symmetry.assemble_symmetric_form(form, +1)
     result = solve(sym, max(1, cfg.num_eigs), sector="boson")
@@ -444,7 +469,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, args.out, window=window)
         return cmd_example_delta(cfg, args.out)
-    except (ConfigError, GraphError, ConditionError, MapError) as exc:
+    except (ConfigError, GraphError, ConditionError, MapError,
+            SymmetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AssemblyError, SolveError, spectral_analysis.AnalysisError,

@@ -89,8 +89,11 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
         sigma = -1.05 * form.C_infty - 1.0
         rng = np.random.default_rng(8231)
         v0 = rng.standard_normal(n)
-        lam, U = spla.eigsh(A.tocsc(), k=k, M=Mr.tocsc(), sigma=sigma,
-                            which="LM", v0=v0, maxiter=5000)
+        try:
+            lam, U = spla.eigsh(A.tocsc(), k=k, M=Mr.tocsc(), sigma=sigma,
+                                which="LM", v0=v0, maxiter=5000)
+        except spla.ArpackError as exc:
+            raise SolveError(f"shift-invert Lanczos failed: {exc}") from None
         order = np.argsort(lam)
         lam, U = lam[order], U[:, order]
         method = "shift-invert"

@@ -2,8 +2,9 @@
 
 One-particle forms live on the direct sum of per-edge grids; two-particle
 forms on the disjoint union of tensor-product rectangle grids.  Boundary
-constraints P(y) Psi_bv(y) = 0 are eliminated through an explicit
-orthonormal nullspace basis, keeping the reduced pencil symmetric.
+constraints P(y) Psi_bv(y) = 0 are eliminated through one orthonormal
+basis per form, the kernel of the constraint rows, computed on first use;
+the reduced pencil stays symmetric.
 """
 from __future__ import annotations
 
@@ -132,19 +133,26 @@ class DiscreteForm:
     """Assembled matrices of a constrained quadratic form.
 
     ``K``: stiffness; ``M``: mass; ``B``: boundary term (so the pencil is
-    (K - B, M)); ``N``: orthonormal nullspace basis of the boundary
-    constraints; ``C``: the raw constraint rows; ``C_infty``: explicit
-    semi-boundedness constant of the continuum form.
+    (K - B, M)); ``C``: the raw constraint rows; ``C_infty``: explicit
+    semi-boundedness constant of the continuum form.  ``N`` is the form's
+    one orthonormal basis: ``basis`` when given (a sector form passes
+    S null(C S)), else the kernel of ``C``, computed on first use and kept.
     """
 
     K: sp.spmatrix
     M: sp.spmatrix
     B: sp.spmatrix
-    N: sp.spmatrix
     C: sp.spmatrix
     C_infty: float
     meta: dict = field(default_factory=dict)
-    _reduced: tuple = field(default=None, repr=False)
+    basis: sp.spmatrix = field(default=None, repr=False)
+    _reduced: tuple = field(default=None, init=False, repr=False)
+
+    @property
+    def N(self) -> sp.spmatrix:
+        if self.basis is None:
+            self.basis = nullspace_from_constraints(self.C, self.ndof)
+        return self.basis
 
     @property
     def ndof(self) -> int:
@@ -184,21 +192,14 @@ def nullspace_from_constraints(C: sp.spmatrix, ndof: int,
     kernel = vh.conj().T[:, rank:]
 
     untouched = np.setdiff1d(np.arange(ndof), touched, assume_unique=False)
-    ncols = len(untouched) + kernel.shape[1]
-    rows, cols, vals = [], [], []
-    for k, d in enumerate(untouched):
-        rows.append(d)
-        cols.append(k)
-        vals.append(1.0)
     base = len(untouched)
-    for k in range(kernel.shape[1]):
-        for i, d in enumerate(touched):
-            v = kernel[i, k]
-            if abs(v) > 1e-300:
-                rows.append(d)
-                cols.append(base + k)
-                vals.append(v)
-    N = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ncols)).tocsr()
+    # column-major over the kernel: column k lists its touched dofs in order
+    k, i = np.nonzero(np.abs(kernel.T) > 1e-300)
+    rows = np.concatenate([untouched, touched[i]])
+    cols = np.concatenate([np.arange(base), base + k])
+    vals = np.concatenate([np.ones(base), kernel[i, k]])
+    N = sp.coo_matrix((vals, (rows, cols)),
+                      shape=(ndof, base + kernel.shape[1])).tocsr()
     return _realify(N)
 
 
@@ -231,23 +232,14 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
         shape=(ndof, ndof)).tocsr()
     B = _realify(B)
 
-    rows, cols, vals = [], [], []
-    nc = 0
-    for r in range(2 * g.E):
-        if np.abs(vc.P[r]).max() <= NULLSPACE_TOL:
-            continue
-        for c in range(2 * g.E):
-            if abs(vc.P[r, c]) > NULLSPACE_TOL:
-                rows.append(nc)
-                cols.append(bdof[c])
-                vals.append(vc.P[r, c])
-        nc += 1
-    C = sp.coo_matrix((vals, (rows, cols)), shape=(nc, ndof)).tocsr()
-    N = nullspace_from_constraints(C, ndof)
+    # one constraint row per nonzero row of P
+    P = vc.P[np.abs(vc.P).max(axis=1) > NULLSPACE_TOL]
+    r, c = np.nonzero(np.abs(P) > NULLSPACE_TOL)
+    C = sp.coo_matrix((P[r, c], (r, bdof[c])), shape=(len(P), ndof)).tocsr()
 
     l_max = float(np.linalg.norm(vc.L, 2))
     c_inf = _semibound(l_max, min(e.length for e in g.edges))
-    return DiscreteForm(K=K, M=M, B=B, N=N, C=C, C_infty=c_inf,
+    return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
                         meta={"graph": g, "mesh": mesh, "kind": "one_particle"})
 
 
@@ -316,9 +308,9 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     Stiffness/mass are exact tensor products per rectangle; the boundary
     term integrates <Psi_bv(y), L(y) Psi_bv(y)> with the 1-D boundary mass
     matrix (L averaged per element, which keeps the term monotone in L);
-    constraints are enforced nodewise through P(y_j) and eliminated by an
-    orthonormal kernel basis.  Corner nodes collect the constraints of
-    both adjacent sides.
+    constraints are enforced nodewise through P(y_j) and eliminated by the
+    form's kernel basis ``N``, computed on first use.  Corner nodes collect
+    the constraints of both adjacent sides.
     """
     idx = idx or BoundaryIndexMap(g)
     if m.dim != idx.dim_full:
@@ -338,58 +330,48 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     clusters = _coupling_clusters(m, mesh, traces)
     ndof = mesh.ndof2
 
-    b_rows, b_cols, b_vals = [], [], []
-    c_rows, c_cols, c_vals = [], [], []
+    b_parts, c_parts = [], []
     n_constraints = 0
+    melem = np.array([[2.0, 1.0], [1.0, 2.0]])
 
     for cl in clusters:
         ts = traces[cl[0]].positions
-        n = len(ts)
-        Ls = [m(t)[1][np.ix_(cl, cl)] for t in ts]
-        Ps = [m(t)[0][np.ix_(cl, cl)] for t in ts]
+        samples = [m(t) for t in ts]
+        Ps = np.array([P[np.ix_(cl, cl)] for P, _ in samples])
+        Ls = np.array([L[np.ix_(cl, cl)] for _, L in samples])
         w = np.array([traces[p].weight for p in cl])
+        nodes = np.array([traces[p].nodes for p in cl])   # (component, node)
 
-        # boundary term: per element, L averaged between the end nodes.
-        for j in range(n - 1):
-            hh = ts[j + 1] - ts[j]
-            Lbar = 0.5 * (Ls[j] + Ls[j + 1])
-            if np.abs(Lbar).max(initial=0.0) == 0.0:
-                continue
-            melem = hh / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            for ci, p in enumerate(cl):
-                for cj, q in enumerate(cl):
-                    lv = Lbar[ci, cj] * w[ci] * w[cj]
-                    if lv == 0.0:
-                        continue
-                    for di in (0, 1):
-                        for dj in (0, 1):
-                            b_rows.append(traces[p].nodes[j + di])
-                            b_cols.append(traces[q].nodes[j + dj])
-                            b_vals.append(lv * melem[di, dj])
+        # boundary term: per element j, L averaged between the end nodes;
+        # entries run over (j, ci, cj, di, dj) in that order, which fixes
+        # the order in which duplicate entries are summed.
+        lv = 0.5 * (Ls[:-1] + Ls[1:]) * w[:, None] * w[None, :]
+        me = (np.diff(ts) / 6.0)[:, None, None] * melem
+        J, CI, CJ, DI, DJ = np.ogrid[:len(ts) - 1, :len(cl), :len(cl), :2, :2]
+        keep = np.broadcast_to((lv != 0.0)[..., None, None], lv.shape + (2, 2))
+        b_parts.append((np.broadcast_to(nodes[CI, J + DI], keep.shape)[keep],
+                        np.broadcast_to(nodes[CJ, J + DJ], keep.shape)[keep],
+                        (lv[..., None, None] * me[:, None, None])[keep]))
 
-        # nodewise constraints P(y_j) Psi_bv(y_j) = 0 in weighted coordinates.
-        for j in range(n):
-            P = Ps[j]
-            for r in range(len(cl)):
-                row = P[r]
-                if np.abs(row).max(initial=0.0) <= NULLSPACE_TOL:
-                    continue
-                for ci, q in enumerate(cl):
-                    v = row[ci] * w[ci]
-                    if abs(v) > NULLSPACE_TOL:
-                        c_rows.append(n_constraints)
-                        c_cols.append(traces[q].nodes[j])
-                        c_vals.append(v)
-                n_constraints += 1
+        # nodewise constraints P(y_j) Psi_bv(y_j) = 0 in weighted
+        # coordinates: one row per (j, r) with a nonzero P row.
+        active = np.abs(Ps).max(axis=2) > NULLSPACE_TOL
+        row_of = n_constraints + np.cumsum(active).reshape(active.shape) - 1
+        V = Ps * w
+        j, r, ci = np.nonzero(active[:, :, None] & (np.abs(V) > NULLSPACE_TOL))
+        c_parts.append((row_of[j, r], nodes[ci, j], V[j, r, ci]))
+        n_constraints += int(active.sum())
 
-    B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(ndof, ndof)).tocsr()
+    def coo(parts, shape):
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+    B = coo(b_parts, (ndof, ndof))
     B = _realify(0.5 * (B + B.conj().T))
-    C = sp.coo_matrix((c_vals, (c_rows, c_cols)),
-                      shape=(n_constraints, ndof)).tocsr()
-    N = nullspace_from_constraints(C, ndof)
+    C = coo(c_parts, (n_constraints, ndof))
 
     c_inf = semibound_constant(m, g)
-    return DiscreteForm(K=_realify(K), M=M, B=B, N=N, C=C, C_infty=c_inf,
+    return DiscreteForm(K=_realify(K), M=M, B=B, C=C, C_infty=c_inf,
                         meta={"graph": g, "mesh": mesh, "map": m,
                               "index": idx, "kind": "two_particle"})
 
@@ -408,26 +390,3 @@ def _semibound(l_max: float, l_min: float) -> float:
         return 0.0
     delta = min(l_min, 1.0 / (4.0 * l_max))
     return 8.0 * l_max / delta
-
-
-def corner_constraint(side_a_projector: np.ndarray,
-                      side_b_projector: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto ker P_a intersected with ker P_b."""
-    Pa = np.asarray(side_a_projector, dtype=complex)
-    Pb = np.asarray(side_b_projector, dtype=complex)
-    stacked = np.vstack([Pa, Pb])
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = NULLSPACE_TOL * max(sv[0] if sv.size else 0.0, 1.0)
-    rank = int(np.count_nonzero(sv > cutoff))
-    kernel = vh.conj().T[:, rank:]
-    return kernel @ kernel.conj().T
-
-
-def write_coo(mat: sp.spmatrix, path: str) -> None:
-    """Dump a matrix as text rows "row col re im" for external checks."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            z = complex(v)
-            fh.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")

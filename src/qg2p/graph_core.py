@@ -208,7 +208,3 @@ class BoundaryIndexMap:
         """Index of the component carrying the exchanged particle's trace."""
         h = self.dim_reduced
         return pos + h if pos < h else pos - h
-
-
-def index_maps(g: MetricGraph) -> BoundaryIndexMap:
-    return BoundaryIndexMap(g)

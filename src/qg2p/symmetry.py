@@ -6,6 +6,8 @@ antisymmetric sectors are spanned by explicit orbit combinations.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -48,24 +50,17 @@ def sector_basis(mesh: Mesh, sign: int) -> sp.csr_matrix:
     if sign not in (+1, -1):
         raise SymmetryError("sign must be +1 (boson) or -1 (fermion)")
     perm = exchange_permutation(mesh)
-    n = len(perm)
-    rows, cols, vals = [], [], []
-    col = 0
-    inv = 1.0 / np.sqrt(2.0)
-    for p in range(n):
-        q = perm[p]
-        if q == p:
-            if sign == +1:
-                rows.append(p)
-                cols.append(col)
-                vals.append(1.0)
-                col += 1
-        elif p < q:
-            rows.extend([p, q])
-            cols.extend([col, col])
-            vals.extend([inv, sign * inv])
-            col += 1
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, col)).tocsr()
+    p = np.arange(len(perm))
+    reps = p[(perm > p) | ((perm == p) & (sign == +1))]   # one per column
+    col = np.arange(len(reps))
+    partner = perm[reps]
+    paired = partner != reps
+    val = np.where(paired, 1.0 / np.sqrt(2.0), 1.0)
+    rows = np.concatenate([reps, partner[paired]])
+    cols = np.concatenate([col, col[paired]])
+    vals = np.concatenate([val, sign * val[paired]])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(perm), len(reps))).tocsr()
 
 
 def sector_dimensions(mesh: Mesh):
@@ -75,30 +70,25 @@ def sector_dimensions(mesh: Mesh):
     return {"boson": pairs + fixed, "fermion": pairs}
 
 
-def assemble_symmetric_form(form: DiscreteForm, sign: int,
-                            check_map: bool = True) -> DiscreteForm:
+def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     """Restrict an assembled two-particle form to one exchange sector.
 
     The sector is only invariant when the boundary map is block structured
-    (identical diagonal half-blocks, zero off-diagonal half-blocks); by
-    default that is verified and a violation is a hard error.
+    (identical diagonal half-blocks, zero off-diagonal half-blocks); that is
+    verified and a violation is a hard error.  The sector form's basis is
+    S null(C S), the only nullspace computed for it.
     """
     if form.meta.get("kind") != "two_particle":
         raise SymmetryError("sector restriction needs a two-particle form")
     mesh: Mesh = form.meta["mesh"]
     m: BoundaryMap = form.meta.get("map")
-    if check_map and m is not None:
-        report = validate_map(m)
-        if not report.block_structured:
-            raise SymmetryError(
-                "boundary map is not exchange-symmetric (half blocks differ "
-                "or off-diagonal half blocks are nonzero); no sector spectra")
+    if m is not None and not validate_map(m).block_structured:
+        raise SymmetryError(
+            "boundary map is not exchange-symmetric (half blocks differ "
+            "or off-diagonal half blocks are nonzero); no sector spectra")
 
     S = sector_basis(mesh, sign)
-    CS = (form.C @ S).tocsr()
-    Nred = nullspace_from_constraints(CS, S.shape[1])
-    N = (S @ Nred).tocsr()
+    Nred = nullspace_from_constraints((form.C @ S).tocsr(), S.shape[1])
     meta = dict(form.meta)
     meta["sector"] = "boson" if sign == +1 else "fermion"
-    return DiscreteForm(K=form.K, M=form.M, B=form.B, N=N, C=form.C,
-                        C_infty=form.C_infty, meta=meta)
+    return replace(form, basis=(S @ Nred).tocsr(), meta=meta)

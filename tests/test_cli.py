@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qg2p import cli, eigensolve, form_assembly, symmetry
 from qg2p.cli import (ConfigError, build_map, load_config, main,
                       matrix_from_json, matrix_to_json, parse_config,
                       serialize_config)
@@ -12,6 +13,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def piecewise_doc(P, L=None, nodes=9, **extra):
+    """Single-edge config with a one-piece map (P, L) on [0, 1]."""
+    L = np.zeros((4, 4)) if L is None else L
+    doc = {"graph": {"edges": [["a", "b", 1.0]]},
+           "map": {"kind": "piecewise", "breakpoints": [0.0, 1.0],
+                   "pieces": [{"P": matrix_to_json(P),
+                               "L": matrix_to_json(L)}]},
+           "mesh": {"nodes": nodes}, "num_eigs": 3}
+    doc.update(extra)
+    return doc
 
 
 def dirichlet_square_doc(nodes=33, num_eigs=5, **extra):
@@ -219,3 +232,78 @@ class TestExitCodes:
         code = main(["example-delta", "--config",
                      write_config(tmp_path, dirichlet_square_doc())])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "analyze"])
+    def test_non_projector_map_rejected_before_assembly(self, tmp_path, capsys,
+                                                        command):
+        out = tmp_path / "out"
+        code = main([command, "--config",
+                     write_config(tmp_path, piecewise_doc(0.5 * np.eye(4))),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not an orthogonal projector" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_block_map_in_sector_is_validation_failure(self, tmp_path,
+                                                          capsys):
+        P = np.diag([1.0, 0.0, 0.0, 0.0])   # a projector, halves differ
+        code = main(["spectrum", "--config",
+                     write_config(tmp_path, piecewise_doc(P)),
+                     "--sector", "boson", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not exchange-symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    @pytest.mark.parametrize("kind,key", [
+        ("piecewise", "P"), ("piecewise", "L"), ("piecewise", "pieces"),
+        ("piecewise", "breakpoints"), ("constant", "P"), ("constant", "L")])
+    def test_missing_map_entry_is_config_error(self, tmp_path, capsys,
+                                               command, kind, key):
+        doc = piecewise_doc(np.zeros((4, 4)))
+        if kind == "constant":
+            doc["map"] = {"kind": "constant", **doc["map"]["pieces"][0]}
+        if kind == "piecewise" and key in ("P", "L"):
+            del doc["map"]["pieces"][0][key]
+        else:
+            del doc["map"][key]
+        with pytest.raises(ConfigError, match=repr(key)):
+            build_map(parse_config(doc))
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,
+                                                         monkeypatch, capsys):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setenv(eigensolve.DENSE_THRESHOLD_ENV, "10")
+        monkeypatch.setattr(eigensolve.spla, "eigsh", no_convergence)
+        code = main(["spectrum", "--config",
+                     write_config(tmp_path, dirichlet_square_doc(nodes=11)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Lanczos" in err
+
+
+def test_sector_solve_runs_one_nullspace(monkeypatch):
+    """A sector run computes only S null(C S), never the full-space basis."""
+    calls = []
+    orig = form_assembly.nullspace_from_constraints
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(form_assembly, "nullspace_from_constraints", counted)
+    monkeypatch.setattr(symmetry, "nullspace_from_constraints", counted)
+    cfg = parse_config(dirichlet_square_doc(nodes=15, sector="boson"))
+    _, _, _, form = cli.assemble_from_config(cfg)
+    eigensolve.solve(form, cfg.num_eigs, sector=cfg.sector)
+    assert len(calls) == 1

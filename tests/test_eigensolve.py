@@ -17,7 +17,6 @@ def random_pencil_form(n=50, seed=5):
     K = sp.csr_matrix(Q @ np.diag(rng.uniform(0.5, 50.0, n)) @ Q.T)
     M = sp.csr_matrix(Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T)
     return DiscreteForm(K=K, M=M, B=sp.csr_matrix((n, n)),
-                        N=sp.identity(n, format="csr"),
                         C=sp.csr_matrix((0, n)), C_infty=0.0)
 
 

@@ -7,10 +7,9 @@ import scipy.sparse.linalg as spla
 from conftest import bump_interaction_map
 from qg2p.bc_maps import constant_map, lift_one_particle
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
-                                assemble_two_particle, corner_constraint,
+                                assemble_two_particle,
                                 nullspace_from_constraints,
-                                semibound_constant, stiffness_1d, mass_1d,
-                                write_coo)
+                                semibound_constant, stiffness_1d, mass_1d)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.eigensolve import solve
 from qg2p.vertex_conditions import standard_family
@@ -125,16 +124,6 @@ class TestNullspace:
         C = sp.csr_matrix(dense)
         N = nullspace_from_constraints(C, 10)
         assert N.shape[1] == 7
-
-    def test_corner_constraint_projectors(self):
-        eye = np.eye(3)
-        assert np.allclose(corner_constraint(eye, eye), 0.0)
-        P = corner_constraint(eye, np.zeros((3, 3)))
-        assert np.allclose(P, 0.0)  # ker I = {0} wins
-        Pa = np.diag([1.0, 0.0, 0.0])
-        Pb = np.diag([0.0, 1.0, 0.0])
-        Pc = corner_constraint(Pa, Pb)
-        assert np.allclose(Pc, np.diag([0.0, 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +267,3 @@ class TestSemiboundConstant:
         m = constant_map(np.zeros((4, 4)), 2.0 * np.eye(4))
         # L_max = 2, l_min = 0.1 -> delta = 0.1, C = 160
         assert semibound_constant(m, g) == pytest.approx(160.0)
-
-
-def test_write_coo_roundtrip(tmp_path, interval):
-    mesh = Mesh.uniform(interval, 5)
-    form = assemble_one_particle(
-        interval, standard_family("dirichlet", interval), mesh)
-    path = tmp_path / "k.txt"
-    write_coo(form.K, str(path))
-    lines = path.read_text().strip().splitlines()
-    nrows, ncols, nnz = (int(x) for x in lines[0][1:].split())
-    assert (nrows, ncols) == form.K.shape
-    assert nnz == len(lines) - 1
-    rebuilt = np.zeros(form.K.shape, dtype=complex)
-    for line in lines[1:]:
-        r, c, re, im = line.split()
-        rebuilt[int(r), int(c)] += float(re) + 1j * float(im)
-    assert np.allclose(rebuilt, form.K.toarray())
