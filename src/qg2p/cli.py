@@ -380,15 +380,15 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     if cfg.map.get("kind") != "delta_example":
         raise ConfigError("example-delta needs a map of kind 'delta_example'")
     g, m, mesh = build_validated(cfg)
+    n0, n1 = mesh.nodes
+    if n0 != n1:
+        raise ConfigError("the folded example needs equal node counts")
     form = form_assembly.assemble_two_particle(g, m, mesh)
     sym = symmetry.assemble_symmetric_form(form, +1)
     result = solve(sym, max(1, cfg.num_eigs), sector="boson")
 
-    psi = result.eigenvectors[:, 0].real
-    psi = psi / np.abs(psi).max()
-    n0, n1 = mesh.nodes
-    if n0 != n1:
-        raise ConfigError("the folded example needs equal node counts")
+    psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
+    psi = psi / psi[np.argmax(np.abs(psi))]
 
     def rect(a, b):
         na, nb = mesh.rect_shape(a, b)

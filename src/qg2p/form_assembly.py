@@ -3,8 +3,8 @@
 One-particle forms live on the direct sum of per-edge grids; two-particle
 forms on the disjoint union of tensor-product rectangle grids.  Boundary
 constraints P(y) Psi_bv(y) = 0 are eliminated through one orthonormal
-basis per form, the kernel of the constraint rows, computed on first use;
-the reduced pencil stays symmetric.
+basis per form, computed on first use by one small SVD per connected
+block of the constraint rows; the reduced pencil stays symmetric.
 """
 from __future__ import annotations
 
@@ -136,7 +136,8 @@ class DiscreteForm:
     (K - B, M)); ``C``: the raw constraint rows; ``C_infty``: explicit
     semi-boundedness constant of the continuum form.  ``N`` is the form's
     one orthonormal basis: ``basis`` when given (a sector form passes
-    S null(C S)), else the kernel of ``C``, computed on first use and kept.
+    S null(C S)), else ker C by one small SVD per connected block of the
+    constraint rows, computed on first use and kept.
     """
 
     K: sp.spmatrix
@@ -178,29 +179,45 @@ class DiscreteForm:
 
 def nullspace_from_constraints(C: sp.spmatrix, ndof: int,
                                tol: float = NULLSPACE_TOL) -> sp.csr_matrix:
-    """Orthonormal basis of {u : C u = 0}: identity on untouched dofs plus
-    an SVD kernel basis on the constrained ones."""
-    C = C.tocsr()
+    """Orthonormal basis of {u : C u = 0}: identity columns on untouched
+    dofs, then the kernel from one small SVD per connected block of the
+    constraint rows (same-shape blocks stacked), ranked with the global
+    cutoff tol * max(1, largest block singular value) like one SVD of C."""
+    C = C.tocoo()
     if C.nnz == 0:
         return sp.identity(ndof, format="csr")
-    touched = np.unique(C.indices)
-    C = C.tocsc()
-    Csub = np.asarray(C[:, touched].todense())
-    _, sv, vh = np.linalg.svd(Csub, full_matrices=True)
-    cutoff = tol * max(sv[0] if sv.size else 0.0, 1.0)
-    rank = int(np.count_nonzero(sv > cutoff))
-    kernel = vh.conj().T[:, rank:]
-
-    untouched = np.setdiff1d(np.arange(ndof), touched, assume_unique=False)
-    base = len(untouched)
-    # column-major over the kernel: column k lists its touched dofs in order
-    k, i = np.nonzero(np.abs(kernel.T) > 1e-300)
-    rows = np.concatenate([untouched, touched[i]])
-    cols = np.concatenate([np.arange(base), base + k])
-    vals = np.concatenate([np.ones(base), kernel[i, k]])
-    N = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(ndof, base + kernel.shape[1])).tocsr()
-    return _realify(N)
+    touched, col = np.unique(C.col, return_inverse=True)
+    nr = C.shape[0]
+    pattern = sp.coo_matrix((np.ones(C.nnz), (C.row, nr + col)),
+                            shape=(nr + len(touched),) * 2)
+    nb, label = connected_components(pattern, directed=False)
+    # position of each row / touched column among those of its block
+    key = label + nb * (np.arange(len(label)) >= nr)
+    count = np.bincount(key, minlength=2 * nb)
+    pos = np.argsort(np.argsort(key, kind="stable")) - (np.cumsum(count) - count)[key]
+    shapes, group = np.unique(count.reshape(2, nb).T, axis=0, return_inverse=True)
+    dofs = np.zeros((nb, shapes[:, 1].max()), dtype=int)
+    dofs[label[nr:], pos[nr:]] = touched
+    # kernel candidates (block, row of vh, sigma, dof, value); untouched first
+    untouched = np.setdiff1d(np.arange(ndof), touched)
+    parts = [np.broadcast_arrays(untouched - ndof, 0, 0.0, untouched, 1.0)]
+    for g, (m, n) in enumerate(shapes):
+        members = np.flatnonzero(group == g)
+        D = np.zeros((len(members), m, n), dtype=np.result_type(C.dtype, float))
+        e = group[label[nr + col]] == g
+        np.add.at(D, (np.searchsorted(members, label[nr + col[e]]),
+                      pos[C.row[e]], pos[nr + col[e]]), C.data[e])
+        _, s, vh = np.linalg.svd(D)
+        s = np.pad(s, ((0, 0), (0, n - s.shape[1])))   # rows of vh past m
+        parts.append(np.broadcast_arrays(members[:, None, None],
+                                         np.arange(n)[:, None], s[..., None],
+                                         dofs[members, None, :n]) + (vh.conj(),))
+    b, j, s, rows, vals = (np.concatenate([a.ravel() for a in x])
+                           for x in zip(*parts))
+    keep = (s <= tol * max(1.0, s.max())) & (np.abs(vals) > 1e-300)
+    kernel, cols = np.unique((b * dofs.shape[1] + j)[keep], return_inverse=True)
+    N = sp.coo_matrix((vals[keep], (rows[keep], cols)), shape=(ndof, len(kernel)))
+    return _realify(N.tocsr())
 
 
 # ---------------------------------------------------------------------------

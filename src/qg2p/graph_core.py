@@ -144,11 +144,9 @@ class BoundaryIndexMap:
             self.one_particle[(e, 1)] = E + e
 
         self.two_particle = {}
-        self.reduced = {}
         for e1 in range(E):
             for e2 in range(E):
                 for s in (0, 1):
-                    self.reduced[((e1, e2), s)] = s * E * E + e1 * E + e2
                     self.two_particle[((e1, e2), X0 if s == 0 else XL)] = (
                         s * E * E + e1 * E + e2
                     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -222,6 +223,47 @@ class TestExampleDeltaCommand:
         assert report["axis_jump_y"] < 1e-10
         lines = (out / "folded.csv").read_text().strip().splitlines()
         assert len(lines) == 29 * 29 + 1
+
+    DOC = {"map": {"kind": "delta_example", "truncation": 2.0,
+                   "potential": {"kind": "gaussian", "amplitude": -2.0,
+                                 "width": 0.5}},
+           "mesh": {"nodes": 11}, "num_eigs": 1}
+
+    def test_fold_sign_does_not_follow_eigenvector_sign(self, tmp_path,
+                                                       monkeypatch, capsys):
+        cfg = write_config(tmp_path, self.DOC)
+        assert main(["example-delta", "--config", cfg,
+                     "--out", str(tmp_path / "a")]) == 0
+        orig = cli.solve
+
+        def negated(*args, **kwargs):
+            result = orig(*args, **kwargs)
+            return dataclasses.replace(result,
+                                       eigenvectors=-result.eigenvectors)
+
+        monkeypatch.setattr(cli, "solve", negated)
+        assert main(["example-delta", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "folded.csv").read_bytes()
+        assert a == (tmp_path / "b" / "folded.csv").read_bytes()
+        psi = np.loadtxt(tmp_path / "a" / "folded.csv", delimiter=",",
+                         skiprows=1)[:, 2]
+        assert psi[np.argmax(np.abs(psi))] > 0.0
+
+    def test_unequal_node_counts_rejected_before_assembly(self, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        orig = form_assembly.assemble_two_particle
+        monkeypatch.setattr(form_assembly, "assemble_two_particle",
+                            lambda *a, **k: calls.append(a) or orig(*a, **k))
+        doc = dict(self.DOC, mesh={"nodes_per_edge": [7, 9]})
+        code = main(["example-delta", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "equal node counts" in err
+        assert calls == []
 
 
 class TestExitCodes:

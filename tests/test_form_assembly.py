@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bump_interaction_map
+from test_loop_reference import assert_same_kernel, loop_nullspace
 from qg2p.bc_maps import constant_map, lift_one_particle
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
                                 assemble_two_particle,
@@ -124,6 +127,90 @@ class TestNullspace:
         C = sp.csr_matrix(dense)
         N = nullspace_from_constraints(C, 10)
         assert N.shape[1] == 7
+
+    @staticmethod
+    def scattered(blocks, ndof, seed, empty_rows=0):
+        """C with the dense blocks on disjoint shuffled rows and dofs."""
+        rng = np.random.default_rng(seed)
+        C = sp.block_diag(blocks, format="coo")
+        nrows = C.shape[0] + empty_rows
+        rows, dofs = rng.permutation(nrows), rng.permutation(ndof)
+        return sp.coo_matrix((C.data, (rows[C.row], dofs[C.col])),
+                             shape=(nrows, ndof)).tocsr()
+
+    @staticmethod
+    def conditioned(rng, m, n, rank, complex_=False):
+        """m x n block of the given rank, nonzero singular values in [0.5, 2]."""
+        def frame(k):
+            Z = rng.standard_normal((k, rank))
+            if complex_:
+                Z = Z + 1j * rng.standard_normal((k, rank))
+            return np.linalg.qr(Z)[0]
+        s = rng.uniform(0.5, 2.0, rank)
+        return (frame(m) * s) @ frame(n).conj().T
+
+    def test_global_cutoff_drops_rank_of_small_block(self):
+        rng = np.random.default_rng(5)
+        big = 1e12 * rng.standard_normal((2, 4))
+        small = rng.standard_normal((2, 3))
+        C = self.scattered([big, small], 10, seed=1)
+        N = nullspace_from_constraints(C, 10)
+        big_rows = abs(C).max(axis=1).toarray().ravel() > 1e6
+        assert_same_kernel(N, loop_nullspace(C, 10), C[big_rows] / 1e12)
+        # cutoff 1e-10 * sigma_max > 100: only the big block's rank counts,
+        # and the small block's dofs lie wholly in the kernel
+        assert N.shape[1] == 10 - 2
+        small = np.unique(C[~big_rows].indices)
+        P = (N @ N.conj().T).toarray()
+        assert np.abs(P[np.ix_(small, small)] - np.eye(3)).max() < 1e-12
+
+    def test_shared_corner_dof_merges_groups(self):
+        # x0 + x1 + x2 = 0 and x2 - 2 x3 + x4 = 0 meet at the corner dof 2
+        C = sp.csr_matrix(np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 1.0, -2.0, 1.0, 0.0]]))
+        N = nullspace_from_constraints(C, 6)
+        assert_same_kernel(N, loop_nullspace(C, 6), C)
+        support = np.abs(N.toarray()) > 0
+        assert np.any(support[[0, 1]].any(axis=0) & support[[3, 4]].any(axis=0))
+
+    def test_all_zero_rows(self):
+        # row 1 has no entries, row 2 only an explicit zero on dof 4
+        C = sp.coo_matrix(([1.0, -1.0, 0.0], ([0, 0, 2], [0, 1, 4])),
+                          shape=(3, 6)).tocsr()
+        assert C.nnz == 3
+        N = nullspace_from_constraints(C, 6)
+        assert_same_kernel(N, loop_nullspace(C, 6), C)
+        assert N.shape[1] == 5
+        empty = nullspace_from_constraints(sp.csr_matrix((3, 4)), 4)
+        assert np.array_equal(empty.toarray(), np.eye(4))
+
+    def test_complex_rows(self):
+        rng = np.random.default_rng(9)
+        blocks = [self.conditioned(rng, 2, 4, 2, complex_=True),
+                  self.conditioned(rng, 3, 3, 2, complex_=True)]
+        C = self.scattered(blocks, 12, seed=2)
+        N = nullspace_from_constraints(C, 12)
+        assert np.iscomplexobj(N.data)
+        assert N.shape[1] == 12 - 4
+        assert_same_kernel(N, loop_nullspace(C, 12), C)
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5),
+                                     st.integers(0, 3)),
+                           min_size=1, max_size=6),
+           spare=st.integers(0, 6), empty_rows=st.integers(0, 2),
+           complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_block_kernel_matches_global_svd(self, blocks, spare, empty_rows,
+                                             complex_, seed):
+        """On block-structured C, the block-local kernel projector is the
+        projector of one SVD of all touched columns."""
+        rng = np.random.default_rng(seed)
+        mats = [self.conditioned(rng, m, n, max(1, min(m, n) - d), complex_)
+                for m, n, d in blocks]
+        ndof = sum(b.shape[1] for b in mats) + spare
+        C = self.scattered(mats, ndof, seed, empty_rows)
+        assert_same_kernel(nullspace_from_constraints(C, ndof),
+                           loop_nullspace(C, ndof), C)
 
 
 # ---------------------------------------------------------------------------
