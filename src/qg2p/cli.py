@@ -191,11 +191,7 @@ def build_map(cfg: RunConfig):
 def validate_on_mesh(m: BoundaryMap, mesh: Mesh = None):
     """validate_map at the mesh's y-nodes, the points assembly evaluates
     (the default samples without a mesh)."""
-    ys = None
-    if mesh is not None:
-        ys = np.unique(np.concatenate([mesh.normalized(e)
-                                       for e in range(mesh.graph.E)]))
-    return validate_map(m, ys=ys)
+    return validate_map(m, ys=None if mesh is None else mesh.y_nodes)
 
 
 def build_validated(cfg: RunConfig):
@@ -285,7 +281,8 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     }
     report["map"]["noninteracting"] = bc_maps.is_noninteracting(m, idx)
     report["map"]["local"] = bc_maps.is_local_two_particle(m, idx)
-    report["semiboundedness_constant"] = form_assembly.semibound_constant(m, g)
+    report["semiboundedness_constant"] = form_assembly.semibound_constant(
+        m, g, None if mesh_hint is None else mesh_hint.y_nodes)
     if cfg.map.get("kind") == "delta_example":
         report["notes"].append(
             "non-compact two-half-line configuration truncated to length "
@@ -311,6 +308,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
         "C_infty": form.C_infty,
         "h_max": mesh.h_max,
         "max_residual": float(result.residuals.max()),
+        **{key: result.meta[key] for key in (
+            "shifts", "slices", "lu_fill_nnz", "inertia_certified",
+            "max_m_orth_defect", "warnings")},
     })
     print(f"wrote {cfg.num_eigs} eigenvalues ({result.method}) to {d}")
     return EXIT_OK

@@ -67,6 +67,13 @@ class Mesh:
     def normalized(self, e: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes[e])
 
+    @property
+    def y_nodes(self) -> np.ndarray:
+        """Sorted normalized nodes of all edges: the y at which two-particle
+        assembly evaluates a boundary map."""
+        return np.unique(np.concatenate([self.normalized(e)
+                                         for e in range(self.graph.E)]))
+
     # 1-D layout: edges concatenated in declaration order.
     def edge_offset(self, e: int) -> int:
         return int(sum(self.nodes[:e]))
@@ -302,9 +309,7 @@ def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
 def _coupling_clusters(m: BoundaryMap, mesh: Mesh, traces):
     """Connected components of the P/L coupling pattern; every cluster must
     live on one common normalized running grid."""
-    ys = np.unique(np.concatenate([mesh.normalized(e)
-                                   for e in range(mesh.graph.E)]))
-    pat = m.coupling_pattern(ys=ys)
+    pat = m.coupling_pattern(ys=mesh.y_nodes)
     pat = pat | pat.T
     np.fill_diagonal(pat, True)
     ncl, labels = connected_components(sp.csr_matrix(pat), directed=False)
@@ -387,7 +392,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     B = _realify(0.5 * (B + B.conj().T))
     C = coo(c_parts, (n_constraints, ndof))
 
-    c_inf = semibound_constant(m, g)
+    c_inf = semibound_constant(m, g, mesh.y_nodes)
     return DiscreteForm(K=_realify(K), M=M, B=B, C=C, C_infty=c_inf,
                         meta={"graph": g, "mesh": mesh, "map": m,
                               "index": idx, "kind": "two_particle"})
@@ -396,8 +401,12 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
 def semibound_constant(m: BoundaryMap, g: MetricGraph,
                        ys: Sequence[float] = None) -> float:
     """Explicit lower-bound constant C = 8 L_max / delta with
-    delta = min(l_min, 1 / (4 L_max)); zero when the boundary term vanishes."""
+    delta = min(l_min, 1 / (4 L_max)); zero when the boundary term vanishes.
+    L_max is sampled at ``ys`` (a default grid without) and at the
+    breakpoints of a piecewise map, where its pieces start."""
     l_max = m.L_max(ys)
+    if m.meta.get("breakpoints"):
+        l_max = max(l_max, m.L_max(m.meta["breakpoints"]))
     l_min = min(e.length for e in g.edges)
     return _semibound(l_max, l_min)
 

@@ -75,14 +75,15 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
 
     The sector is only invariant when the boundary map is block structured
     (identical diagonal half-blocks, zero off-diagonal half-blocks); that is
-    verified and a violation is a hard error.  The sector form's basis is
+    verified at the mesh's y-nodes, where assembly evaluates the map, and a
+    violation is a hard error.  The sector form's basis is
     S null(C S), the only nullspace computed for it.
     """
     if form.meta.get("kind") != "two_particle":
         raise SymmetryError("sector restriction needs a two-particle form")
     mesh: Mesh = form.meta["mesh"]
     m: BoundaryMap = form.meta.get("map")
-    if m is not None and not validate_map(m).block_structured:
+    if m is not None and not validate_map(m, ys=mesh.y_nodes).block_structured:
         raise SymmetryError(
             "boundary map is not exchange-symmetric (half blocks differ "
             "or off-diagonal half blocks are nonzero); no sector spectra")

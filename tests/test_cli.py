@@ -130,6 +130,16 @@ class TestSpectrumCommand:
             rows = (out / "eigenvalues.csv").read_text().strip().splitlines()[1:]
             lam0 = float(rows[0].split(",")[1])
             errs[nodes] = abs(lam0 - 2 * np.pi**2)
+            meta = json.loads((out / "spectrum.json").read_text())
+            assert meta["max_m_orth_defect"] < 1e-10 and meta["warnings"] == []
+            if nodes == 33:     # 961 dofs: dense, nothing to certify
+                assert meta["method"] == "dense" and meta["slices"] == 0
+                assert meta["inertia_certified"] is None
+            else:               # 3969 dofs: one certified slice at -1
+                assert meta["method"] == "shift-invert"
+                assert meta["inertia_certified"] is True
+                assert meta["shifts"] == [-1.0] and meta["slices"] == 1
+                assert meta["lu_fill_nnz"] > meta["pencil_size"]
         assert errs[33] / errs[65] > 3.0  # ~4x per refinement
         assert errs[65] / (2 * np.pi**2) < 0.02
 

@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qg2p.bc_maps import lift_one_particle
-from qg2p.eigensolve import (SolveError, SpectrumResult, counting_function,
-                             dense_threshold, solve)
-from qg2p.form_assembly import DiscreteForm, Mesh, assemble_two_particle
+from qg2p import eigensolve
+from qg2p.bc_maps import lift_one_particle, piecewise_map
+from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
+                             counting_function, dense_threshold, solve)
+from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
+                                assemble_two_particle)
+from qg2p.graph_core import build_graph
+from qg2p.spectral_analysis import lift_spectrum
 from qg2p.vertex_conditions import standard_family
+from test_loop_reference import random_projector_map
 
 
 def random_pencil_form(n=50, seed=5):
@@ -68,6 +75,128 @@ class TestSolve:
         form2 = assemble_two_particle(interval, m, mesh)
         b = solve(form2, 5, force_dense=False).eigenvalues
         assert np.array_equal(a, b)
+
+
+def step_map_form(interval):
+    """L = 1e4 I on y in [0.5605, 0.5655): only the mesh node y = 0.5625
+    sees the step, the 101-point default grid misses it.  The lowest
+    eigenvalues are near -2.75e5, far below the shift C_infty = 0 gave."""
+    Z = np.zeros((4, 4))
+    m = piecewise_map([0.0, 0.5605, 0.5655, 1.0],
+                      [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z)])
+    return assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
+
+
+def dirichlet_lift(interval, nodes):
+    vc = standard_family("dirichlet", interval)
+    mesh = Mesh.uniform(interval, nodes)
+    one = assemble_one_particle(interval, vc, mesh)
+    lam1 = solve(one, one.nreduced, force_dense=True).eigenvalues
+    return assemble_two_particle(interval, lift_one_particle(vc, interval),
+                                 mesh), lam1
+
+
+def drop_middle(monkeypatch, times):
+    """Make the first ``times`` eigsh calls lose their middle eigenpair."""
+    orig, calls = eigensolve.spla.eigsh, []
+
+    def lossy(*args, **kwargs):
+        lam, U = orig(*args, **kwargs)
+        calls.append(len(lam))
+        if len(calls) > times:
+            return lam, U
+        keep = np.argsort(lam) != len(lam) // 2
+        return lam[keep], U[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", lossy)
+    return calls
+
+
+class TestSlicing:
+    def test_slices_match_lifted_spectrum(self, interval):
+        form, lam1 = dirichlet_lift(interval, 33)
+        k = 2 * SLICE + 40
+        res = solve(form, k, force_dense=False)
+        assert res.meta["slices"] >= 3
+        assert res.meta["inertia_certified"] is True
+        assert len(res.meta["shifts"]) == res.meta["slices"]
+        exact = lift_spectrum(lam1, k)
+        assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
+        assert res.meta["max_m_orth_defect"] <= 1e-10
+        assert res.residuals.max() < 1e-8
+
+    def test_single_slice_is_certified(self, interval):
+        form, lam1 = dirichlet_lift(interval, 17)
+        res = solve(form, 5, force_dense=False)
+        assert res.meta["slices"] == 1 and res.meta["inertia_certified"]
+        assert res.meta["shifts"] == [-1.0] and res.meta["lu_fill_nnz"] > 0
+        assert np.allclose(res.eigenvalues, lift_spectrum(lam1, 5), rtol=1e-12)
+
+    def test_dropped_eigenvalue_is_retried(self, interval, monkeypatch):
+        form, lam1 = dirichlet_lift(interval, 17)
+        calls = drop_middle(monkeypatch, times=1)
+        res = solve(form, 12, force_dense=False)
+        assert len(calls) >= 2
+        assert np.allclose(res.eigenvalues, lift_spectrum(lam1, 12), rtol=1e-12)
+        assert res.meta["inertia_certified"] is True
+
+    def test_always_dropped_eigenvalue_fails(self, interval, monkeypatch):
+        form, _ = dirichlet_lift(interval, 17)
+        drop_middle(monkeypatch, times=10 ** 6)
+        with pytest.raises(SolveError, match="failed its checks"):
+            solve(form, 12, force_dense=False)
+
+    def test_complex_hermitian_inertia(self):
+        g = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+        form = assemble_two_particle(g, random_projector_map(16, 5, 3),
+                                     Mesh.uniform(g, 12))
+        A, M = form.reduced()
+        assert np.iscomplexobj(A.data)
+        dense = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        for tau in (dense[0] - 1.0, 0.5 * (dense[9] + dense[10]),
+                    0.5 * (dense[40] + dense[41])):
+            nu, _ = eigensolve._inertia(A.tocsc(), M.tocsc(), tau)
+            assert nu == np.count_nonzero(dense < tau)
+        res = solve(form, 30, force_dense=False)
+        assert res.meta["inertia_certified"] is True
+        scale = max(1.0, np.abs(dense[:30]).max())
+        assert np.abs(res.eigenvalues - dense[:30]).max() / scale < 1e-10
+        assert res.meta["max_m_orth_defect"] <= 1e-10
+
+    def test_shift_below_missed_step(self, interval):
+        form = step_map_form(interval)
+        d = solve(form, 3, force_dense=True)
+        it = solve(form, 3, force_dense=False)
+        assert d.eigenvalues[0] < -2e5
+        scale = np.abs(d.eigenvalues).max()
+        assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale < 1e-9
+        assert it.meta["inertia_certified"] is True
+
+    def test_start_shift_lowered_until_no_eigenvalue_below(self, interval):
+        form = replace(step_map_form(interval), C_infty=0.0)
+        d = solve(form, 3, force_dense=True)
+        it = solve(form, 3, force_dense=False)
+        assert it.meta["shifts"][0] < d.eigenvalues[0]
+        assert it.meta["shifts"][0] == -2.0 ** 19    # -1 doubled 19 times
+        scale = np.abs(d.eigenvalues).max()
+        assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale < 1e-9
+
+
+class TestMemoryGuard:
+    def test_threshold_dense_falls_back_to_lanczos(self, monkeypatch):
+        oracle = solve(random_pencil_form(n=50), 5, force_dense=True)
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
+        res = solve(random_pencil_form(n=50), 5)
+        assert res.method == "shift-invert"
+        assert "dense needs" in res.meta["warnings"][0]
+        assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
+
+    def test_forced_dense_over_budget_fails(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
+        with pytest.raises(SolveError, match="MB free"):
+            solve(random_pencil_form(n=50), 5, force_dense=True)
+        with pytest.raises(SolveError, match="MB free"):
+            solve(random_pencil_form(n=50), 49)
 
 
 class TestThreshold:

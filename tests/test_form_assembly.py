@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import bump_interaction_map
 from test_loop_reference import assert_same_kernel, loop_nullspace
-from qg2p.bc_maps import constant_map, lift_one_particle
+from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
                                 assemble_two_particle,
                                 nullspace_from_constraints,
@@ -354,3 +354,21 @@ class TestSemiboundConstant:
         m = constant_map(np.zeros((4, 4)), 2.0 * np.eye(4))
         # L_max = 2, l_min = 0.1 -> delta = 0.1, C = 160
         assert semibound_constant(m, g) == pytest.approx(160.0)
+
+    def test_sampled_at_mesh_nodes_and_breakpoints(self, interval):
+        # the default 101-point grid misses both steps; mesh node 0.5625
+        # sees the first, only its breakpoint 0.813 sees the second
+        Z = np.zeros((4, 4))
+        m = piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
+                          [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
+                           (Z, 2e4 * np.eye(4)), (Z, Z)])
+        assert semibound_constant(m, interval) > 0.0      # breakpoints
+        assert m.L_max() == 0.0
+        form = assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
+        # L_max = 2e4, delta = 1 / (4 L_max): C = 32 L_max^2
+        assert form.C_infty == pytest.approx(32.0 * 2e4 ** 2)
+        m1 = piecewise_map([0.0, 0.5605, 0.5655, 1.0],
+                           [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z)])
+        m1.meta.clear()                                   # no breakpoints known
+        form = assemble_two_particle(interval, m1, Mesh.uniform(interval, 17))
+        assert form.C_infty == pytest.approx(32.0 * 1e4 ** 2)

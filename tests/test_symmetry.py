@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_interaction_map
-from qg2p.bc_maps import constant_map, lift_one_particle
+from qg2p.bc_maps import constant_map, delta_example_map, lift_one_particle
 from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.spectral_analysis import lift_spectrum
@@ -157,6 +157,16 @@ class TestSymmetricAssembly:
         form = assemble_two_particle(interval, m, mesh)
         with pytest.raises(SymmetryError, match="exchange-symmetric"):
             assemble_symmetric_form(form, +1)
+
+    def test_map_evaluated_only_at_mesh_nodes(self):
+        g, m = delta_example_map(
+            lambda x, y: -2.0 * np.exp(-(x * x + y * y) / 0.5), 2.0)
+        seen, ev = [], m.eval_fn
+        m.eval_fn = lambda y: seen.append(y) or ev(y)
+        mesh = Mesh.uniform(g, 9)
+        sym = assemble_symmetric_form(assemble_two_particle(g, m, mesh), +1)
+        assert sym.meta["sector"] == "boson"
+        assert sorted(seen) == list(mesh.y_nodes)
 
     def test_one_particle_form_rejected(self, interval):
         from qg2p.form_assembly import assemble_one_particle
