@@ -219,7 +219,7 @@ def _sliced_lanczos(A, M, k: int, sigma: float, meta: dict):
     lu, nu0, start_read, fill = None, None, False, 0
     shifts, tau, count, spacing = [], sigma, 0, None
     while count < k:
-        m = min(SLICE, (k - count) * 9 // 8 + 2, n - 2)
+        m = min(SLICE, max(8, (k - count) * 9 // 8 + 2), n - 2)
         offset = 0.0 if spacing is None else 0.45 * m * spacing
         for _ in range(SLICE_TRIES):
             s = tau + offset

@@ -146,6 +146,28 @@ class TestSlicing:
         with pytest.raises(SolveError, match="failed its checks"):
             solve(form, 12, force_dense=False)
 
+    def test_window_short_of_the_cut_is_recentred(self, interval, monkeypatch):
+        form, lam1 = dirichlet_lift(interval, 33)
+        orig, shifts, cuts = eigensolve.spla.eigsh, [], []
+
+        def short(*args, **kwargs):
+            lam, U = orig(*args, **kwargs)
+            shifts.append(kwargs["sigma"])
+            if len(shifts) == 2:    # second slice: only the half nearest s
+                near = np.argsort(np.abs(lam - shifts[-1]))[:len(lam) // 2]
+                return lam[near], U[:, near]
+            return lam, U
+
+        inertia = eigensolve._inertia
+        monkeypatch.setattr(eigensolve.spla, "eigsh", short)
+        monkeypatch.setattr(eigensolve, "_inertia",
+                            lambda A, M, tau: cuts.append(tau) or inertia(A, M, tau))
+        res = solve(form, SLICE + 40, force_dense=False)
+        assert shifts[2] < shifts[1]            # re-centred lower
+        assert len(cuts) == res.meta["slices"]  # no count on the short window
+        exact = lift_spectrum(lam1, SLICE + 40)
+        assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
+
     def test_complex_hermitian_inertia(self):
         g = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
         form = assemble_two_particle(g, random_projector_map(16, 5, 3),
