@@ -1,15 +1,9 @@
 """Generalized eigenvalue solves for the reduced discrete pencils.
 
-Small problems are handled by a dense symmetric solver, when its memory
-fits.  Larger ones by shift-invert Lanczos in slices, each certified by a
-Sylvester inertia count.  The first shift sits below the explicit
-semi-boundedness constant, and an unpivoted symmetric factor of A - sigma M
-must have no negative pivot there (the shift is lowered until it has none).
-Each slice asks for the eigenvalues nearest its shift, one factor per shift,
-and is cut in the gap below its top cluster, so a degenerate cluster is
-never split; the number of negative pivots of A - tau M at the cut must
-equal the number of eigenvalues found below it.  So the returned k are the
-lowest k, with none missing.
+Small problems are handled by a dense symmetric solver when its memory
+fits; larger ones by shift-invert Lanczos in slices, one factor per shift,
+each certified by a Sylvester inertia count, so the k returned eigenvalues
+are provably the lowest k, with none missing.
 """
 from __future__ import annotations
 
@@ -104,8 +98,8 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
         raise SolveError(f"requested {k} eigenvalues from a pencil of size {n}")
 
     meta = {"C_infty": form.C_infty, "pencil_size": n, "warnings": []}
-    dense = force_dense if force_dense is not None else n <= dense_threshold()
-    dense = dense or k > n - 2
+    dense = (force_dense if force_dense is not None
+             else n <= dense_threshold()) or k > n - 2
     # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
     need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
     avail = available_memory()
