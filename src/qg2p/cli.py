@@ -339,8 +339,8 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
                             "pass": rep.relative_error < toggles.get("weyl_tol", 0.15)}
         with open(os.path.join(d, "counting.csv"), "w") as fh:
             fh.write("lambda,N,weyl_line\n")
-            for v in lam:
-                fh.write(f"{v:.12e},{counting_function(lam, v)},"
+            for v, count in zip(lam, counting_function(lam, lam)):
+                fh.write(f"{v:.12e},{count},"
                          f"{rep.slope * (v if cfg.particles == 2 else np.sqrt(max(v, 0.0))):.12e}\n")
 
     if "heat" in toggles:

@@ -1,9 +1,9 @@
 """Generalized eigenvalue solves for the reduced discrete pencils.
 
-Small problems are handled by a dense symmetric solver when its memory
-fits; larger ones by shift-invert Lanczos in slices, one factor per shift,
-each certified by a Sylvester inertia count, so the k returned eigenvalues
-are provably the lowest k, with none missing.
+A pencil of size n is solved dense only when k > n - 2 or n^2 <= c k (dense
+costs about n^3, the slices k n) and its memory fits; else by shift-invert
+Lanczos in slices, one factor per shift, each certified by a Sylvester
+inertia count, so the k eigenvalues are provably the lowest k.
 """
 from __future__ import annotations
 
@@ -17,8 +17,11 @@ import scipy.sparse.linalg as spla
 
 from .form_assembly import DiscreteForm
 
-DENSE_THRESHOLD_ENV = "QG2P_DENSE_THRESHOLD"
-DEFAULT_DENSE_THRESHOLD = 3000
+# c of n^2 <= c k: best of 3, 1 BLAS thread, lifted Dirichlet and piecewise
+# Robin pencils, n = 441..3249, k = 5..300; dense wins below n^2 / k of about
+# 5000..8000 (n = 1681, k = 60: dense 1.14 s, sliced 0.16 s; n = 625, k = 300:
+# 0.088 s against 0.32 s).  Every pencil with n <= 77 is dense.
+DENSE_COST = 6000
 TIE_TOL = 1e-8
 SLICE = 80          # eigenvalues asked per shift: Lanczos keeps 2 SLICE + 1 vectors
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
@@ -29,14 +32,9 @@ class SolveError(RuntimeError):
     """Eigenvalue computation failed or was inconsistently requested."""
 
 
-def dense_threshold() -> int:
-    raw = os.environ.get(DENSE_THRESHOLD_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_THRESHOLD
-    try:
-        return int(raw)
-    except ValueError:
-        raise SolveError(f"{DENSE_THRESHOLD_ENV} must be an integer, got {raw!r}")
+def dense_preferred(n: int, k: int) -> bool:
+    """Whether dense eigh (about n^3) is cheaper than k of n by slices."""
+    return n * n <= DENSE_COST * k
 
 
 def available_memory() -> float:
@@ -99,7 +97,7 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
 
     meta = {"C_infty": form.C_infty, "pencil_size": n, "warnings": []}
     dense = (force_dense if force_dense is not None
-             else n <= dense_threshold()) or k > n - 2
+             else dense_preferred(n, k)) or k > n - 2
     # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
     need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
     avail = available_memory()
@@ -274,6 +272,8 @@ def _sliced_lanczos(A, M, k: int, sigma: float, meta: dict):
     return lam_out, U_out
 
 
-def counting_function(eigenvalues: np.ndarray, lam: float) -> int:
-    """N(lam) = #{n : lam_n <= lam} for a sorted spectrum."""
-    return int(np.searchsorted(np.sort(np.asarray(eigenvalues)), lam, side="right"))
+def counting_function(eigenvalues: np.ndarray, lam):
+    """N(lam) = #{n : lam_n <= lam}: an int for a scalar lam, an integer
+    array for an array of them."""
+    n = np.searchsorted(np.sort(np.asarray(eigenvalues)), lam, side="right")
+    return int(n) if np.ndim(n) == 0 else n

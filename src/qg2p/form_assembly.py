@@ -398,17 +398,22 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
                               "index": idx, "kind": "two_particle"})
 
 
+def sampled_l_max(m: BoundaryMap, ys: Sequence[float] = None) -> float:
+    """max ||L(y)|| over ``ys`` (a default grid without) and the breakpoints
+    of a piecewise map, where its pieces start."""
+    l_max = m.L_max(ys)
+    if m.meta.get("breakpoints"):
+        l_max = max(l_max, m.L_max(m.meta["breakpoints"]))
+    return l_max
+
+
 def semibound_constant(m: BoundaryMap, g: MetricGraph,
                        ys: Sequence[float] = None) -> float:
     """Explicit lower-bound constant C = 8 L_max / delta with
     delta = min(l_min, 1 / (4 L_max)); zero when the boundary term vanishes.
-    L_max is sampled at ``ys`` (a default grid without) and at the
-    breakpoints of a piecewise map, where its pieces start."""
-    l_max = m.L_max(ys)
-    if m.meta.get("breakpoints"):
-        l_max = max(l_max, m.L_max(m.meta["breakpoints"]))
+    L_max is the ``sampled_l_max`` at ``ys``."""
     l_min = min(e.length for e in g.edges)
-    return _semibound(l_max, l_min)
+    return _semibound(sampled_l_max(m, ys), l_min)
 
 
 def _semibound(l_max: float, l_min: float) -> float:

@@ -79,12 +79,12 @@ def weyl_fit_two_particle(eigenvalues: np.ndarray, g: MetricGraph,
     hi = window[1] if window else lam[-1]
     if h_max is not None:
         hi = min(hi, (np.pi / (4.0 * h_max)) ** 2)
-    xs = np.array([v for v in lam if lo <= v <= hi])
+    xs = lam[(lam >= lo) & (lam <= hi)]
     if len(xs) < 30:
         raise AnalysisError(
             f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
             "need at least 30")
-    ns = np.array([counting_function(lam, v) for v in xs], dtype=float)
+    ns = counting_function(lam, xs).astype(float)
     slope = _slope_fit(xs, ns)
     return WeylReport(slope=slope, target=target,
                       relative_error=abs(slope - target) / target,
@@ -102,12 +102,12 @@ def weyl_fit_one_particle(eigenvalues: np.ndarray, g: MetricGraph,
     hi = window[1] if window else ks[-1]
     if h_max is not None:
         hi = min(hi, np.pi / (4.0 * h_max))
-    xs = np.array([v for v in ks if lo <= v <= hi])
+    xs = ks[(ks >= lo) & (ks <= hi)]
     if len(xs) < 30:
         raise AnalysisError(
             f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
             "need at least 30")
-    ns = np.array([counting_function(ks, v) for v in xs], dtype=float)
+    ns = counting_function(ks, xs).astype(float)
     slope = _slope_fit(xs, ns)
     return WeylReport(slope=slope, target=target,
                       relative_error=abs(slope - target) / target,
@@ -154,18 +154,12 @@ def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
     up = np.max((m - d) / scale)
     ok = low <= rel_slack and up <= rel_slack
 
-    counting_ok = True
-    for lam in np.concatenate([r, m, d]):
-        nd = counting_function(d, lam)
-        nm = counting_function(m, lam)
-        nr = counting_function(r, lam)
-        if not (nd <= nm <= nr):
-            counting_ok = False
-            break
+    grid = np.concatenate([r, m, d])
+    nd, nm, nr = (counting_function(s, grid) for s in (d, m, r))
     return BracketingReport(ok=bool(ok), n_checked=n,
                             max_lower_violation=float(max(low, 0.0)),
                             max_upper_violation=float(max(up, 0.0)),
-                            counting_ok=counting_ok)
+                            counting_ok=bool(np.all((nd <= nm) & (nm <= nr))))
 
 
 def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
@@ -174,14 +168,15 @@ def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
     operators on the same mesh, then check the sandwich.
 
     Lower comparison: no constraints and boundary map L_max times the
-    identity; upper comparison: full Dirichlet.
+    identity, with L_max sampled where assembly samples the map; upper
+    comparison: full Dirichlet.
     """
     from .bc_maps import constant_map
-    from .form_assembly import assemble_two_particle
+    from .form_assembly import assemble_two_particle, sampled_l_max
     from .symmetry import assemble_symmetric_form
 
     dim = m.dim
-    l_max = m.L_max()
+    l_max = sampled_l_max(m, mesh.y_nodes)
     robin = constant_map(np.zeros((dim, dim)), l_max * np.eye(dim))
     dirichlet = constant_map(np.eye(dim), np.zeros((dim, dim)))
     sign = {"full": None, "boson": +1, "fermion": -1}[sector]

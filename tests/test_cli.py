@@ -119,7 +119,7 @@ class TestValidateCommand:
 class TestSpectrumCommand:
     def test_dirichlet_values_and_refinement(self, tmp_path):
         errs = {}
-        for nodes in (33, 65):
+        for nodes in (9, 33, 65):
             out = tmp_path / f"out{nodes}"
             code = main(["spectrum",
                          "--config", write_config(
@@ -132,15 +132,15 @@ class TestSpectrumCommand:
             errs[nodes] = abs(lam0 - 2 * np.pi**2)
             meta = json.loads((out / "spectrum.json").read_text())
             assert meta["max_m_orth_defect"] < 1e-10 and meta["warnings"] == []
-            if nodes == 33:     # 961 dofs: dense, nothing to certify
+            if nodes == 9:      # 49 dofs: dense, nothing to certify
                 assert meta["method"] == "dense" and meta["slices"] == 0
                 assert meta["inertia_certified"] is None
-            else:               # 3969 dofs: one certified slice at -1
+            else:               # 961 and 3969 dofs: one certified slice at -1
                 assert meta["method"] == "shift-invert"
                 assert meta["inertia_certified"] is True
                 assert meta["shifts"] == [-1.0] and meta["slices"] == 1
                 assert meta["lu_fill_nnz"] > meta["pencil_size"]
-        assert errs[33] / errs[65] > 3.0  # ~4x per refinement
+        assert errs[9] / errs[33] > 3.0 and errs[33] / errs[65] > 3.0
         assert errs[65] / (2 * np.pi**2) < 0.02
 
     def test_boson_sector_matches_lift_oracle(self, tmp_path):
@@ -334,10 +334,9 @@ class TestExitCodes:
             raise ArpackNoConvergence("ARPACK error -1: No convergence",
                                       np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setenv(eigensolve.DENSE_THRESHOLD_ENV, "10")
         monkeypatch.setattr(eigensolve.spla, "eigsh", no_convergence)
-        code = main(["spectrum", "--config",
-                     write_config(tmp_path, dirichlet_square_doc(nodes=11)),
+        code = main(["spectrum", "--config",   # 361 dofs, k = 5: Lanczos
+                     write_config(tmp_path, dirichlet_square_doc(nodes=21)),
                      "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err

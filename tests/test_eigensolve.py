@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from qg2p import eigensolve
 from qg2p.bc_maps import lift_one_particle, piecewise_map
 from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
-                             counting_function, dense_threshold, solve)
+                             counting_function, dense_preferred, solve)
 from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
                                 assemble_two_particle)
 from qg2p.graph_core import build_graph
@@ -77,14 +77,20 @@ class TestSolve:
         assert np.array_equal(a, b)
 
 
-def step_map_form(interval):
-    """L = 1e4 I on y in [0.5605, 0.5655): only the mesh node y = 0.5625
-    sees the step, the 101-point default grid misses it.  The lowest
-    eigenvalues are near -2.75e5, far below the shift C_infty = 0 gave."""
+def step_map():
+    """L = 1e4 I on y in [0.5605, 0.5655): on Mesh.uniform(interval, 17)
+    only the node y = 0.5625 sees the step, the 101-point default grid
+    misses it."""
     Z = np.zeros((4, 4))
-    m = piecewise_map([0.0, 0.5605, 0.5655, 1.0],
-                      [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z)])
-    return assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
+    return piecewise_map([0.0, 0.5605, 0.5655, 1.0],
+                         [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z)])
+
+
+def step_map_form(interval):
+    """The step map's pencil: its lowest eigenvalues are near -2.75e5, far
+    below the shift C_infty = 0 gave."""
+    return assemble_two_particle(interval, step_map(),
+                                 Mesh.uniform(interval, 17))
 
 
 def dirichlet_lift(interval, nodes):
@@ -214,19 +220,29 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 49)
 
 
-class TestThreshold:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QG2P_DENSE_THRESHOLD", "123")
-        assert dense_threshold() == 123
+class TestMethodChoice:
+    def test_cost_rule(self):
+        assert dense_preferred(193, 80)         # a lift check's 1-D solve
+        assert not dense_preferred(1681, 60)    # bracket-dense's pencils
+        assert all(dense_preferred(n, 1) for n in range(1, 78))
+        assert not dense_preferred(78, 1)
 
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("QG2P_DENSE_THRESHOLD", "many")
-        with pytest.raises(SolveError):
-            dense_threshold()
+    def test_solve_follows_the_rule(self):
+        assert solve(random_pencil_form(n=50), 5).method == "dense"
+        assert solve(random_pencil_form(n=100), 1).method == "shift-invert"
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("QG2P_DENSE_THRESHOLD", raising=False)
-        assert dense_threshold() == 3000
+    def test_k_above_n_minus_2_is_dense(self):
+        # Lanczos needs k < n - 1, so not even force_dense=False avoids dense
+        form = random_pencil_form(n=100)
+        assert solve(form, 99, force_dense=False).method == "dense"
+        assert solve(form, 98, force_dense=False).method == "shift-invert"
+
+    def test_force_dense_overrides_the_rule(self):
+        dense = solve(random_pencil_form(n=100), 1, force_dense=True)
+        assert dense.method == "dense"
+        it = solve(random_pencil_form(n=50), 5, force_dense=False)
+        assert it.method == "shift-invert"
+        assert it.meta["inertia_certified"] is True
 
 
 class TestMultiplicities:
@@ -252,3 +268,9 @@ class TestCounting:
         assert counting_function(lam, 0.5) == 0
         assert counting_function(lam, 2.0) == 3
         assert counting_function(lam, 10.0) == 4
+        assert type(counting_function(lam, np.float64(2.0))) is int
+
+    def test_counting_function_of_an_array(self):
+        lam = np.array([5.0, 2.0, 1.0, 2.0])
+        grid = np.array([0.5, 2.0, 10.0, 1.5])
+        assert counting_function(lam, grid).tolist() == [0, 3, 4, 1]

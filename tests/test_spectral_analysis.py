@@ -9,6 +9,7 @@ from qg2p.spectral_analysis import (AnalysisError, bracketing_check,
                                     weyl_fit_one_particle,
                                     weyl_fit_two_particle)
 from qg2p.vertex_conditions import standard_family
+from test_eigensolve import step_map
 
 
 def dirichlet_interval(n):
@@ -161,3 +162,11 @@ class TestBracketing:
         rep = bracketing_run(interval, bump_interaction_map(),
                              Mesh.uniform(interval, 25), 20)
         assert rep.ok and rep.counting_ok
+
+    def test_lower_operator_samples_the_mesh(self, interval):
+        # L_max on the default grid is 0 (a Neumann "lower" operator); at
+        # the mesh's y-nodes it is 1e4
+        rep = bracketing_run(interval, step_map(), Mesh.uniform(interval, 17), 10)
+        assert rep.ok and rep.counting_ok
+        assert rep.max_lower_violation == 0.0
+        assert rep.max_upper_violation == 0.0
