@@ -114,6 +114,21 @@ def _half_blocks(M: np.ndarray):
     return M[:h, :h], M[:h, h:], M[h:, :h], M[h:, h:]
 
 
+def block_structured(m: BoundaryMap, ys: Sequence[float] = None,
+                     tol: float = 1e-9) -> bool:
+    """True iff P(y) and L(y) have identical diagonal half-blocks and zero
+    off-diagonal half-blocks at every sample: then both exchange sectors
+    are invariant under the form.  Compares entries only."""
+    h = m.dim // 2
+    for y in _default_samples(ys):
+        for M in m(y):
+            if (np.abs(M[:h, h:]).max(initial=0.0) > tol
+                    or np.abs(M[h:, :h]).max(initial=0.0) > tol
+                    or np.abs(M[:h, :h] - M[h:, h:]).max(initial=0.0) > tol):
+                return False
+    return True
+
+
 def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
                  margins=(0.0, 0.0)) -> MapValidationReport:
     """Per-sample projector / self-adjointness / QLQ checks plus the
@@ -125,7 +140,6 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
     ys = _default_samples(ys)
     errors, warnings = [], []
     pd = sa = qlq = 0.0
-    block = True
     corner = True
     rank1 = True
     for y in ys:
@@ -144,12 +158,6 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
             errors.append(f"L(y={y:.6g}) is not Hermitian (defect {d_sa:.2e})")
         if d_qlq > tol:
             errors.append(f"L(y={y:.6g}) violates L = Q L Q (defect {d_qlq:.2e})")
-
-        for M in (P, L):
-            tl, tr, bl, br = _half_blocks(M)
-            if (np.abs(tr).max(initial=0.0) > tol or np.abs(bl).max(initial=0.0) > tol
-                    or np.abs(tl - br).max(initial=0.0) > tol):
-                block = False
 
         near_corner = y <= margins[0] + 1e-12 or y >= 1.0 - margins[1] - 1e-12
         if near_corner:
@@ -172,7 +180,8 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
         warnings.append("corner-regularity hypotheses not met "
                         "(L != 0 or non-diagonal half-block near y = 0, 1)")
     return MapValidationReport(
-        ok=not errors, L_max=m.L_max(ys), block_structured=block,
+        ok=not errors, L_max=m.L_max(ys),
+        block_structured=block_structured(m, ys, tol),
         corner_regular=corner, rank1_consistent=rank1,
         max_projector_defect=pd, max_sa_defect=sa, max_qlq_defect=qlq,
         errors=tuple(errors), warnings=tuple(warnings),

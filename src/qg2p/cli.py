@@ -309,7 +309,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
         "h_max": mesh.h_max,
         "max_residual": float(result.residuals.max()),
         **{key: result.meta[key] for key in (
-            "shifts", "slices", "lu_fill_nnz", "inertia_certified",
+            "shifts", "slices", "sectors", "lu_fill_nnz", "inertia_certified",
             "max_m_orth_defect", "warnings")},
     })
     print(f"wrote {cfg.num_eigs} eigenvalues ({result.method}) to {d}")
@@ -349,7 +349,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
 
     if "bracketing" in toggles:
         n = int(toggles["bracketing"].get("n", 50))
-        analysis["bracketing"] = _run_bracketing(g, m, mesh, cfg, n)
+        analysis["bracketing"] = _run_bracketing(g, m, mesh, cfg, n, lam)
 
     if toggles.get("lift_check") and m.noninteracting_tag:
         vc = build_conditions(g, cfg.map)
@@ -366,8 +366,10 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
     return EXIT_OK
 
 
-def _run_bracketing(g, m: BoundaryMap, mesh: Mesh, cfg: RunConfig, n: int):
-    rep = spectral_analysis.bracketing_run(g, m, mesh, n, sector=cfg.sector)
+def _run_bracketing(g, m: BoundaryMap, mesh: Mesh, cfg: RunConfig, n: int,
+                    lam: np.ndarray):
+    rep = spectral_analysis.bracketing_run(g, m, mesh, n, sector=cfg.sector,
+                                           eigenvalues=lam)
     return {"ok": rep.ok, "n_checked": rep.n_checked,
             "max_lower_violation": rep.max_lower_violation,
             "max_upper_violation": rep.max_upper_violation,

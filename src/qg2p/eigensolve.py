@@ -3,7 +3,11 @@
 A pencil of size n is solved dense only when k > n - 2 or n^2 <= c k (dense
 costs about n^3, the slices k n) and its memory fits; else by shift-invert
 Lanczos in slices, one factor per shift, each certified by a Sylvester
-inertia count, so the k eigenvalues are provably the lowest k.
+inertia count, so the k eigenvalues are provably the lowest k.  A full-space
+two-particle pencil whose map is block structured is sliced as its boson and
+fermion sector pencils (the symmetry-adapted block diagonalisation for the
+exchange group Z_2): the same loop advances whichever has the lower cut, and
+the union of their certified spectra is the full one.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import symmetry
 from .form_assembly import DiscreteForm
 
 # c of n^2 <= c k: best of 3, 1 BLAS thread, lifted Dirichlet and piecewise
@@ -37,12 +42,33 @@ def dense_preferred(n: int, k: int) -> bool:
     return n * n <= DENSE_COST * k
 
 
-def available_memory() -> float:
-    """Bytes of physical memory free now (unbounded where unknown)."""
+# (limit, usage) files of the process's memory cgroup, v2 then v1
+CGROUP_MEMORY = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+                 ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+                  "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
+
+
+def _read_bytes(path: str):
+    """The byte count in a cgroup file; None when unreadable or "max"."""
     try:
-        return float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+        with open(path) as fh:
+            return int(fh.read().strip())
+    except (OSError, ValueError):
+        return None
+
+
+def available_memory() -> float:
+    """Bytes of memory free now: physical memory, and the room left under
+    a readable cgroup limit (unbounded where neither is known)."""
+    try:
+        free = float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (ValueError, OSError, AttributeError):
-        return float("inf")
+        free = float("inf")
+    for limit_file, usage_file in CGROUP_MEMORY:
+        limit = _read_bytes(limit_file)
+        if limit is not None:
+            free = min(free, float(limit - (_read_bytes(usage_file) or 0)))
+    return free
 
 
 @dataclass
@@ -61,21 +87,15 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
     def multiplicities(self, tol: float = TIE_TOL):
-        """Cluster eigenvalues closer than a relative tie tolerance."""
+        """(mean, size) of each chain of consecutive tied eigenvalues."""
         lam = self.eigenvalues
-        groups = []
-        i = 0
-        while i < len(lam):
-            j = i + 1
-            while j < len(lam) and _tied(lam[j - 1], lam[j], tol):
-                j += 1
-            groups.append((float(np.mean(lam[i:j])), j - i))
-            i = j
-        return groups
+        cuts = np.flatnonzero(~_tied(lam[:-1], lam[1:], tol)) + 1
+        return [(float(np.mean(c)), len(c)) for c in np.split(lam, cuts) if len(c)]
 
 
-def _tied(a: float, b: float, tol: float = TIE_TOL) -> bool:
-    return abs(b - a) <= tol * max(1.0, abs(b))
+def _tied(a, b, tol: float = TIE_TOL):
+    """Whether b - a is within the relative tie tolerance (elementwise)."""
+    return np.abs(b - a) <= tol * np.maximum(1.0, np.abs(b))
 
 
 def solve(form: DiscreteForm, k: int, sector: str = "full",
@@ -87,42 +107,78 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
     records the shifts and slices, the largest LU fill, whether inertia
     counts certified the spectrum (None on the dense path, which computes
     all of it) and the M-orthonormality defect of the eigenvectors.
+
+    A full-space two-particle form whose map is block structured is sliced
+    as its boson and fermion sector pencils, whose spectra together are the
+    full one (``meta["sectors"]`` has one record each, else None); the
+    dense path always takes the full pencil.
     """
-    A, Mr = form.reduced()
-    n = A.shape[0]
     if k < 1:
         raise SolveError("need k >= 1 eigenvalues")
+    sectors = None if force_dense else symmetry.exchange_sectors(form)
+    n = (sectors[0].nreduced + sectors[1].nreduced if sectors
+         else form.nreduced)
     if k > n:
         raise SolveError(f"requested {k} eigenvalues from a pencil of size {n}")
 
-    meta = {"C_infty": form.C_infty, "pencil_size": n, "warnings": []}
+    meta = {"C_infty": form.C_infty, "pencil_size": n, "sectors": None,
+            "warnings": []}
     dense = (force_dense if force_dense is not None
              else dense_preferred(n, k)) or k > n - 2
-    # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
-    need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
-    avail = available_memory()
-    if dense and need > avail:
-        if force_dense or k > n - 2:
-            raise SolveError(f"dense eigensolve of a {n}-dof pencil needs about "
-                             f"{need / 1e6:.0f} MB, {avail / 1e6:.0f} MB free")
-        dense = False
-        meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
-                                f"needs about {need / 1e6:.0f} MB")
+    if dense:
+        A, Mr = form.reduced()
+        # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
+        need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
+        avail = available_memory()
+        if need > avail:
+            if force_dense or k > n - 2:
+                raise SolveError(f"dense eigensolve of a {n}-dof pencil needs "
+                                 f"about {need / 1e6:.0f} MB, "
+                                 f"{avail / 1e6:.0f} MB free")
+            dense = False
+            meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
+                                    f"needs about {need / 1e6:.0f} MB")
     if dense:
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
         Md = Mr.toarray() if sp.issparse(Mr) else np.asarray(Mr)
         lam, U = sla.eigh(Ad, Md)
         lam, U = lam[:k], U[:, :k]
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
-        method = "dense"
-    else:
-        lam, U = _sliced_lanczos(A, Mr, k, -1.05 * form.C_infty - 1.0, meta)
-        method = "shift-invert"
+        res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)
+        return SpectrumResult(eigenvalues=np.asarray(lam, dtype=float),
+                              eigenvectors=form.N @ U, sector=sector,
+                              method="dense", residuals=res, meta=meta)
 
-    res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)
-    return SpectrumResult(eigenvalues=np.asarray(lam, dtype=float),
-                          eigenvectors=form.N @ U, sector=sector, method=method,
-                          residuals=res, meta=meta)
+    # a split needs each sector able to give k, as Lanczos needs k <= n - 2
+    if sectors is None or k > min(f.nreduced for f in sectors) - 2:
+        forms, sectors = [form], None
+    else:
+        forms = list(sectors)
+    pencils = _sliced_lanczos([f.reduced() for f in forms], k,
+                              -1.05 * form.C_infty - 1.0, meta)
+    # the lowest k of the union take a prefix of each pencil's eigenvalues
+    lam = np.concatenate([p.lam[:min(p.count, k)] for p in pencils])
+    order = np.argsort(lam, kind="stable")[:k]
+    owner = np.repeat(np.arange(len(pencils)),
+                      [min(p.count, k) for p in pencils])[order]
+    X = np.empty((form.ndof, k), dtype=np.result_type(
+        *[f.N.dtype for f in forms], *[p.U.dtype for p in pencils]))
+    res, defect = np.empty(k), 0.0
+    for f, p, cols in zip(forms, pencils,
+                          (np.flatnonzero(owner == i) for i in range(len(forms)))):
+        U = p.U[:, :len(cols)]
+        res[cols], d = _residuals(*f.reduced(), p.lam[:len(cols)], U)
+        defect = max(defect, d)
+        for j in range(0, len(cols), SLICE):    # full coordinates, SLICE at a time
+            X[:, cols[j:j + SLICE]] = f.N @ U[:, j:j + SLICE]
+    if sectors:
+        meta["sectors"] = [
+            {"sector": f.meta["sector"], "pencil_size": p.n, "shifts": p.shifts,
+             "slices": len(p.shifts), "accepted": p.count}
+            for f, p in zip(forms, pencils)]
+    meta["max_m_orth_defect"] = defect
+    return SpectrumResult(eigenvalues=lam[order], eigenvectors=X, sector=sector,
+                          method="shift-invert", residuals=res, meta=meta)
 
 
 def _residuals(A, M, lam, U):
@@ -184,63 +240,62 @@ def _lowered_start(A, M, sigma: float):
     raise SolveError(f"no shift below the spectrum found down to {sigma:.3e}")
 
 
-def _sliced_lanczos(A, M, k: int, sigma: float, meta: dict):
-    """Lowest k eigenpairs by shift-invert Lanczos in certified slices.
+class _Slices:
+    """One pencil's state in the slicing loop: the cut tau with ``count``
+    eigenvalues below it, the spacing near it, the accepted shifts, the
+    start factor and the lowest k accepted eigenpairs."""
 
-    The cut tau separates accepted eigenvalues (below) from the rest; it
-    starts at the first shift sigma, where nu(sigma) must be 0.  That
-    shift's unpivoted factor is the first slice's OPinv, and its pivots are
-    read after that run, when Lanczos has freed its basis; a nonzero count
-    lowers the start and repeats the slice.  A slice asks for the m
-    eigenvalues nearest s = tau + offset.  They fill the window
-    |lam - s| <= r, so when s - r <= tau every eigenvalue between tau and
-    the slice's top is found; the top cluster may continue past the window
-    and is left for the next slice.  Each accepted slice is checked by
-    nu(new cut) = number accepted; a failed check re-centres the shift
-    lower, a slice without progress asks for more, and after SLICE_TRIES
-    attempts the solve fails.  Every slice adds an eigenvalue, so at most k
-    slices run.
-    """
-    n = A.shape[0]
-    A, M = A.tocsc(), M.tocsc()
-    dtype = np.result_type(A.dtype, M.dtype)
-    v0 = np.random.default_rng(8231).standard_normal(n)
+    def __init__(self, A, M, sigma: float, k: int):
+        self.A, self.M = A.tocsc(), M.tocsc()
+        self.n = A.shape[0]
+        self.dtype = np.result_type(A.dtype, M.dtype)
+        self.v0 = np.random.default_rng(8231).standard_normal(self.n)
+        self.lam = np.empty(k)
+        self.U = np.empty((self.n, k), dtype=self.dtype)  # untouched columns stay unpaged
+        self.sigma = self.tau = sigma
+        self.count, self.spacing, self.shifts, self.fill = 0, None, [], 0
+        self.lu, self.nu0, self.start_read, self.counted = None, None, False, True
 
-    lam_out = np.empty(k)
-    U_out = np.empty((n, k), dtype=dtype)
-    lu, nu0, start_read, fill = None, None, False, 0
-    shifts, tau, count, spacing = [], sigma, 0, None
-    while count < k:
-        m = min(SLICE, max(8, (k - count) * 9 // 8 + 2), n - 2)
-        offset = 0.0 if spacing is None else 0.45 * m * spacing
+    @property
+    def cut(self) -> float:
+        """tau once a slice has confirmed the start below the spectrum."""
+        return self.tau if self.shifts else -np.inf
+
+    def advance(self, m: int) -> None:
+        """Run one slice of m eigenvalues above the cut and move the cut
+        past those it accepts, or raise SolveError."""
+        A, M, n, k = self.A, self.M, self.n, len(self.lam)
+        tau, count = self.tau, self.count
+        offset = 0.0 if self.spacing is None else 0.45 * m * self.spacing
         for _ in range(SLICE_TRIES):
             s = tau + offset
-            if lu is None:
+            if self.lu is None:
                 try:
-                    lu = _factor(A, M, s, symmetric=not start_read)
+                    self.lu = _factor(A, M, s, symmetric=not self.start_read)
                 except RuntimeError as exc:
                     raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
-            fill = max(fill, lu.nnz)
-            op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=dtype)
+            self.fill = max(self.fill, self.lu.nnz)
+            op = spla.LinearOperator((n, n), matvec=self.lu.solve, dtype=self.dtype)
             try:
                 lam, U = spla.eigsh(A, m, M=M, sigma=s, which="LM", OPinv=op,
-                                    v0=v0, maxiter=5000)
+                                    v0=self.v0, maxiter=5000)
             except spla.ArpackError as exc:
                 raise SolveError(f"shift-invert Lanczos failed: {exc}") from None
-            if not start_read:
-                nu0, start_read = _negative_pivots(lu), True
-                counted = nu0 is not None
-            lu = op = None                # one factor alive at a time
-            if nu0:                       # eigenvalues below the start
-                sigma, nu0, lu = _lowered_start(A, M, 2.0 * sigma)
-                tau, counted = sigma, nu0 is not None
+            if not self.start_read:
+                self.nu0, self.start_read = _negative_pivots(self.lu), True
+                self.counted = self.nu0 is not None
+            self.lu = op = None           # one factor alive at a time
+            if self.nu0:                  # eigenvalues below the start
+                self.sigma, self.nu0, self.lu = _lowered_start(A, M, 2.0 * self.sigma)
+                tau = self.tau = self.sigma
+                self.counted = self.nu0 is not None
                 continue
             order = np.argsort(lam)
             lam, U = lam[order], U[:, order]
             r = np.abs(lam - s).max()
             h = len(lam) // 2             # mean spacing over the top half
-            spacing = max((lam[-1] - lam[h]) / max(len(lam) - 1 - h, 1),
-                          TIE_TOL * max(1.0, abs(lam[-1])))
+            self.spacing = max((lam[-1] - lam[h]) / max(len(lam) - 1 - h, 1),
+                               TIE_TOL * max(1.0, abs(lam[-1])))
             new = np.flatnonzero(lam > tau)
             top = len(new) - 1            # start of the top cluster among new
             while top > 0 and _tied(lam[new[top - 1]], lam[new[top]]):
@@ -256,20 +311,62 @@ def _sliced_lanczos(A, M, k: int, sigma: float, meta: dict):
             if nu is not None and nu != count + top:
                 offset = offset / 2 if offset > 0 else offset - r / 2
                 continue
-            counted = counted and nu is not None
+            self.counted = self.counted and nu is not None
             take = new[:min(top, k - count)]
-            lam_out[count:count + len(take)] = lam[take]
-            U_out[:, count:count + len(take)] = U[:, take]
-            count += top
-            tau = cut
-            shifts.append(float(s))
+            self.lam[count:count + len(take)] = lam[take]
+            self.U[:, count:count + len(take)] = U[:, take]
+            self.count, self.tau = count + top, cut
+            self.shifts.append(float(s))
+            return
+        raise SolveError(f"shift-invert Lanczos slice above {tau:.6e} "
+                         f"failed its checks {SLICE_TRIES} times")
+
+
+def _sliced_lanczos(pencils, k: int, sigma: float, meta: dict):
+    """Lowest k eigenpairs of the union of the pencils' spectra by
+    shift-invert Lanczos in certified slices; returns each pencil's
+    ``_Slices`` with its accepted eigenpairs.
+
+    Each pencil keeps a cut tau separating its accepted eigenvalues (below)
+    from the rest; it starts at the first shift sigma, where nu(sigma) must
+    be 0.  That shift's unpivoted factor is the first slice's OPinv, and its
+    pivots are read after that run, when Lanczos has freed its basis; a
+    nonzero count lowers the start and repeats the slice.  A slice asks for
+    the m eigenvalues nearest s = tau + offset.  They fill the window
+    |lam - s| <= r, so when s - r <= tau every eigenvalue between tau and
+    the slice's top is found; the top cluster may continue past the window
+    and is left for the next slice.  Each accepted slice is checked by
+    nu(new cut) = number accepted; a failed check re-centres the shift
+    lower, a slice without progress asks for more, and after SLICE_TRIES
+    attempts the solve fails.  Every slice adds an eigenvalue to a pencil
+    with fewer than k, so at most k slices run per pencil.
+
+    The loop always advances the pencil with the lowest cut (a pencil
+    without a slice yet has none) and stops once k accepted eigenvalues lie
+    below that cut, up to which every pencil's count is certified.  A slice
+    asks for its pencil's expected share of the k, less those it has, but
+    at least that share of the eigenvalues still missing; the share is the
+    pencil's part of the eigenvalues below the lowest cut, or of the dofs
+    before any are known.  One pencil is the plain sliced solve.
+    """
+    states = [_Slices(A, M, sigma, k) for A, M in pencils]
+    total = sum(p.n for p in states)
+    shifts = []
+    while True:
+        low = min(states, key=lambda p: p.cut)
+        below = [np.count_nonzero(p.lam[:min(p.count, k)] < low.cut) for p in states]
+        if sum(below) >= k:
             break
-        else:
-            raise SolveError(f"shift-invert Lanczos slice above {tau:.6e} "
-                             f"failed its checks {SLICE_TRIES} times")
-    meta.update(shifts=shifts, slices=len(shifts), lu_fill_nnz=int(fill),
-                inertia_certified=bool(counted))
-    return lam_out, U_out
+        share = (below[states.index(low)] / sum(below) if sum(below)
+                 else low.n / total)
+        need = max(int(np.ceil(share * k)) - low.count,
+                   int(np.ceil(share * (k - sum(below)))))
+        low.advance(min(SLICE, max(8, need * 9 // 8 + 2), low.n - 2))
+        shifts.append(low.shifts[-1])
+    meta.update(shifts=shifts, slices=len(shifts),
+                lu_fill_nnz=int(max(p.fill for p in states)),
+                inertia_certified=all(p.counted for p in states))
+    return states
 
 
 def counting_function(eigenvalues: np.ndarray, lam):

@@ -163,13 +163,16 @@ def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
 
 
 def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
-                   sector: str = "full") -> BracketingReport:
+                   sector: str = "full",
+                   eigenvalues: np.ndarray = None) -> BracketingReport:
     """Assemble and solve the map together with its two comparison
     operators on the same mesh, then check the sandwich.
 
     Lower comparison: no constraints and boundary map L_max times the
     identity, with L_max sampled where assembly samples the map; upper
-    comparison: full Dirichlet.
+    comparison: full Dirichlet.  ``eigenvalues``, the map's own lowest
+    eigenvalues on this mesh and sector, replace its solve when there are
+    at least n_max + 5 of them.
     """
     from .bc_maps import constant_map
     from .form_assembly import assemble_two_particle, sampled_l_max
@@ -188,5 +191,7 @@ def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
         k = min(n_max + 5, form.nreduced)
         return solve(form, k).eigenvalues
 
-    return bracketing_check(spectrum(robin), spectrum(m),
+    target = (eigenvalues if eigenvalues is not None
+              and len(eigenvalues) >= n_max + 5 else spectrum(m))
+    return bracketing_check(spectrum(robin), target,
                             spectrum(dirichlet), n_max)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bc_maps import BoundaryMap, validate_map
+from .bc_maps import BoundaryMap, block_structured
 from .form_assembly import DiscreteForm, Mesh, nullspace_from_constraints
 
 
@@ -81,14 +81,27 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     """
     if form.meta.get("kind") != "two_particle":
         raise SymmetryError("sector restriction needs a two-particle form")
-    mesh: Mesh = form.meta["mesh"]
     m: BoundaryMap = form.meta.get("map")
-    if m is not None and not validate_map(m, ys=mesh.y_nodes).block_structured:
+    if m is not None and not block_structured(m, form.meta["mesh"].y_nodes):
         raise SymmetryError(
             "boundary map is not exchange-symmetric (half blocks differ "
             "or off-diagonal half blocks are nonzero); no sector spectra")
+    return _sector_form(form, sign)
 
-    S = sector_basis(mesh, sign)
+
+def exchange_sectors(form: DiscreteForm):
+    """(boson, fermion) sector forms of a full-space two-particle form whose
+    map is block structured at the mesh's y-nodes, checked once for both;
+    None for every other form.  Their spectra together are the full one."""
+    m: BoundaryMap = form.meta.get("map")
+    if (form.meta.get("kind") != "two_particle" or "sector" in form.meta
+            or m is None or not block_structured(m, form.meta["mesh"].y_nodes)):
+        return None
+    return _sector_form(form, +1), _sector_form(form, -1)
+
+
+def _sector_form(form: DiscreteForm, sign: int) -> DiscreteForm:
+    S = sector_basis(form.meta["mesh"], sign)
     Nred = nullspace_from_constraints((form.C @ S).tocsr(), S.shape[1])
     meta = dict(form.meta)
     meta["sector"] = "boson" if sign == +1 else "fermion"

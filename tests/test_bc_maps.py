@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import bump_interaction_map, smooth_bump
-from qg2p.bc_maps import (MapError, constant_map, delta_center_ab,
-                          delta_example_map, fold_axis_jumps, fold_to_plane,
-                          is_local_two_particle, is_noninteracting,
-                          lift_one_particle, piecewise_map, validate_map)
+from qg2p.bc_maps import (MapError, block_structured, constant_map,
+                          delta_center_ab, delta_example_map, fold_axis_jumps,
+                          fold_to_plane, is_local_two_particle,
+                          is_noninteracting, lift_one_particle, piecewise_map,
+                          validate_map)
 from qg2p.graph_core import BoundaryIndexMap
 from qg2p.vertex_conditions import standard_family, validate_ab
 
@@ -61,6 +62,28 @@ class TestValidation:
         P[0, 0] = 1.0  # upper half differs from lower half
         rep = validate_map(constant_map(P, np.zeros((4, 4))))
         assert rep.ok and not rep.block_structured
+
+    def test_block_predicate_matches_the_flag(self, interval):
+        P = np.zeros((4, 4))
+        P[0, 0] = 1.0
+        off = np.zeros((4, 4))
+        off[0, 2] = off[2, 0] = 1.0
+        cases = {"bump": (bump_interaction_map(), True),
+                 "halves differ": (constant_map(P, np.zeros((4, 4))), False),
+                 "off-diagonal L": (constant_map(np.zeros((4, 4)), off), False),
+                 "dirichlet lift": (lift_one_particle(
+                     standard_family("dirichlet", interval), interval), True)}
+        ys = np.linspace(0.0, 1.0, 13)
+        for name, (m, want) in cases.items():
+            assert block_structured(m, ys) is want, name
+            assert validate_map(m, ys=ys).block_structured is want, name
+
+    def test_block_predicate_samples_only_ys(self):
+        m = bump_interaction_map()
+        seen, ev = [], m.eval_fn
+        m.eval_fn = lambda y: seen.append(y) or ev(y)
+        assert block_structured(m, [0.25, 0.5])
+        assert seen == [0.25, 0.5]
 
     def test_bump_map_regular(self):
         rep = validate_map(bump_interaction_map())

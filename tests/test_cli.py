@@ -135,11 +135,15 @@ class TestSpectrumCommand:
             if nodes == 9:      # 49 dofs: dense, nothing to certify
                 assert meta["method"] == "dense" and meta["slices"] == 0
                 assert meta["inertia_certified"] is None
+                assert meta["sectors"] is None
             else:               # 961 and 3969 dofs: one certified slice at -1
-                assert meta["method"] == "shift-invert"
+                assert meta["method"] == "shift-invert"  # in each sector
                 assert meta["inertia_certified"] is True
-                assert meta["shifts"] == [-1.0] and meta["slices"] == 1
-                assert meta["lu_fill_nnz"] > meta["pencil_size"]
+                for rec in meta["sectors"]:
+                    assert rec["shifts"] == [-1.0] and rec["slices"] == 1
+                    assert meta["lu_fill_nnz"] > rec["pencil_size"]
+                assert sum(rec["pencil_size"] for rec in meta["sectors"]) \
+                    == meta["pencil_size"] == (nodes - 2) ** 2
         assert errs[9] / errs[33] > 3.0 and errs[33] / errs[65] > 3.0
         assert errs[65] / (2 * np.pi**2) < 0.02
 
@@ -186,15 +190,21 @@ class TestSpectrumCommand:
 
 
 class TestAnalyzeCommand:
-    def test_weyl_and_bracketing_end_to_end(self, tmp_path, capsys):
+    def test_weyl_and_bracketing_end_to_end(self, tmp_path, capsys,
+                                            monkeypatch):
+        from qg2p import spectral_analysis
         doc = dirichlet_square_doc(
             nodes=41, num_eigs=60,
             analysis={"weyl": True, "weyl_tol": 0.15,
                       "bracketing": {"n": 10}})
         out = tmp_path / "out"
+        solves, orig = [], spectral_analysis.solve
+        monkeypatch.setattr(spectral_analysis, "solve",
+                            lambda *a, **kw: solves.append(a[1]) or orig(*a, **kw))
         code = main(["analyze", "--config", write_config(tmp_path, doc),
                      "--out", str(out)])
         assert code == 0
+        assert solves == [15, 15]   # the 60 eigenvalues serve as the target
         report = json.loads((out / "analysis.json").read_text())
         assert report["weyl"]["pass"]
         assert report["bracketing"]["ok"]

@@ -6,14 +6,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qg2p import eigensolve
-from qg2p.bc_maps import lift_one_particle, piecewise_map
+from conftest import bump_interaction_map
+from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
 from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
                              counting_function, dense_preferred, solve)
 from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
                                 assemble_two_particle)
 from qg2p.graph_core import build_graph
 from qg2p.spectral_analysis import lift_spectrum
-from qg2p.vertex_conditions import standard_family
+from qg2p.symmetry import exchange_permutation
+from qg2p.vertex_conditions import delta_family, standard_family
 from test_loop_reference import random_projector_map
 
 
@@ -93,13 +95,24 @@ def step_map_form(interval):
                                  Mesh.uniform(interval, 17))
 
 
+def one_pencil(form):
+    """The form's reduced pencil as a plain form, which solve slices as one
+    pencil even where the form itself would split into exchange sectors."""
+    A, M = form.reduced()
+    n = A.shape[0]
+    return DiscreteForm(K=A, M=M, B=sp.csr_matrix((n, n)),
+                        C=sp.csr_matrix((0, n)), C_infty=form.C_infty)
+
+
 def dirichlet_lift(interval, nodes):
+    """The lifted Dirichlet pencil as one pencil, so the slicing tests see
+    one slice sequence, and the 1-D spectrum it lifts."""
     vc = standard_family("dirichlet", interval)
     mesh = Mesh.uniform(interval, nodes)
     one = assemble_one_particle(interval, vc, mesh)
     lam1 = solve(one, one.nreduced, force_dense=True).eigenvalues
-    return assemble_two_particle(interval, lift_one_particle(vc, interval),
-                                 mesh), lam1
+    return one_pencil(assemble_two_particle(
+        interval, lift_one_particle(vc, interval), mesh)), lam1
 
 
 def drop_middle(monkeypatch, times):
@@ -203,6 +216,110 @@ class TestSlicing:
         assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale < 1e-9
 
 
+def piecewise_interaction_map(a=2.0, b=1.0, c=0.5):
+    """P = 0 and L = diag(l, l) with a symmetric 2x2 block l on
+    [0.3, 0.7), zero elsewhere: block structured and y-dependent."""
+    Z, L = np.zeros((4, 4)), np.zeros((4, 4))
+    L[:2, :2] = L[2:, 2:] = [[a, c], [c, b]]
+    return piecewise_map([0.0, 0.3, 0.7, 1.0], [(Z, Z), (Z, L), (Z, Z)])
+
+
+def complex_block_map(half=8, rank=3, seed=4):
+    """Identical complex projector and L on both halves: block structured
+    with a complex Hermitian pencil."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    Q = np.linalg.qr(Z)[0][:, :rank]
+    P = Q @ Q.conj().T
+    R = np.eye(half) - P
+    L = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    L = R @ (L + L.conj().T) @ R
+    return constant_map(sla.block_diag(P, P), sla.block_diag(L, L))
+
+
+def split_cases():
+    interval = build_graph({"edges": [["a", "b", 1.0]]})
+    two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+    star = build_graph({"edges": [["c", "l1", 1.0], ["c", "l2", 0.8],
+                                  ["c", "l3", 1.2]]})
+    return {
+        "bump": (interval, bump_interaction_map(), Mesh.uniform(interval, 25), 40),
+        "piecewise": (interval, piecewise_interaction_map(),
+                      Mesh.uniform(interval, 25), 40),
+        "complex": (two, complex_block_map(), Mesh.uniform(two, 12), 30),
+        "star-delta-lift": (star, lift_one_particle(delta_family(star, 2.1), star),
+                            Mesh.uniform(star, 9), 20),
+    }
+
+
+SPLIT_CASES = split_cases()
+
+
+class TestExchangeSplit:
+    @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+    def test_union_matches_dense_full_pencil(self, name):
+        g, m, mesh, k = SPLIT_CASES[name]
+        form = assemble_two_particle(g, m, mesh)
+        dense = solve(form, k, force_dense=True)
+        res = solve(form, k, force_dense=False)
+        assert dense.meta["sectors"] is None and res.method == "shift-invert"
+        sectors = res.meta["sectors"]
+        assert [rec["sector"] for rec in sectors] == ["boson", "fermion"]
+        assert sum(rec["pencil_size"] for rec in sectors) == form.nreduced
+        assert res.meta["inertia_certified"] is True
+        scale = max(1.0, np.abs(dense.eigenvalues).max())
+        assert np.abs(res.eigenvalues - dense.eigenvalues).max() / scale <= 1e-12
+
+        X = res.eigenvectors
+        parity = X[exchange_permutation(mesh)]        # R x for each column
+        for j in range(k):
+            x, rx = X[:, j], parity[:, j]
+            assert min(np.abs(rx - x).max(), np.abs(rx + x).max()) \
+                <= 1e-10 * np.abs(x).max()
+        assert {rec["accepted"] > 0 for rec in sectors} == {True}
+        # the union is M-orthonormal across the sectors, and each vector
+        # meets the constraints and solves the full pencil on ker C
+        G = X.conj().T @ (form.M @ X)
+        assert np.abs(G - np.eye(k)).max() <= 1e-10
+        assert np.abs(form.C @ X).max(initial=0.0) <= 1e-10 * np.abs(X).max()
+        NH = form.N.conj().T
+        MX = NH @ (form.M @ X)
+        R = NH @ (form.operator() @ X) - MX * res.eigenvalues
+        assert (np.linalg.norm(R, axis=0) / np.linalg.norm(MX, axis=0)).max() < 1e-8
+
+    def test_non_block_map_keeps_one_pencil(self):
+        g = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+        form = assemble_two_particle(g, random_projector_map(16, 5, 3),
+                                     Mesh.uniform(g, 12))
+        res = solve(form, 30, force_dense=False)
+        ref = solve(one_pencil(form), 30, force_dense=False)
+        assert res.meta["sectors"] is None
+        assert res.meta["pencil_size"] == form.nreduced
+        for key in ("shifts", "slices", "lu_fill_nnz"):
+            assert res.meta[key] == ref.meta[key]
+        assert np.array_equal(res.eigenvalues, ref.eigenvalues)
+
+    def test_sector_forms_stay_one_pencil(self, interval):
+        from qg2p.symmetry import assemble_symmetric_form
+        form = assemble_two_particle(interval, bump_interaction_map(),
+                                     Mesh.uniform(interval, 25))
+        res = solve(assemble_symmetric_form(form, -1), 10, force_dense=False)
+        assert res.method == "shift-invert" and res.meta["sectors"] is None
+
+    def test_dropped_eigenpair_in_one_sector_is_retried(self, interval,
+                                                         monkeypatch):
+        form = assemble_two_particle(
+            interval, lift_one_particle(standard_family("dirichlet", interval),
+                                        interval), Mesh.uniform(interval, 17))
+        oracle = solve(form, 12, force_dense=True).eigenvalues
+        calls = drop_middle(monkeypatch, times=1)      # the boson's first slice
+        res = solve(form, 12, force_dense=False)
+        assert len(calls) >= 3
+        assert res.meta["sectors"][0]["slices"] == 1
+        assert np.allclose(res.eigenvalues, oracle, rtol=1e-12)
+        assert res.meta["inertia_certified"] is True
+
+
 class TestMemoryGuard:
     def test_threshold_dense_falls_back_to_lanczos(self, monkeypatch):
         oracle = solve(random_pencil_form(n=50), 5, force_dense=True)
@@ -211,6 +328,29 @@ class TestMemoryGuard:
         assert res.method == "shift-invert"
         assert "dense needs" in res.meta["warnings"][0]
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
+
+    def test_cgroup_limit_caps_available_memory(self, monkeypatch):
+        files = {"/sys/fs/cgroup/memory/memory.limit_in_bytes": 3e9,
+                 "/sys/fs/cgroup/memory/memory.usage_in_bytes": 1e9}
+        monkeypatch.setattr(eigensolve, "_read_bytes", files.get)
+        assert eigensolve.available_memory() <= 2e9
+        files.update({"/sys/fs/cgroup/memory.max": 1.5e9,
+                      "/sys/fs/cgroup/memory.current": 1.4e9})
+        assert eigensolve.available_memory() == pytest.approx(1e8)
+        files.clear()
+        monkeypatch.setattr(eigensolve.os, "sysconf", lambda name: 1 << 20)
+        assert eigensolve.available_memory() == float(1 << 40)
+        files["/sys/fs/cgroup/memory.max"] = 1e3      # no usage file
+        assert eigensolve.available_memory() == 1e3
+
+    def test_cgroup_limit_without_usage_or_unlimited(self, tmp_path, monkeypatch):
+        limit, usage = tmp_path / "memory.max", tmp_path / "memory.current"
+        limit.write_text("max\n")
+        monkeypatch.setattr(eigensolve, "CGROUP_MEMORY", ((str(limit), str(usage)),))
+        monkeypatch.setattr(eigensolve.os, "sysconf", lambda name: 1 << 20)
+        assert eigensolve.available_memory() == float(1 << 40)
+        limit.write_text("4096\n")
+        assert eigensolve.available_memory() == 4096.0
 
     def test_forced_dense_over_budget_fails(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
@@ -252,6 +392,25 @@ class TestMultiplicities:
             eigenvectors=np.eye(6))
         groups = res.multiplicities()
         assert [m for _, m in groups] == [2, 1, 3]
+
+    def test_matches_the_chain_loop(self):
+        def loop(lam, tol=eigensolve.TIE_TOL):
+            groups, i = [], 0
+            while i < len(lam):
+                j = i + 1
+                while (j < len(lam) and abs(lam[j] - lam[j - 1])
+                       <= tol * max(1.0, abs(lam[j]))):
+                    j += 1
+                groups.append((float(np.mean(lam[i:j])), j - i))
+                i = j
+            return groups
+
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            lam = np.sort(rng.choice([-2.0, 0.0, 0.5, 1e-9, 1.0, 3e3], 12)
+                          * (1.0 + rng.choice([0.0, 5e-9, 2e-8], 12)))
+            assert SpectrumResult(lam, np.eye(12)).multiplicities() == loop(lam)
+        assert SpectrumResult(np.empty(0), np.empty((0, 0))).multiplicities() == []
 
     def test_degenerate_square_modes(self, interval):
         mesh = Mesh.uniform(interval, 33)

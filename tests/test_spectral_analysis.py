@@ -170,3 +170,20 @@ class TestBracketing:
         assert rep.ok and rep.counting_ok
         assert rep.max_lower_violation == 0.0
         assert rep.max_upper_violation == 0.0
+
+    def test_given_eigenvalues_replace_the_target_solve(self, interval,
+                                                         monkeypatch):
+        from qg2p import spectral_analysis
+        from qg2p.form_assembly import assemble_two_particle
+        m, mesh = bump_interaction_map(), Mesh.uniform(interval, 25)
+        lam = spectral_analysis.solve(assemble_two_particle(interval, m, mesh),
+                                      25).eigenvalues
+        ref = bracketing_run(interval, m, mesh, 20)
+        calls, orig = [], spectral_analysis.solve
+        monkeypatch.setattr(spectral_analysis, "solve",
+                            lambda *a, **kw: calls.append(a[1]) or orig(*a, **kw))
+        assert bracketing_run(interval, m, mesh, 20, eigenvalues=lam) == ref
+        assert len(calls) == 2                  # the two comparison operators
+        calls.clear()
+        assert bracketing_run(interval, m, mesh, 20, eigenvalues=lam[:24]) == ref
+        assert len(calls) == 3                  # 24 < 20 + 5: solved again

@@ -7,8 +7,8 @@ from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.spectral_analysis import lift_spectrum
 from qg2p.symmetry import (SymmetryError, assemble_symmetric_form,
-                           exchange_permutation, project, sector_basis,
-                           sector_dimensions)
+                           exchange_permutation, exchange_sectors, project,
+                           sector_basis, sector_dimensions)
 from qg2p.vertex_conditions import standard_family
 
 
@@ -175,3 +175,39 @@ class TestSymmetricAssembly:
             Mesh.uniform(interval, 5))
         with pytest.raises(SymmetryError):
             assemble_symmetric_form(form, +1)
+
+
+class TestExchangeSectors:
+    def test_both_sectors_of_a_block_map(self, interval):
+        form = assemble_two_particle(interval, bump_interaction_map(),
+                                     Mesh.uniform(interval, 9))
+        boson, fermion = exchange_sectors(form)
+        for sec, sign in ((boson, +1), (fermion, -1)):
+            ref = assemble_symmetric_form(form, sign)
+            assert sec.meta["sector"] == ref.meta["sector"]
+            assert (sec.N != ref.N).nnz == 0
+        assert boson.nreduced + fermion.nreduced == form.nreduced
+
+    def test_one_block_check_for_both(self, interval, monkeypatch):
+        from qg2p import symmetry
+        form = assemble_two_particle(interval, bump_interaction_map(),
+                                     Mesh.uniform(interval, 9))
+        checks, orig = [], symmetry.block_structured
+        monkeypatch.setattr(symmetry, "block_structured",
+                            lambda *a: checks.append(a) or orig(*a))
+        assert exchange_sectors(form) is not None
+        assert len(checks) == 1
+
+    def test_none_where_the_full_pencil_stays(self, interval):
+        from qg2p.form_assembly import assemble_one_particle
+        mesh = Mesh.uniform(interval, 7)
+        P = np.zeros((4, 4))
+        P[0, 0] = 1.0
+        non_block = assemble_two_particle(
+            interval, constant_map(P, np.zeros((4, 4))), mesh)
+        block = assemble_two_particle(interval, bump_interaction_map(), mesh)
+        one = assemble_one_particle(
+            interval, standard_family("dirichlet", interval), mesh)
+        assert exchange_sectors(non_block) is None
+        assert exchange_sectors(assemble_symmetric_form(block, +1)) is None
+        assert exchange_sectors(one) is None
