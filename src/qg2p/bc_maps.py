@@ -101,17 +101,11 @@ class MapValidationReport:
     L_max: float
     block_structured: bool
     corner_regular: bool
-    rank1_consistent: bool
     max_projector_defect: float
     max_sa_defect: float
     max_qlq_defect: float
     errors: tuple
     warnings: tuple
-
-
-def _half_blocks(M: np.ndarray):
-    h = M.shape[0] // 2
-    return M[:h, :h], M[:h, h:], M[h:, :h], M[h:, h:]
 
 
 def block_structured(m: BoundaryMap, ys: Sequence[float] = None,
@@ -141,7 +135,6 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
     errors, warnings = [], []
     pd = sa = qlq = 0.0
     corner = True
-    rank1 = True
     for y in ys:
         P, L = m(y)
         if P.shape != (m.dim, m.dim) or L.shape != (m.dim, m.dim):
@@ -161,7 +154,7 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
 
         near_corner = y <= margins[0] + 1e-12 or y >= 1.0 - margins[1] - 1e-12
         if near_corner:
-            tl = _half_blocks(P)[0]
+            tl = P[:m.dim // 2, :m.dim // 2]
             off = tl - np.diag(np.diag(tl))
             diag = np.diag(tl)
             diag_01 = np.all(np.minimum(np.abs(diag), np.abs(diag - 1.0)) <= tol)
@@ -169,20 +162,13 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
                     or not diag_01):
                 corner = False
 
-        # rank-1 half-block parametrization consistency (interval graphs).
-        tl = _half_blocks(P)[0]
-        if tl.shape == (2, 2):
-            beta, gamma = tl[0, 0].real, tl[1, 0]
-            if abs(abs(gamma) ** 2 - (beta - beta**2)) > 1e3 * tol:
-                rank1 = False
-
     if not corner:
         warnings.append("corner-regularity hypotheses not met "
                         "(L != 0 or non-diagonal half-block near y = 0, 1)")
     return MapValidationReport(
         ok=not errors, L_max=m.L_max(ys),
         block_structured=block_structured(m, ys, tol),
-        corner_regular=corner, rank1_consistent=rank1,
+        corner_regular=corner,
         max_projector_defect=pd, max_sa_defect=sa, max_qlq_defect=qlq,
         errors=tuple(errors), warnings=tuple(warnings),
     )
@@ -192,30 +178,25 @@ def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
 # lifts and structure predicates
 
 
+def _beta_blocks(E: int):
+    """Index pair that picks the fixed-second-edge blocks of a 4E^2 matrix
+    as a (2E, 2E, 2E) stack, one per (half, beta); a block's rows and
+    columns are the positions half 2E^2 + s E^2 + alpha E + beta, s-major."""
+    half, beta, s, alpha = np.ix_((0, 1), range(E), (0, 1), range(E))
+    pos = (half * 2 * E * E + s * E * E + alpha * E + beta).reshape(2 * E, 2 * E)
+    return pos[:, :, None], pos[:, None, :]
+
+
 def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     """y-independent map replicating the one-particle (P, L) across the
     per-edge decomposition of the boundary-value space."""
-    E = g.E
-    n = 4 * E * E
+    n = 4 * g.E * g.E
+    at = _beta_blocks(g.E)
     P = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
-    for half in (0, 1):
-        off_h = half * 2 * E * E
-        for beta in range(E):
-            # block over (s, alpha) for fixed running edge beta
-            rows = [off_h + s * E * E + alpha * E + beta
-                    for s in (0, 1) for alpha in range(E)]
-            src = [s * E + alpha for s in (0, 1) for alpha in range(E)]
-            P[np.ix_(rows, rows)] = vc.P[np.ix_(src, src)]
-            L[np.ix_(rows, rows)] = vc.L[np.ix_(src, src)]
+    P[at], L[at] = vc.P, vc.L
     return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), kind="lifted",
                        noninteracting_tag=True)
-
-
-def _beta_block(idx: BoundaryIndexMap, half: int, beta: int):
-    E = idx.E
-    off = half * 2 * E * E
-    return [off + s * E * E + alpha * E + beta for s in (0, 1) for alpha in range(E)]
 
 
 def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap, tol: float = 1e-9,
@@ -229,20 +210,13 @@ def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap, tol: float = 1e-9,
         if np.abs(P - P0).max() > tol or np.abs(L - L0).max() > tol:
             return False
 
-    E = idx.E
+    at = _beta_blocks(idx.E)
+    outside = np.ones(P0.shape, dtype=bool)
+    outside[at] = False
     for M in (P0, L0):
-        ref = {}
-        mask = np.zeros_like(M, dtype=bool)
-        for half in (0, 1):
-            for beta in range(E):
-                rows = _beta_block(idx, half, beta)
-                blk = M[np.ix_(rows, rows)]
-                mask[np.ix_(rows, rows)] = True
-                if "blk" not in ref:
-                    ref["blk"] = blk
-                elif np.abs(blk - ref["blk"]).max() > tol:
-                    return False
-        if np.abs(M[~mask]).max(initial=0.0) > tol:
+        blk = M[at]
+        if (np.abs(blk - blk[0]).max() > tol
+                or np.abs(M[outside]).max(initial=0.0) > tol):
             return False
     return True
 
@@ -252,23 +226,12 @@ def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
     """True iff P(y), L(y) vanish outside the vertex-local blocks: entries
     may couple components only when their boundary edge-ends meet in the
     same vertex and each component's other edge is connected to its own."""
-    g = idx.graph
-    n = idx.dim_full
-
-    def in_some_block(p):
-        c = idx.component(p)
-        return g.edges_connected(c.pair[0], c.pair[1])
-
-    vtx = [idx.boundary_vertex(p) for p in range(n)]
-    ok_pair = np.zeros((n, n), dtype=bool)
-    for p in range(n):
-        for q in range(n):
-            ok_pair[p, q] = (vtx[p] == vtx[q]
-                             and in_some_block(p) and in_some_block(q))
-
+    g, n = idx.graph, idx.dim_full
+    vtx = np.array([idx.boundary_vertex(p) for p in range(n)])
+    inside = np.array([g.edges_connected(*idx.component(p).pair) for p in range(n)])
+    ok_pair = (vtx[:, None] == vtx[None, :]) & inside[:, None] & inside[None, :]
     for y in _default_samples(ys):
-        P, L = m(y)
-        for M in (P, L):
+        for M in m(y):
             if np.abs(M[~ok_pair]).max(initial=0.0) > tol:
                 return False
     return True

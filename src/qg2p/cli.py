@@ -1,7 +1,8 @@
 """Command-line front end: validate configs, compute spectra, run the
 asymptotic analyses, and reproduce the folded delta-interaction example.
 
-Exit codes: 0 success, 2 validation/config failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation/config failure (a bad map, mesh or
+override included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -9,18 +10,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bc_maps, form_assembly, spectral_analysis, symmetry
 from .bc_maps import BoundaryMap, MapError, validate_map
-from .eigensolve import SolveError, SpectrumResult, counting_function, solve
-from .form_assembly import AssemblyError, DiscreteForm, Mesh
+from .eigensolve import SolveError, SpectrumResult, chain_counts, solve
+from .form_assembly import AssemblyError, Mesh
 from .graph_core import BoundaryIndexMap, GraphError, MetricGraph, build_graph
 from .symmetry import SymmetryError
 from .vertex_conditions import (ConditionError, VertexConditions,
-                                delta_family, standard_family, validate_ab)
+                                delta_family, standard_family)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -99,7 +100,9 @@ def parse_config(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, **overrides) -> RunConfig:
+    """The config at ``path`` with the non-None ``overrides`` (top-level
+    keys) replacing its own entries before any check."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -107,6 +110,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if isinstance(doc, dict):
+        doc.update((key, v) for key, v in overrides.items() if v is not None)
     return parse_config(doc)
 
 
@@ -297,7 +302,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
 
 def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
-    result = solve(form, cfg.num_eigs, sector=cfg.sector)
+    result = solve(form, cfg.num_eigs)
     d = _outdir(cfg, outdir)
     write_eigenvalue_csv(os.path.join(d, "eigenvalues.csv"), result)
     _json_dump(os.path.join(d, "spectrum.json"), {
@@ -319,7 +324,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 def cmd_analyze(cfg: RunConfig, outdir: str = None,
                 window: tuple = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
-    result = solve(form, cfg.num_eigs, sector=cfg.sector)
+    result = solve(form, cfg.num_eigs)
     lam = result.eigenvalues
     toggles = cfg.analysis
     window = window or tuple(toggles.get("window", ())) or None
@@ -328,20 +333,19 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
 
     if toggles.get("weyl", True):
         if cfg.particles == 1:
+            x = spectral_analysis.wave_number(lam)
             rep = spectral_analysis.weyl_fit_one_particle(
                 lam, g, window=window, h_max=mesh.h_max)
         else:
+            x = lam
             rep = spectral_analysis.weyl_fit_two_particle(
                 lam, g, sector=cfg.sector, window=window, h_max=mesh.h_max)
-        analysis["weyl"] = {"slope": rep.slope, "target": rep.target,
-                            "relative_error": rep.relative_error,
-                            "window": list(rep.window), "n_used": rep.n_used,
-                            "pass": rep.relative_error < toggles.get("weyl_tol", 0.15)}
+        tol = toggles.get("weyl_tol", 0.15)
+        analysis["weyl"] = {**asdict(rep), "pass": rep.relative_error < tol}
         with open(os.path.join(d, "counting.csv"), "w") as fh:
             fh.write("lambda,N,weyl_line\n")
-            for v, count in zip(lam, counting_function(lam, lam)):
-                fh.write(f"{v:.12e},{count},"
-                         f"{rep.slope * (v if cfg.particles == 2 else np.sqrt(max(v, 0.0))):.12e}\n")
+            for v, count, xv in zip(lam, chain_counts(lam), x):
+                fh.write(f"{v:.12e},{count},{rep.slope * xv:.12e}\n")
 
     if "heat" in toggles:
         t = float(toggles["heat"].get("t", 0.01))
@@ -349,7 +353,8 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
 
     if "bracketing" in toggles:
         n = int(toggles["bracketing"].get("n", 50))
-        analysis["bracketing"] = _run_bracketing(g, m, mesh, cfg, n, lam)
+        analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
+            g, m, mesh, n, sector=cfg.sector, eigenvalues=lam))
 
     if toggles.get("lift_check") and m.noninteracting_tag:
         vc = build_conditions(g, cfg.map)
@@ -366,16 +371,6 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
     return EXIT_OK
 
 
-def _run_bracketing(g, m: BoundaryMap, mesh: Mesh, cfg: RunConfig, n: int,
-                    lam: np.ndarray):
-    rep = spectral_analysis.bracketing_run(g, m, mesh, n, sector=cfg.sector,
-                                           eigenvalues=lam)
-    return {"ok": rep.ok, "n_checked": rep.n_checked,
-            "max_lower_violation": rep.max_lower_violation,
-            "max_upper_violation": rep.max_upper_violation,
-            "counting_ok": rep.counting_ok}
-
-
 def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     """Boson ground state of the truncated delta-line example, folded back
     to the plane; writes the folded grid and a continuity report."""
@@ -387,7 +382,7 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
         raise ConfigError("the folded example needs equal node counts")
     form = form_assembly.assemble_two_particle(g, m, mesh)
     sym = symmetry.assemble_symmetric_form(form, +1)
-    result = solve(sym, max(1, cfg.num_eigs), sector="boson")
+    result = solve(sym, cfg.num_eigs)
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]
@@ -455,13 +450,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.mesh_h is not None:
-            cfg.mesh = {"h": args.mesh_h}
-        if args.num_eigs is not None:
-            cfg.num_eigs = args.num_eigs
-        if args.sector is not None:
-            cfg.sector = args.sector
+        mesh = None if args.mesh_h is None else {"h": args.mesh_h}
+        cfg = load_config(args.config, mesh=mesh, num_eigs=args.num_eigs,
+                          sector=args.sector)
         window = _parse_window(args.window) if args.window else None
 
         if args.command == "validate":
@@ -472,10 +463,10 @@ def main(argv=None) -> int:
             return cmd_analyze(cfg, args.out, window=window)
         return cmd_example_delta(cfg, args.out)
     except (ConfigError, GraphError, ConditionError, MapError,
-            SymmetryError) as exc:
+            SymmetryError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (AssemblyError, SolveError, spectral_analysis.AnalysisError,
+    except (SolveError, spectral_analysis.AnalysisError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

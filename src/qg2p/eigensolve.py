@@ -77,7 +77,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray          # columns, full (unconstrained) dofs
-    sector: str = "full"
     method: str = "dense"
     residuals: np.ndarray = None
     meta: dict = field(default_factory=dict)
@@ -98,8 +97,7 @@ def _tied(a, b, tol: float = TIE_TOL):
     return np.abs(b - a) <= tol * np.maximum(1.0, np.abs(b))
 
 
-def solve(form: DiscreteForm, k: int, sector: str = "full",
-          force_dense: bool = None) -> SpectrumResult:
+def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResult:
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
     Eigenvectors are returned in full coordinates (N u) and the relative
@@ -146,8 +144,8 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
         res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)
         return SpectrumResult(eigenvalues=np.asarray(lam, dtype=float),
-                              eigenvectors=form.N @ U, sector=sector,
-                              method="dense", residuals=res, meta=meta)
+                              eigenvectors=form.N @ U, method="dense",
+                              residuals=res, meta=meta)
 
     # a split needs each sector able to give k, as Lanczos needs k <= n - 2
     if sectors is None or k > min(f.nreduced for f in sectors) - 2:
@@ -177,7 +175,7 @@ def solve(form: DiscreteForm, k: int, sector: str = "full",
              "slices": len(p.shifts), "accepted": p.count}
             for f, p in zip(forms, pencils)]
     meta["max_m_orth_defect"] = defect
-    return SpectrumResult(eigenvalues=lam[order], eigenvectors=X, sector=sector,
+    return SpectrumResult(eigenvalues=lam[order], eigenvectors=X,
                           method="shift-invert", residuals=res, meta=meta)
 
 
@@ -374,3 +372,12 @@ def counting_function(eigenvalues: np.ndarray, lam):
     array for an array of them."""
     n = np.searchsorted(np.sort(np.asarray(eigenvalues)), lam, side="right")
     return int(n) if np.ndim(n) == 0 else n
+
+
+def chain_counts(eigenvalues: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+    """N at each sorted eigenvalue with every chain of consecutive tied
+    eigenvalues (as in ``multiplicities``) counted whole: each member gets
+    the index of the chain's last member plus one."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    ends = np.append(np.flatnonzero(~_tied(lam[:-1], lam[1:], tol)) + 1, len(lam))
+    return np.repeat(ends, np.diff(ends, prepend=0))

@@ -7,13 +7,11 @@ derive from the declaration order of vertices and edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Rectangle sides of D_{e1 e2}: x = 0, x = l_{e1}, y = 0, y = l_{e2}.
 X0, XL, Y0, YL = 0, 1, 2, 3
-SIDES = (X0, XL, Y0, YL)
 
 
 class GraphError(ValueError):

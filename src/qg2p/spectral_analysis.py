@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import counting_function, solve
+from .eigensolve import chain_counts, counting_function, solve
 from .graph_core import MetricGraph
 
 
@@ -59,11 +59,29 @@ class WeylReport:
         return np.isfinite(self.relative_error)
 
 
-def _slope_fit(xs: np.ndarray, ns: np.ndarray) -> float:
-    # Least squares for N ~ slope * x (affine fit, slope extracted).
-    Amat = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(Amat, ns, rcond=None)
-    return float(sol[0])
+def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
+              cap: float) -> WeylReport:
+    """Fit N ~ slope * x + c, x = variable(lam), over the window (its top
+    capped at ``cap``, the mesh-resolved end, when given); each chain of
+    tied eigenvalues counts whole (``chain_counts``)."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    x = variable(lam)
+    lo = window[0] if window else max(x[0], 0.0)
+    hi = window[1] if window else x[-1]
+    if cap is not None:
+        hi = min(hi, cap)
+    used = (x >= lo) & (x <= hi)
+    xs = x[used]
+    if len(xs) < 30:
+        raise AnalysisError(
+            f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
+            "need at least 30")
+    ns = chain_counts(lam)[used].astype(float)
+    sol, *_ = np.linalg.lstsq(np.vstack([xs, np.ones_like(xs)]).T, ns, rcond=None)
+    slope = float(sol[0])
+    return WeylReport(slope=slope, target=target,
+                      relative_error=abs(slope - target) / target,
+                      window=(float(lo), float(hi)), n_used=len(xs))
 
 
 def weyl_fit_two_particle(eigenvalues: np.ndarray, g: MetricGraph,
@@ -71,47 +89,23 @@ def weyl_fit_two_particle(eigenvalues: np.ndarray, g: MetricGraph,
                           h_max: float = None) -> WeylReport:
     """Fit N(lam) ~ slope * lam over a window and compare the slope against
     the area term: L^2 / 4pi for the full operator, L^2 / 8pi per sector."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    total = g.total_length
-    target = total**2 / (4.0 * np.pi) if sector == "full" else total**2 / (8.0 * np.pi)
-
-    lo = window[0] if window else max(lam[0], 0.0)
-    hi = window[1] if window else lam[-1]
-    if h_max is not None:
-        hi = min(hi, (np.pi / (4.0 * h_max)) ** 2)
-    xs = lam[(lam >= lo) & (lam <= hi)]
-    if len(xs) < 30:
-        raise AnalysisError(
-            f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
-            "need at least 30")
-    ns = counting_function(lam, xs).astype(float)
-    slope = _slope_fit(xs, ns)
-    return WeylReport(slope=slope, target=target,
-                      relative_error=abs(slope - target) / target,
-                      window=(float(lo), float(hi)), n_used=len(xs))
+    c = 4.0 if sector == "full" else 8.0
+    cap = None if h_max is None else (np.pi / (4.0 * h_max)) ** 2
+    return _weyl_fit(eigenvalues, lambda lam: lam,
+                     g.total_length**2 / (c * np.pi), window, cap)
 
 
 def weyl_fit_one_particle(eigenvalues: np.ndarray, g: MetricGraph,
                           window: tuple = None,
                           h_max: float = None) -> WeylReport:
     """Fit N(k) ~ slope * k with k = sqrt(lam) against L / pi."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    ks = np.sqrt(np.clip(lam, 0.0, None))
-    target = g.total_length / np.pi
-    lo = window[0] if window else ks[0]
-    hi = window[1] if window else ks[-1]
-    if h_max is not None:
-        hi = min(hi, np.pi / (4.0 * h_max))
-    xs = ks[(ks >= lo) & (ks <= hi)]
-    if len(xs) < 30:
-        raise AnalysisError(
-            f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
-            "need at least 30")
-    ns = counting_function(ks, xs).astype(float)
-    slope = _slope_fit(xs, ns)
-    return WeylReport(slope=slope, target=target,
-                      relative_error=abs(slope - target) / target,
-                      window=(float(lo), float(hi)), n_used=len(xs))
+    cap = None if h_max is None else np.pi / (4.0 * h_max)
+    return _weyl_fit(eigenvalues, wave_number, g.total_length / np.pi, window, cap)
+
+
+def wave_number(lam: np.ndarray) -> np.ndarray:
+    """k = sqrt(lam), the one-particle Weyl variable (0 below lam = 0)."""
+    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 def heat_trace(eigenvalues: np.ndarray, t: float) -> dict:

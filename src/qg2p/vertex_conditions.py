@@ -118,17 +118,11 @@ def equivalence_check(A, B, A2, B2, tol: float = 1e-8) -> bool:
 def is_local(P: np.ndarray, L: np.ndarray, idx: BoundaryIndexMap,
              tol: float = DEFAULT_TOL) -> bool:
     """True iff P and L are block-diagonal w.r.t. the vertex blocks."""
-    n = P.shape[0]
-    block_of = np.empty(n, dtype=int)
+    block_of = np.empty(P.shape[0], dtype=int)
     for v, block in idx.vertex_blocks.items():
-        for pos in block:
-            block_of[pos] = v
-    for i in range(n):
-        for j in range(n):
-            if block_of[i] != block_of[j]:
-                if abs(P[i, j]) > tol or abs(L[i, j]) > tol:
-                    return False
-    return True
+        block_of[list(block)] = v
+    apart = block_of[:, None] != block_of[None, :]
+    return not ((np.abs(P[apart]) > tol).any() or (np.abs(L[apart]) > tol).any())
 
 
 def standard_family(kind: str, g: MetricGraph, alpha: float = None,

@@ -221,6 +221,32 @@ class TestAnalyzeCommand:
         report = json.loads((out / "analysis.json").read_text())
         assert report["weyl"]["window"][0] == 50.0
 
+    def test_counting_csv_counts_tied_chains_whole(self, tmp_path,
+                                                   monkeypatch):
+        lam = np.sort([np.pi**2 * (i * i + j * j)
+                       for i in range(1, 12) for j in range(1, 12)])
+        double = np.flatnonzero(lam[1:] == lam[:-1]) + 1
+        split = lam.copy()
+        split[double] = np.nextafter(lam[double], np.inf)
+        doc = dirichlet_square_doc(nodes=41, num_eigs=len(lam),
+                                   analysis={"window": [100.0, 900.0]})
+        cfg = write_config(tmp_path, doc)
+        outputs = []
+        for spectrum in (lam, split):
+            result = eigensolve.SpectrumResult(
+                eigenvalues=spectrum, eigenvectors=np.zeros((1, len(lam))))
+            monkeypatch.setattr(cli, "solve", lambda *a, **k: result)
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            rows = (out / "counting.csv").read_text().splitlines()[1:]
+            outputs.append(([r.split(",")[1] for r in rows],
+                            json.loads((out / "analysis.json").read_text())))
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1]["weyl"]["slope"] == pytest.approx(
+            outputs[1][1]["weyl"]["slope"], rel=1e-12)
+        # each member of a double gets the count through its second copy
+        assert [int(n) for n in outputs[0][0]][:3] == [1, 3, 3]
+
     def test_insufficient_eigenvalues_is_numerical_failure(self, tmp_path):
         doc = dirichlet_square_doc(nodes=21, num_eigs=5,
                                    analysis={"weyl": True})
@@ -287,6 +313,23 @@ class TestExampleDeltaCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, doc, flags", [
+        ("spectrum", dirichlet_square_doc(), ["--num-eigs", "0"]),
+        ("example-delta", TestExampleDeltaCommand.DOC, ["--num-eigs", "0"]),
+        ("spectrum", dirichlet_square_doc(), ["--mesh-h", "-1"]),
+        ("spectrum", dirichlet_square_doc(nodes=2), []),
+    ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
+            "two-mesh-nodes"])
+    def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
+                                              monkeypatch, command, doc, flags):
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -366,5 +409,5 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     monkeypatch.setattr(symmetry, "nullspace_from_constraints", counted)
     cfg = parse_config(dirichlet_square_doc(nodes=15, sector="boson"))
     _, _, _, form = cli.assemble_from_config(cfg)
-    eigensolve.solve(form, cfg.num_eigs, sector=cfg.sector)
+    eigensolve.solve(form, cfg.num_eigs)
     assert len(calls) == 1

@@ -9,7 +9,8 @@ from qg2p import eigensolve
 from conftest import bump_interaction_map
 from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
 from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
-                             counting_function, dense_preferred, solve)
+                             chain_counts, counting_function,
+                             dense_preferred, solve)
 from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
                                 assemble_two_particle)
 from qg2p.graph_core import build_graph
@@ -433,3 +434,9 @@ class TestCounting:
         lam = np.array([5.0, 2.0, 1.0, 2.0])
         grid = np.array([0.5, 2.0, 10.0, 1.5])
         assert counting_function(lam, grid).tolist() == [0, 3, 4, 1]
+
+    def test_chain_counts_count_tied_chains_whole(self):
+        lam = np.array([5.0, 2.0, 1.0, np.nextafter(2.0, 3.0), 7.0])
+        assert chain_counts(lam).tolist() == [1, 3, 3, 4, 5]
+        assert chain_counts(np.array([3.0, 3.0 + 1e-3])).tolist() == [1, 2]
+        assert chain_counts(np.array([])).tolist() == []

@@ -1,19 +1,25 @@
-"""Vectorized builders against the per-entry loops they replaced.
+"""Vectorized builders and structure predicates against the per-entry
+loops they replaced.
 
-Each reference below is the loop form of one builder.  The vectorized code
-emits the same entries in the same order with the same arithmetic, so the
-results must agree bit for bit, not merely to a tolerance.  The one
+Each reference below is the loop form of one builder or predicate.  The
+vectorized code emits the same entries in the same order with the same
+arithmetic, so the results must agree bit for bit, not merely to a
+tolerance.  The one
 exception is the constraint kernel: ``loop_nullspace`` takes one SVD of all
 touched columns, the code one SVD per connected block, so the bases differ
 while the subspaces must not (``assert_same_kernel``).
 """
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import bump_interaction_map
 from qg2p.bc_maps import (constant_map, delta_example_map, fold_to_plane,
-                          lift_one_particle)
+                          is_local_two_particle, is_noninteracting,
+                          lift_one_particle, piecewise_map)
 from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 _realify, assemble_one_particle,
                                 assemble_two_particle,
@@ -21,7 +27,7 @@ from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 nullspace_from_constraints)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.symmetry import exchange_permutation, sector_basis
-from qg2p.vertex_conditions import delta_family, standard_family
+from qg2p.vertex_conditions import delta_family, is_local, standard_family
 
 
 def assert_identical(X, Y):
@@ -175,6 +181,93 @@ def loop_fold(grids):
     return acc / cnt
 
 
+def loop_is_local(P, L, idx, tol=1e-10):
+    """vertex_conditions.is_local, one entry pair per iteration."""
+    n = P.shape[0]
+    block_of = np.empty(n, dtype=int)
+    for v, block in idx.vertex_blocks.items():
+        for pos in block:
+            block_of[pos] = v
+    for i in range(n):
+        for j in range(n):
+            if block_of[i] != block_of[j]:
+                if abs(P[i, j]) > tol or abs(L[i, j]) > tol:
+                    return False
+    return True
+
+
+@functools.lru_cache
+def loop_local_pairs(idx):
+    """The pairs is_local_two_particle allows, one pair per iteration."""
+    g, n = idx.graph, idx.dim_full
+
+    def in_some_block(p):
+        c = idx.component(p)
+        return g.edges_connected(c.pair[0], c.pair[1])
+
+    vtx = [idx.boundary_vertex(p) for p in range(n)]
+    ok_pair = np.zeros((n, n), dtype=bool)
+    for p in range(n):
+        for q in range(n):
+            ok_pair[p, q] = (vtx[p] == vtx[q]
+                             and in_some_block(p) and in_some_block(q))
+    return ok_pair
+
+
+def loop_is_local_two_particle(m, idx, tol=1e-9):
+    ok_pair = loop_local_pairs(idx)
+    for y in np.linspace(0.0, 1.0, 101):
+        P, L = m(y)
+        for M in (P, L):
+            if np.abs(M[~ok_pair]).max(initial=0.0) > tol:
+                return False
+    return True
+
+
+def loop_beta_block(E, half, beta):
+    off = half * 2 * E * E
+    return [off + s * E * E + alpha * E + beta for s in (0, 1) for alpha in range(E)]
+
+
+def loop_is_noninteracting(m, idx, tol=1e-9):
+    """bc_maps.is_noninteracting, one (half, beta) block per iteration."""
+    ys = np.linspace(0.0, 1.0, 101)
+    P0, L0 = m(ys[0])
+    for y in ys[1:]:
+        P, L = m(y)
+        if np.abs(P - P0).max() > tol or np.abs(L - L0).max() > tol:
+            return False
+    for M in (P0, L0):
+        ref = None
+        mask = np.zeros_like(M, dtype=bool)
+        for half in (0, 1):
+            for beta in range(idx.E):
+                rows = loop_beta_block(idx.E, half, beta)
+                blk = M[np.ix_(rows, rows)]
+                mask[np.ix_(rows, rows)] = True
+                if ref is None:
+                    ref = blk
+                elif np.abs(blk - ref).max() > tol:
+                    return False
+        if np.abs(M[~mask]).max(initial=0.0) > tol:
+            return False
+    return True
+
+
+def loop_lift(vc, E):
+    """(P, L) of lift_one_particle, one (half, beta) block per iteration."""
+    n = 4 * E * E
+    P = np.zeros((n, n), dtype=complex)
+    L = np.zeros((n, n), dtype=complex)
+    for half in (0, 1):
+        for beta in range(E):
+            rows = loop_beta_block(E, half, beta)
+            src = [s * E + alpha for s in (0, 1) for alpha in range(E)]
+            P[np.ix_(rows, rows)] = vc.P[np.ix_(src, src)]
+            L[np.ix_(rows, rows)] = vc.L[np.ix_(src, src)]
+    return P, L
+
+
 # ---------------------------------------------------------------------------
 # cases
 
@@ -249,3 +342,97 @@ def test_fold_matches_loop():
     rng = np.random.default_rng(7)
     grids = [rng.standard_normal((6, 6)) for _ in range(4)]
     assert np.array_equal(fold_to_plane(*grids), loop_fold(grids))
+
+
+STRUCTURE_GRAPHS = {
+    "star3": build_graph({"edges": [["c", "l1", 1.0], ["c", "l2", 1.0],
+                                    ["c", "l3", 1.0]]}),
+    "two-edge-path": build_graph({"edges": [["a", "b", 1.0], ["b", "c", 1.5]]}),
+    # its end edges share no vertex, so some rectangles lie in no block
+    "three-edge-path": build_graph({"edges": [["a", "b", 1.0], ["b", "c", 1.5],
+                                              ["c", "d", 0.8]]}),
+}
+
+
+def sparse_random(rng, mask, density=0.3):
+    """Complex entries on a random part of mask, of sizes below and above
+    the predicates' tolerances."""
+    keep = mask & (rng.random(mask.shape) < density)
+    size = rng.choice([1e-12, 1e-3, 1.0], size=mask.shape)
+    z = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+    return np.where(keep, size * z, 0.0)
+
+
+def poke(rng, M):
+    """M with one random entry raised by 1e-12 or 1e-3, which may break a
+    pattern or stay within the tolerance."""
+    i, j = rng.integers(M.shape[0], size=2)
+    M[i, j] += rng.choice([1e-12, 1e-3])
+    return M
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_GRAPHS))
+def test_is_local_matches_loop(name):
+    idx = BoundaryIndexMap(STRUCTURE_GRAPHS[name])
+    local = np.zeros((2 * idx.E, 2 * idx.E), dtype=bool)
+    for block in idx.vertex_blocks.values():
+        local[np.ix_(block, block)] = True
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(200):
+        P, L = sparse_random(rng, local), sparse_random(rng, local)
+        if trial % 2:
+            poke(rng, (P, L)[trial % 3 == 0])
+        got = is_local(P, L, idx)
+        assert got == loop_is_local(P, L, idx)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_GRAPHS))
+def test_is_local_two_particle_matches_loop(name):
+    idx = BoundaryIndexMap(STRUCTURE_GRAPHS[name])
+    ok_pair = loop_local_pairs(idx)
+    rng = np.random.default_rng(12)
+    seen = set()
+    for trial in range(200):
+        pieces = [(sparse_random(rng, ok_pair), sparse_random(rng, ok_pair))
+                  for _ in range(2)]
+        if trial % 2:          # in one piece, so at some samples only
+            poke(rng, pieces[trial % 4 // 2][trial % 3 == 0])
+        m = piecewise_map([0.0, 0.5, 1.0], pieces)
+        got = is_local_two_particle(m, idx)
+        assert got == loop_is_local_two_particle(m, idx)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_GRAPHS))
+def test_is_noninteracting_matches_loop(name):
+    idx = BoundaryIndexMap(STRUCTURE_GRAPHS[name])
+    one = np.ones((2 * idx.E, 2 * idx.E), dtype=bool)
+    rng = np.random.default_rng(13)
+    seen = set()
+    for trial in range(60):
+        vc = SimpleNamespace(P=sparse_random(rng, one), L=sparse_random(rng, one))
+        P, L = loop_lift(vc, idx.E)
+        if trial % 3:          # one entry off, inside or outside the blocks
+            poke(rng, P if trial % 2 else L)
+        pieces = [(P, L), (P, L if trial % 5 else 2.0 * L)]
+        m = piecewise_map([0.0, 0.5, 1.0], pieces)
+        got = is_noninteracting(m, idx)
+        assert got == loop_is_noninteracting(m, idx)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_lift_matches_loop_bitwise():
+    g = STRUCTURE_GRAPHS["star3"]
+    one = np.ones((2 * g.E, 2 * g.E), dtype=bool)
+    rng = np.random.default_rng(14)
+    for vc in (delta_family(g, 2.1),
+               SimpleNamespace(P=sparse_random(rng, one), L=sparse_random(rng, one))):
+        P, L = lift_one_particle(vc, g)(0.0)
+        P0, L0 = loop_lift(vc, g.E)
+        assert P.dtype == P0.dtype and L.dtype == L0.dtype
+        assert P.tobytes() == P0.tobytes() and L.tobytes() == L0.tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import bump_interaction_map
 from qg2p.bc_maps import lift_one_particle
+from qg2p.eigensolve import counting_function
 from qg2p.form_assembly import Mesh
 from qg2p.spectral_analysis import (AnalysisError, bracketing_check,
                                     bracketing_run, heat_trace, lift_spectrum,
@@ -90,6 +91,20 @@ class TestWeylFits:
         low = weyl_fit_two_particle(lam, interval, window=(0.0, 800.0))
         high = weyl_fit_two_particle(lam, interval, window=(1000.0, 4000.0))
         assert high.relative_error < low.relative_error
+
+    def test_tied_copies_one_ulp_apart_fit_like_equal_ones(self, interval):
+        lam = dirichlet_square_lattice(2000.0)
+        split = lam.copy()
+        double = np.flatnonzero(lam[1:] == lam[:-1]) + 1
+        split[double] = np.nextafter(lam[double], np.inf)
+        # plain counts see the split: the second copy no longer counts both
+        assert not np.array_equal(counting_function(split, split),
+                                  counting_function(lam, lam))
+        exact = weyl_fit_two_particle(lam, interval, window=(100.0, 2000.0))
+        moved = weyl_fit_two_particle(split, interval, window=(100.0, 2000.0))
+        # only the abscissae moved, by an ulp each
+        assert moved.slope == pytest.approx(exact.slope, rel=1e-12)
+        assert moved.n_used == exact.n_used
 
 
 class TestHeatTrace:
