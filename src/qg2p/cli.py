@@ -193,10 +193,9 @@ def build_map(cfg: RunConfig):
     raise ConfigError(f"unknown map kind {kind!r}")
 
 
-def validate_on_mesh(m: BoundaryMap, mesh: Mesh = None):
-    """validate_map at the mesh's y-nodes, the points assembly evaluates
-    (the default samples without a mesh)."""
-    return validate_map(m, ys=None if mesh is None else mesh.y_nodes)
+def validate_on_mesh(m: BoundaryMap, mesh: Mesh):
+    """validate_map at the mesh's y-nodes, the points assembly evaluates."""
+    return validate_map(m, ys=mesh.y_nodes)
 
 
 def build_validated(cfg: RunConfig):
@@ -260,7 +259,9 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
         g, m = build_map(cfg)
-    except (GraphError, ConditionError, MapError, ConfigError) as exc:
+        mesh = build_mesh(g, cfg.mesh)
+    except (GraphError, ConditionError, MapError, ConfigError,
+            AssemblyError) as exc:
         report["notes"].append(str(exc))
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_VALIDATION
@@ -268,12 +269,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["graph"] = {"edges": g.E, "vertices": g.V,
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
-    mesh_hint = None
-    try:
-        mesh_hint = build_mesh(g, cfg.mesh)
-    except (ConfigError, AssemblyError):
-        pass
-    mrep = validate_on_mesh(m, mesh_hint)
+    mrep = validate_on_mesh(m, mesh)
     report["map"] = {
         "ok": mrep.ok,
         "L_max": mrep.L_max,
@@ -287,7 +283,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["map"]["noninteracting"] = bc_maps.is_noninteracting(m, idx)
     report["map"]["local"] = bc_maps.is_local_two_particle(m, idx)
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
-        m, g, None if mesh_hint is None else mesh_hint.y_nodes)
+        m, g, mesh.y_nodes)
     if cfg.map.get("kind") == "delta_example":
         report["notes"].append(
             "non-compact two-half-line configuration truncated to length "

@@ -85,16 +85,21 @@ class SpectrumResult:
     def k(self) -> int:
         return len(self.eigenvalues)
 
-    def multiplicities(self, tol: float = TIE_TOL):
+    def multiplicities(self):
         """(mean, size) of each chain of consecutive tied eigenvalues."""
         lam = self.eigenvalues
-        cuts = np.flatnonzero(~_tied(lam[:-1], lam[1:], tol)) + 1
-        return [(float(np.mean(c)), len(c)) for c in np.split(lam, cuts) if len(c)]
+        return [(float(np.mean(c)), len(c))
+                for c in np.split(lam, _chain_cuts(lam)) if len(c)]
 
 
-def _tied(a, b, tol: float = TIE_TOL):
+def _tied(a, b):
     """Whether b - a is within the relative tie tolerance (elementwise)."""
-    return np.abs(b - a) <= tol * np.maximum(1.0, np.abs(b))
+    return np.abs(b - a) <= TIE_TOL * np.maximum(1.0, np.abs(b))
+
+
+def _chain_cuts(lam: np.ndarray) -> np.ndarray:
+    """Start of every chain of consecutive tied eigenvalues but the first."""
+    return np.flatnonzero(~_tied(lam[:-1], lam[1:])) + 1
 
 
 def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResult:
@@ -374,10 +379,10 @@ def counting_function(eigenvalues: np.ndarray, lam):
     return int(n) if np.ndim(n) == 0 else n
 
 
-def chain_counts(eigenvalues: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+def chain_counts(eigenvalues: np.ndarray) -> np.ndarray:
     """N at each sorted eigenvalue with every chain of consecutive tied
     eigenvalues (as in ``multiplicities``) counted whole: each member gets
     the index of the chain's last member plus one."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    ends = np.append(np.flatnonzero(~_tied(lam[:-1], lam[1:], tol)) + 1, len(lam))
+    ends = np.append(_chain_cuts(lam), len(lam))
     return np.repeat(ends, np.diff(ends, prepend=0))

@@ -63,7 +63,8 @@ def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
               cap: float) -> WeylReport:
     """Fit N ~ slope * x + c, x = variable(lam), over the window (its top
     capped at ``cap``, the mesh-resolved end, when given); each chain of
-    tied eigenvalues counts whole (``chain_counts``)."""
+    tied eigenvalues counts whole (``chain_counts``), and so do equal x
+    (every lam <= 0 has k = 0)."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     x = variable(lam)
     lo = window[0] if window else max(x[0], 0.0)
@@ -76,7 +77,8 @@ def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
         raise AnalysisError(
             f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
             "need at least 30")
-    ns = chain_counts(lam)[used].astype(float)
+    ns = chain_counts(lam)[np.searchsorted(x, x, side="right") - 1][used]
+    ns = ns.astype(float)
     sol, *_ = np.linalg.lstsq(np.vstack([xs, np.ones_like(xs)]).T, ns, rcond=None)
     slope = float(sol[0])
     return WeylReport(slope=slope, target=target,

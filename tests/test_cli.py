@@ -105,6 +105,19 @@ class TestValidateCommand:
         assert any("Hermitian" in e and "y=" in e
                    for e in report["map"]["errors"])
 
+    @pytest.mark.parametrize("mesh, flags", [
+        ({"nodes": 9}, ["--mesh-h", "-1"]), ({"nodes": 2}, [])],
+        ids=["mesh-h-negative", "two-mesh-nodes"])
+    def test_unbuildable_mesh_fails_with_note(self, tmp_path, capsys,
+                                              mesh, flags):
+        doc = {"graph": {"edges": [["a", "b", 1.0]]},
+               "map": {"kind": "lifted", "family": "dirichlet"}, "mesh": mesh}
+        code = main(["validate", "--config", write_config(tmp_path, doc),
+                     *flags])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["map"] == {} and len(report["notes"]) == 1
+
     def test_delta_example_passes_with_truncation_notice(self, tmp_path, capsys):
         doc = {"map": {"kind": "delta_example", "truncation": 2.0,
                        "potential": {"kind": "gaussian", "amplitude": -1.0,

@@ -92,6 +92,20 @@ class TestWeylFits:
         high = weyl_fit_two_particle(lam, interval, window=(1000.0, 4000.0))
         assert high.relative_error < low.relative_error
 
+    def test_eigenvalues_at_or_below_zero_count_together(self, interval):
+        # distinct negative eigenvalues (Robin or attractive delta vertices)
+        # all have k = 0, so each is counted with all of them, as on k itself
+        lam = np.concatenate([[-3.0, -2.0, -1.0, 0.0], dirichlet_interval(60)])
+        k = np.sqrt(np.clip(lam, 0.0, None))
+        ns = counting_function(k, k).astype(float)
+        ref, *_ = np.linalg.lstsq(np.vstack([k, np.ones_like(k)]).T, ns,
+                                  rcond=None)
+        rep = weyl_fit_one_particle(lam, interval)
+        assert rep.n_used == len(lam)
+        assert rep.slope == ref[0]
+        zeros = np.concatenate([np.zeros(4), dirichlet_interval(60)])
+        assert weyl_fit_one_particle(zeros, interval) == rep
+
     def test_tied_copies_one_ulp_apart_fit_like_equal_ones(self, interval):
         lam = dirichlet_square_lattice(2000.0)
         split = lam.copy()
