@@ -14,7 +14,7 @@ import numpy as np
 from .graph_core import BoundaryIndexMap, MetricGraph, build_graph
 from .vertex_conditions import VertexConditions, _hermitize, ab_to_pl
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-9   # entry and defect tolerance of the map checks and predicates
 
 
 class MapError(ValueError):
@@ -47,19 +47,19 @@ class BoundaryMap:
             self._cache[key] = hit
         return hit
 
-    def L_max(self, ys: Sequence[float] = None) -> float:
+    def samples(self, ys: Sequence[float] = None):
+        """(P, L) at each of ``ys`` (the 101-point default grid without),
+        each stacked as a (len(ys), dim, dim) array; a sample of another
+        shape is a MapError."""
         ys = _default_samples(ys)
-        return max(float(np.linalg.norm(self(y)[1], 2)) for y in ys)
+        pairs = [self(y) for y in ys]
+        for y, (P, L) in zip(ys, pairs):
+            if P.shape != (self.dim, self.dim) or L.shape != P.shape:
+                raise MapError(f"sample at y={y} has wrong shape")
+        return tuple(np.array(X) for X in zip(*pairs))
 
-    def coupling_pattern(self, ys: Sequence[float] = None, tol: float = DEFAULT_TOL):
-        """Boolean matrix: True where P or L has a nonzero entry at any sample."""
-        ys = _default_samples(ys)
-        pat = np.zeros((self.dim, self.dim), dtype=bool)
-        for y in ys:
-            P, L = self(y)
-            pat |= np.abs(P) > tol
-            pat |= np.abs(L) > tol
-        return pat
+    def L_max(self, ys: Sequence[float] = None) -> float:
+        return float(np.linalg.norm(self.samples(ys)[1], 2, axis=(1, 2)).max())
 
 
 def _default_samples(ys):
@@ -108,69 +108,59 @@ class MapValidationReport:
     warnings: tuple
 
 
-def block_structured(m: BoundaryMap, ys: Sequence[float] = None,
-                     tol: float = 1e-9) -> bool:
+def block_structured(m: BoundaryMap, ys: Sequence[float] = None) -> bool:
     """True iff P(y) and L(y) have identical diagonal half-blocks and zero
     off-diagonal half-blocks at every sample: then both exchange sectors
     are invariant under the form.  Compares entries only."""
-    h = m.dim // 2
-    for y in _default_samples(ys):
-        for M in m(y):
-            if (np.abs(M[:h, h:]).max(initial=0.0) > tol
-                    or np.abs(M[h:, :h]).max(initial=0.0) > tol
-                    or np.abs(M[:h, :h] - M[h:, h:]).max(initial=0.0) > tol):
-                return False
-    return True
+    return _block_structured(*m.samples(ys))
 
 
-def validate_map(m: BoundaryMap, tol: float = 1e-9, ys: Sequence[float] = None,
-                 margins=(0.0, 0.0)) -> MapValidationReport:
+def _block_structured(P: np.ndarray, L: np.ndarray) -> bool:
+    h = P.shape[-1] // 2
+    return not any(np.abs(D).max(initial=0.0) > TOL for M in (P, L)
+                   for D in (M[:, :h, h:], M[:, h:, :h],
+                             M[:, :h, :h] - M[:, h:, h:]))
+
+
+def validate_map(m: BoundaryMap, ys: Sequence[float] = None) -> MapValidationReport:
     """Per-sample projector / self-adjointness / QLQ checks plus the
-    block-structure and corner-regularity flags.
+    block-structure flag and corner regularity at the samples y = 0, 1.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).
     """
     ys = _default_samples(ys)
-    errors, warnings = [], []
-    pd = sa = qlq = 0.0
-    corner = True
-    for y in ys:
-        P, L = m(y)
-        if P.shape != (m.dim, m.dim) or L.shape != (m.dim, m.dim):
-            raise MapError(f"sample at y={y} has wrong shape")
-        d_proj = max(np.linalg.norm(P @ P - P, 2), np.linalg.norm(P - P.conj().T, 2))
-        d_sa = np.linalg.norm(L - L.conj().T, 2)
-        Q = np.eye(m.dim) - P
-        d_qlq = np.linalg.norm(L - Q @ L @ Q, 2)
-        pd, sa, qlq = max(pd, d_proj), max(sa, d_sa), max(qlq, d_qlq)
-        if d_proj > tol:
-            errors.append(f"P(y={y:.6g}) is not an orthogonal projector "
-                          f"(defect {d_proj:.2e})")
-        if d_sa > tol:
-            errors.append(f"L(y={y:.6g}) is not Hermitian (defect {d_sa:.2e})")
-        if d_qlq > tol:
-            errors.append(f"L(y={y:.6g}) violates L = Q L Q (defect {d_qlq:.2e})")
+    P, L = m.samples(ys)
+    Q = np.eye(m.dim) - P
+    norm = lambda X: np.linalg.norm(X, 2, axis=(1, 2))    # per sample
+    defects = (
+        (np.maximum(norm(P @ P - P), norm(P - P.conj().swapaxes(1, 2))),
+         "P(y={:.6g}) is not an orthogonal projector (defect {:.2e})"),
+        (norm(L - L.conj().swapaxes(1, 2)),
+         "L(y={:.6g}) is not Hermitian (defect {:.2e})"),
+        (norm(L - Q @ L @ Q), "L(y={:.6g}) violates L = Q L Q (defect {:.2e})"),
+    )
+    # messages in the per-sample order: every defect of y_0, then of y_1, ...
+    errors = [msg.format(y, d[i]) for i, y in enumerate(ys)
+              for d, msg in defects if d[i] > TOL]
+    l_norms = norm(L)
 
-        near_corner = y <= margins[0] + 1e-12 or y >= 1.0 - margins[1] - 1e-12
-        if near_corner:
-            tl = P[:m.dim // 2, :m.dim // 2]
-            off = tl - np.diag(np.diag(tl))
-            diag = np.diag(tl)
-            diag_01 = np.all(np.minimum(np.abs(diag), np.abs(diag - 1.0)) <= tol)
-            if (np.linalg.norm(L, 2) > tol or np.abs(off).max(initial=0.0) > tol
-                    or not diag_01):
-                corner = False
-
-    if not corner:
-        warnings.append("corner-regularity hypotheses not met "
-                        "(L != 0 or non-diagonal half-block near y = 0, 1)")
+    near = (ys <= 1e-12) | (ys >= 1.0 - 1e-12)
+    h = m.dim // 2
+    tl = P[near, :h, :h]
+    diag = np.diagonal(tl, axis1=1, axis2=2)
+    corner = not ((l_norms[near] > TOL).any()
+                  or (np.abs(np.where(np.eye(h, dtype=bool), 0.0, tl)) > TOL).any()
+                  or (np.minimum(np.abs(diag), np.abs(diag - 1.0)) > TOL).any())
+    warnings = () if corner else (
+        "corner-regularity hypotheses not met "
+        "(L != 0 or non-diagonal half-block near y = 0, 1)",)
+    pd, sa, qlq = (float(d.max(initial=0.0)) for d, _ in defects)
     return MapValidationReport(
-        ok=not errors, L_max=m.L_max(ys),
-        block_structured=block_structured(m, ys, tol),
-        corner_regular=corner,
+        ok=not errors, L_max=float(l_norms.max()),
+        block_structured=_block_structured(P, L), corner_regular=corner,
         max_projector_defect=pd, max_sa_defect=sa, max_qlq_defect=qlq,
-        errors=tuple(errors), warnings=tuple(warnings),
+        errors=tuple(errors), warnings=warnings,
     )
 
 
@@ -199,30 +189,23 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
                        noninteracting_tag=True)
 
 
-def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap, tol: float = 1e-9,
+def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
                       ys: Sequence[float] = None) -> bool:
     """True iff samples are y-constant and block-diagonal with identical
     blocks w.r.t. the fixed-second-edge decomposition of boundary values."""
-    ys = _default_samples(ys)
-    P0, L0 = m(ys[0])
-    for y in ys[1:]:
-        P, L = m(y)
-        if np.abs(P - P0).max() > tol or np.abs(L - L0).max() > tol:
-            return False
-
     at = _beta_blocks(idx.E)
-    outside = np.ones(P0.shape, dtype=bool)
+    outside = np.ones((m.dim, m.dim), dtype=bool)
     outside[at] = False
-    for M in (P0, L0):
-        blk = M[at]
-        if (np.abs(blk - blk[0]).max() > tol
-                or np.abs(M[outside]).max(initial=0.0) > tol):
+    for M in m.samples(ys):
+        blk = M[0][at]
+        if (np.abs(M - M[0]).max() > TOL or np.abs(blk - blk[0]).max() > TOL
+                or np.abs(M[0][outside]).max(initial=0.0) > TOL):
             return False
     return True
 
 
 def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
-                          tol: float = 1e-9, ys: Sequence[float] = None) -> bool:
+                          ys: Sequence[float] = None) -> bool:
     """True iff P(y), L(y) vanish outside the vertex-local blocks: entries
     may couple components only when their boundary edge-ends meet in the
     same vertex and each component's other edge is connected to its own."""
@@ -230,11 +213,8 @@ def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
     vtx = np.array([idx.boundary_vertex(p) for p in range(n)])
     inside = np.array([g.edges_connected(*idx.component(p).pair) for p in range(n)])
     ok_pair = (vtx[:, None] == vtx[None, :]) & inside[:, None] & inside[None, :]
-    for y in _default_samples(ys):
-        for M in m(y):
-            if np.abs(M[~ok_pair]).max(initial=0.0) > tol:
-                return False
-    return True
+    return not any(np.abs(M[:, ~ok_pair]).max(initial=0.0) > TOL
+                   for M in m.samples(ys))
 
 
 # ---------------------------------------------------------------------------

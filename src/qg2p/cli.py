@@ -235,14 +235,17 @@ def _outdir(cfg: RunConfig, override: str = None) -> str:
     return d
 
 
-def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
-    mults = []
-    for mean, m in result.multiplicities():
-        mults.extend([m] * m)
+def _write_csv(path: str, header: str, columns, fmt: str) -> None:
     with open(path, "w") as fh:
-        fh.write("index,eigenvalue,multiplicity,residual\n")
-        for i, lam in enumerate(result.eigenvalues):
-            fh.write(f"{i},{lam:.12e},{mults[i]},{result.residuals[i]:.6e}\n")
+        fh.write(header + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt)
+
+
+def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
+    sizes = [size for _, size in result.multiplicities()]
+    _write_csv(path, "index,eigenvalue,multiplicity,residual",
+               (np.arange(result.k), result.eigenvalues,
+                np.repeat(sizes, sizes), result.residuals), "%d,%.12e,%d,%.6e")
 
 
 def _json_dump(path: str, obj) -> None:
@@ -280,8 +283,9 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
         "errors": list(mrep.errors),
         "warnings": list(mrep.warnings),
     }
-    report["map"]["noninteracting"] = bc_maps.is_noninteracting(m, idx)
-    report["map"]["local"] = bc_maps.is_local_two_particle(m, idx)
+    report["map"]["noninteracting"] = bc_maps.is_noninteracting(
+        m, idx, mesh.y_nodes)
+    report["map"]["local"] = bc_maps.is_local_two_particle(m, idx, mesh.y_nodes)
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
         m, g, mesh.y_nodes)
     if cfg.map.get("kind") == "delta_example":
@@ -338,10 +342,8 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
                 lam, g, sector=cfg.sector, window=window, h_max=mesh.h_max)
         tol = toggles.get("weyl_tol", 0.15)
         analysis["weyl"] = {**asdict(rep), "pass": rep.relative_error < tol}
-        with open(os.path.join(d, "counting.csv"), "w") as fh:
-            fh.write("lambda,N,weyl_line\n")
-            for v, count, xv in zip(lam, chain_counts(lam), x):
-                fh.write(f"{v:.12e},{count},{rep.slope * xv:.12e}\n")
+        _write_csv(os.path.join(d, "counting.csv"), "lambda,N,weyl_line",
+                   (lam, chain_counts(lam), rep.slope * x), "%.12e,%d,%.12e")
 
     if "heat" in toggles:
         t = float(toggles["heat"].get("t", 0.01))
@@ -396,11 +398,9 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     d = _outdir(cfg, outdir)
     T = float(cfg.map.get("truncation", 1.0))
     coords = np.linspace(-T, T, folded.shape[0])
-    with open(os.path.join(d, "folded.csv"), "w") as fh:
-        fh.write("x,y,psi\n")
-        for i, x in enumerate(coords):
-            for j, y in enumerate(coords):
-                fh.write(f"{x:.9e},{y:.9e},{folded[i, j]:.12e}\n")
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    _write_csv(os.path.join(d, "folded.csv"), "x,y,psi",
+               (x.ravel(), y.ravel(), folded.ravel()), "%.9e,%.9e,%.12e")
     report = {
         "ground_state_energy": float(result.eigenvalues[0]),
         "axis_jump_x": jump_x,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symmetry
@@ -42,10 +41,12 @@ def dense_preferred(n: int, k: int) -> bool:
     return n * n <= DENSE_COST * k
 
 
-# (limit, usage) files of the process's memory cgroup, v2 then v1
+# (limit, usage) files of the root memory cgroup, v2 then v1; the process's
+# own cgroup (from PROC_CGROUP) holds the same files in a subdirectory
 CGROUP_MEMORY = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
                  ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
                   "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
+PROC_CGROUP = "/proc/self/cgroup"
 
 
 def _read_bytes(path: str):
@@ -57,17 +58,38 @@ def _read_bytes(path: str):
         return None
 
 
+def _own_cgroup(v2: bool) -> str:
+    """The process's cgroup path, relative to the mount: the ``0::<path>``
+    line of PROC_CGROUP for v2, the line naming the memory controller for
+    v1; "" (the root) when there is no such line."""
+    try:
+        with open(PROC_CGROUP) as fh:
+            for line in fh:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                if (controllers == "" if v2 else "memory" in controllers.split(",")):
+                    return path.strip("/")
+    except (OSError, ValueError):
+        pass
+    return ""
+
+
 def available_memory() -> float:
     """Bytes of memory free now: physical memory, and the room left under
-    a readable cgroup limit (unbounded where neither is known)."""
+    a readable cgroup limit, the process's own cgroup's or else the root's
+    (unbounded where neither is known)."""
     try:
         free = float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (ValueError, OSError, AttributeError):
         free = float("inf")
-    for limit_file, usage_file in CGROUP_MEMORY:
-        limit = _read_bytes(limit_file)
-        if limit is not None:
-            free = min(free, float(limit - (_read_bytes(usage_file) or 0)))
+    for root_files in CGROUP_MEMORY:
+        own = _own_cgroup(root_files[0].endswith("memory.max"))
+        own_files = [os.path.join(os.path.dirname(f), own, os.path.basename(f))
+                     for f in root_files]
+        for limit_file, usage_file in (own_files, root_files):
+            limit = _read_bytes(limit_file)
+            if limit is not None:
+                free = min(free, float(limit - (_read_bytes(usage_file) or 0)))
+                break
     return free
 
 
@@ -142,9 +164,7 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
             meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
                                     f"needs about {need / 1e6:.0f} MB")
     if dense:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        Md = Mr.toarray() if sp.issparse(Mr) else np.asarray(Mr)
-        lam, U = sla.eigh(Ad, Md)
+        lam, U = sla.eigh(A.toarray(), Mr.toarray())
         lam, U = lam[:k], U[:, :k]
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
         res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .bc_maps import BoundaryMap
+from .bc_maps import BoundaryMap, _default_samples
 from .graph_core import BoundaryIndexMap, MetricGraph, X0, XL, Y0, YL
 from .vertex_conditions import VertexConditions
 
@@ -121,13 +121,9 @@ def mass_1d(length: float, n: int) -> sp.csr_matrix:
 # discrete forms
 
 
-def _realify(mat):
-    if mat is None or not np.iscomplexobj(mat if isinstance(mat, np.ndarray)
-                                          else mat.data):
-        return mat
-    if isinstance(mat, np.ndarray):
-        if np.abs(mat.imag).max(initial=0.0) < 1e-14 * max(1.0, np.abs(mat).max()):
-            return mat.real.copy()
+def _realify(mat: sp.spmatrix) -> sp.spmatrix:
+    """``mat`` as a real CSR matrix when its imaginary part is negligible."""
+    if not np.iscomplexobj(mat.data):
         return mat
     imax = np.abs(mat.data.imag).max(initial=0.0)
     if imax < 1e-14 * max(1.0, np.abs(mat.data).max(initial=0.0)):
@@ -309,7 +305,8 @@ def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
 def _coupling_clusters(m: BoundaryMap, mesh: Mesh, traces):
     """Connected components of the P/L coupling pattern; every cluster must
     live on one common normalized running grid."""
-    pat = m.coupling_pattern(ys=mesh.y_nodes)
+    P, L = m.samples(mesh.y_nodes)
+    pat = ((np.abs(P) > NULLSPACE_TOL) | (np.abs(L) > NULLSPACE_TOL)).any(axis=0)
     pat = pat | pat.T
     np.fill_diagonal(pat, True)
     ncl, labels = connected_components(sp.csr_matrix(pat), directed=False)
@@ -358,9 +355,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
 
     for cl in clusters:
         ts = traces[cl[0]].positions
-        samples = [m(t) for t in ts]
-        Ps = np.array([P[np.ix_(cl, cl)] for P, _ in samples])
-        Ls = np.array([L[np.ix_(cl, cl)] for _, L in samples])
+        Ps, Ls = (X[:, cl[:, None], cl] for X in m.samples(ts))
         w = np.array([traces[p].weight for p in cl])
         nodes = np.array([traces[p].nodes for p in cl])   # (component, node)
 
@@ -393,7 +388,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     C = coo(c_parts, (n_constraints, ndof))
 
     c_inf = semibound_constant(m, g, mesh.y_nodes)
-    return DiscreteForm(K=_realify(K), M=M, B=B, C=C, C_infty=c_inf,
+    return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
                         meta={"graph": g, "mesh": mesh, "map": m,
                               "index": idx, "kind": "two_particle"})
 
@@ -401,10 +396,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
 def sampled_l_max(m: BoundaryMap, ys: Sequence[float] = None) -> float:
     """max ||L(y)|| over ``ys`` (a default grid without) and the breakpoints
     of a piecewise map, where its pieces start."""
-    l_max = m.L_max(ys)
-    if m.meta.get("breakpoints"):
-        l_max = max(l_max, m.L_max(m.meta["breakpoints"]))
-    return l_max
+    return m.L_max(np.append(_default_samples(ys), m.meta.get("breakpoints") or []))
 
 
 def semibound_constant(m: BoundaryMap, g: MetricGraph,

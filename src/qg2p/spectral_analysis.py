@@ -64,21 +64,24 @@ def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
     """Fit N ~ slope * x + c, x = variable(lam), over the window (its top
     capped at ``cap``, the mesh-resolved end, when given); each chain of
     tied eigenvalues counts whole (``chain_counts``), and so do equal x
-    (every lam <= 0 has k = 0)."""
+    (every lam <= 0 has k = 0).  A chain enters the fit whole or not at
+    all, by the x of its smallest member, which no roundoff in the other
+    members can move."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     x = variable(lam)
     lo = window[0] if window else max(x[0], 0.0)
     hi = window[1] if window else x[-1]
     if cap is not None:
         hi = min(hi, cap)
-    used = (x >= lo) & (x <= hi)
+    counts = chain_counts(lam)
+    first = x[np.searchsorted(counts, counts)]     # x of each chain's start
+    used = (first >= lo) & (first <= hi)
     xs = x[used]
     if len(xs) < 30:
         raise AnalysisError(
             f"only {len(xs)} eigenvalues in the fit window [{lo:.3g}, {hi:.3g}]; "
             "need at least 30")
-    ns = chain_counts(lam)[np.searchsorted(x, x, side="right") - 1][used]
-    ns = ns.astype(float)
+    ns = counts[np.searchsorted(x, x, side="right") - 1][used].astype(float)
     sol, *_ = np.linalg.lstsq(np.vstack([xs, np.ones_like(xs)]).T, ns, rcond=None)
     slope = float(sol[0])
     return WeylReport(slope=slope, target=target,

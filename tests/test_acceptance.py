@@ -250,7 +250,7 @@ def test_10_projector_and_map_algebra(interval, two_edges, capsys):
     ]
     worst_map = 0.0
     for m in shipped:
-        rep = validate_map(m, tol=1e-10)
+        rep = validate_map(m)
         worst_map = max(worst_map, rep.max_projector_defect,
                         rep.max_sa_defect, rep.max_qlq_defect)
     ok = worst_proj < 1e-13 and worst_map < 1e-10

@@ -118,6 +118,27 @@ class TestValidateCommand:
         assert code == 2
         assert report["map"] == {} and len(report["notes"]) == 1
 
+    def test_samples_only_the_mesh_y_nodes(self, tmp_path, capsys, monkeypatch):
+        # every field of the report, the noninteracting and local flags
+        # included, reads the map where assembly does
+        doc = {"graph": {"edges": [["a", "b", 0.7], ["b", "c", 1.3]]},
+               "map": {"kind": "lifted", "family": "dirichlet"},
+               "mesh": {"nodes_per_edge": [5, 8]}}
+        seen, build = [], cli.build_map
+
+        def recording_map(cfg):
+            g, m = build(cfg)
+            ev = m.eval_fn
+            m.eval_fn = lambda y: seen.append(y) or ev(y)
+            return g, m
+
+        monkeypatch.setattr(cli, "build_map", recording_map)
+        code = main(["validate", "--config", write_config(tmp_path, doc)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["map"]["noninteracting"]
+        g, _ = build(load_config(write_config(tmp_path, doc)))
+        assert sorted(seen) == list(form_assembly.Mesh(g, (5, 8)).y_nodes)
+
     def test_delta_example_passes_with_truncation_notice(self, tmp_path, capsys):
         doc = {"map": {"kind": "delta_example", "truncation": 2.0,
                        "potential": {"kind": "gaussian", "amplitude": -1.0,

@@ -353,6 +353,31 @@ class TestMemoryGuard:
         limit.write_text("4096\n")
         assert eigensolve.available_memory() == 4096.0
 
+    def test_own_cgroup_limit_before_the_root_one(self, tmp_path, monkeypatch):
+        v2, v1, proc = tmp_path / "v2", tmp_path / "v1", tmp_path / "cgroup"
+        monkeypatch.setattr(eigensolve, "CGROUP_MEMORY", (
+            (str(v2 / "memory.max"), str(v2 / "memory.current")),
+            (str(v1 / "memory.limit_in_bytes"), str(v1 / "memory.usage_in_bytes"))))
+        monkeypatch.setattr(eigensolve, "PROC_CGROUP", str(proc))
+        monkeypatch.setattr(eigensolve.os, "sysconf", lambda name: 1 << 20)
+
+        def put(path, text):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+        put(v1 / "memory.limit_in_bytes", "9000\n")
+        proc.write_text("4:cpu,memory:/jobs/a\n0::/\n")
+        assert eigensolve.available_memory() == 9000.0   # no own files: root
+        put(v1 / "jobs/a/memory.limit_in_bytes", "5000\n")
+        put(v1 / "jobs/a/memory.usage_in_bytes", "1000\n")
+        assert eigensolve.available_memory() == 4000.0
+        proc.write_text("0::/user.slice/b\n")         # v2 only: v1 at the root
+        put(v2 / "user.slice/b/memory.max", "3000\n")
+        put(v2 / "memory.max", "100\n")
+        assert eigensolve.available_memory() == 3000.0
+        proc.unlink()                                  # unreadable: both roots
+        assert eigensolve.available_memory() == 100.0
+
     def test_forced_dense_over_budget_fails(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
         with pytest.raises(SolveError, match="MB free"):

@@ -17,14 +17,18 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import bump_interaction_map
-from qg2p.bc_maps import (constant_map, delta_example_map, fold_to_plane,
-                          is_local_two_particle, is_noninteracting,
-                          lift_one_particle, piecewise_map)
+from scipy.sparse.csgraph import connected_components
+
+from qg2p.bc_maps import (BoundaryMap, MapError, MapValidationReport,
+                          block_structured, constant_map, delta_example_map,
+                          fold_to_plane, is_local_two_particle,
+                          is_noninteracting, lift_one_particle, piecewise_map,
+                          validate_map)
 from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 _realify, assemble_one_particle,
                                 assemble_two_particle,
                                 boundary_component_nodes,
-                                nullspace_from_constraints)
+                                nullspace_from_constraints, sampled_l_max)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.symmetry import exchange_permutation, sector_basis
 from qg2p.vertex_conditions import delta_family, is_local, standard_family
@@ -254,6 +258,86 @@ def loop_is_noninteracting(m, idx, tol=1e-9):
     return True
 
 
+DEFAULT_YS = np.linspace(0.0, 1.0, 101)
+
+
+def loop_l_max(m, ys=DEFAULT_YS):
+    return max(float(np.linalg.norm(m(y)[1], 2)) for y in ys)
+
+
+def loop_sampled_l_max(m, ys=DEFAULT_YS):
+    l_max = loop_l_max(m, ys)
+    if m.meta.get("breakpoints"):
+        l_max = max(l_max, loop_l_max(m, m.meta["breakpoints"]))
+    return l_max
+
+
+def loop_block_structured(m, ys=DEFAULT_YS, tol=1e-9):
+    """bc_maps.block_structured, one sample per iteration."""
+    h = m.dim // 2
+    for y in ys:
+        for M in m(y):
+            if (np.abs(M[:h, h:]).max(initial=0.0) > tol
+                    or np.abs(M[h:, :h]).max(initial=0.0) > tol
+                    or np.abs(M[:h, :h] - M[h:, h:]).max(initial=0.0) > tol):
+                return False
+    return True
+
+
+def loop_validate_map(m, ys=DEFAULT_YS, tol=1e-9):
+    """bc_maps.validate_map, one sample per iteration."""
+    ys = np.asarray(ys, dtype=float)
+    errors = []
+    pd = sa = qlq = 0.0
+    corner = True
+    for y in ys:
+        P, L = m(y)
+        if P.shape != (m.dim, m.dim) or L.shape != (m.dim, m.dim):
+            raise MapError(f"sample at y={y} has wrong shape")
+        d_proj = max(np.linalg.norm(P @ P - P, 2), np.linalg.norm(P - P.conj().T, 2))
+        d_sa = np.linalg.norm(L - L.conj().T, 2)
+        Q = np.eye(m.dim) - P
+        d_qlq = np.linalg.norm(L - Q @ L @ Q, 2)
+        pd, sa, qlq = max(pd, d_proj), max(sa, d_sa), max(qlq, d_qlq)
+        if d_proj > tol:
+            errors.append(f"P(y={y:.6g}) is not an orthogonal projector "
+                          f"(defect {d_proj:.2e})")
+        if d_sa > tol:
+            errors.append(f"L(y={y:.6g}) is not Hermitian (defect {d_sa:.2e})")
+        if d_qlq > tol:
+            errors.append(f"L(y={y:.6g}) violates L = Q L Q (defect {d_qlq:.2e})")
+        if y <= 1e-12 or y >= 1.0 - 1e-12:
+            tl = P[:m.dim // 2, :m.dim // 2]
+            off = tl - np.diag(np.diag(tl))
+            diag = np.diag(tl)
+            diag_01 = np.all(np.minimum(np.abs(diag), np.abs(diag - 1.0)) <= tol)
+            if (np.linalg.norm(L, 2) > tol or np.abs(off).max(initial=0.0) > tol
+                    or not diag_01):
+                corner = False
+    warnings = () if corner else (
+        "corner-regularity hypotheses not met "
+        "(L != 0 or non-diagonal half-block near y = 0, 1)",)
+    return MapValidationReport(
+        ok=not errors, L_max=loop_l_max(m, ys),
+        block_structured=loop_block_structured(m, ys, tol),
+        corner_regular=corner, max_projector_defect=pd, max_sa_defect=sa,
+        max_qlq_defect=qlq, errors=tuple(errors), warnings=warnings)
+
+
+def loop_coupling_clusters(m, ys, tol=1e-10):
+    """Clusters of _coupling_clusters from a pattern built one sample at a
+    time."""
+    pat = np.zeros((m.dim, m.dim), dtype=bool)
+    for y in ys:
+        P, L = m(y)
+        pat |= np.abs(P) > tol
+        pat |= np.abs(L) > tol
+    pat = pat | pat.T
+    np.fill_diagonal(pat, True)
+    ncl, labels = connected_components(sp.csr_matrix(pat), directed=False)
+    return [np.flatnonzero(labels == k) for k in range(ncl)]
+
+
 def loop_lift(vc, E):
     """(P, L) of lift_one_particle, one (half, beta) block per iteration."""
     n = 4 * E * E
@@ -436,3 +520,96 @@ def test_lift_matches_loop_bitwise():
         P0, L0 = loop_lift(vc, g.E)
         assert P.dtype == P0.dtype and L.dtype == L0.dtype
         assert P.tobytes() == P0.tobytes() and L.tobytes() == L0.tobytes()
+
+
+def broken_map(defect, size):
+    """Map on C^8 that breaks one identity at the samples in [0.3, 0.6) by
+    an entry of the given size; the other samples are a valid Robin-type
+    pair with P = diag(1, 0, 1, 0) in each half."""
+    P = np.diag([1.0, 0.0, 1.0, 0.0] * 2).astype(complex)
+    Q = np.eye(8) - P
+    L = Q @ np.diag([0.0, 2.0, 0.0, -1.0] * 2) @ Q
+    P2, L2 = P.copy(), L.copy()
+    if defect == "projector":
+        P2[0, 0] += size
+        P2[4, 4] += size
+    elif defect == "hermitian":
+        L2[1, 3] += size
+    elif defect == "qlq":
+        L2[0, 0] += size
+    return piecewise_map([0.0, 0.3, 0.6, 1.0], [(P, L), (P2, L2), (P, L)])
+
+
+def corner_map(size):
+    """Valid everywhere; L = size * Q at and near y = 0, so corner regular
+    only when size is below the tolerance."""
+    P = np.diag([1.0, 0.0] * 2)
+    L = np.diag([0.0, 1.0] * 2)
+    return piecewise_map([0.0, 0.2, 1.0], [(P, size * L), (P, L)])
+
+
+VALIDATE_CASES = {
+    **{name: m for name, (_, m, _) in CASES.items()},
+    **{f"{d}-{size:g}": broken_map(d, size)
+       for d in ("projector", "hermitian", "qlq") for size in (1e-10, 1e-3)},
+    "corner-small": corner_map(1e-12),
+    "corner-large": corner_map(1e-3),
+}
+
+
+def validate_ys():
+    two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+    return {"default": None, "mesh": Mesh(two, (5, 8)).y_nodes,
+            "interior": np.linspace(0.05, 0.95, 19)}
+
+
+@pytest.mark.parametrize("grid", sorted(validate_ys()))
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_map_matches_loop(name, grid):
+    m = VALIDATE_CASES[name]
+    ys = validate_ys()[grid]
+    got = validate_map(m, ys=ys)
+    want = loop_validate_map(m, DEFAULT_YS if ys is None else ys)
+    assert got == want        # every field, the errors in order
+    assert block_structured(m, ys) == want.block_structured
+
+
+def test_validate_cases_cover_every_outcome():
+    reps = [validate_map(m) for m in VALIDATE_CASES.values()]
+    for field in ("ok", "block_structured", "corner_regular"):
+        assert {getattr(r, field) for r in reps} == {True, False}, field
+    kinds = {e.split(") ")[1].split(" (")[0] for r in reps for e in r.errors}
+    assert kinds == {"is not an orthogonal projector", "is not Hermitian",
+                     "violates L = Q L Q"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_l_max_and_clusters_match_loops(name):
+    g, m, mesh = CASES[name]
+    ys = mesh.y_nodes
+    assert m.L_max() == loop_l_max(m)
+    assert m.L_max(ys) == loop_l_max(m, ys)
+    assert sampled_l_max(m, ys) == loop_sampled_l_max(m, ys)
+    traces = boundary_component_nodes(mesh, BoundaryIndexMap(g))
+    got = _coupling_clusters(m, mesh, traces)
+    want = loop_coupling_clusters(m, ys)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sampled_l_max_with_breakpoints_matches_loop():
+    m = VALIDATE_CASES["hermitian-0.001"]
+    for ys in (None, np.linspace(0.0, 1.0, 7)):
+        want = loop_sampled_l_max(m, DEFAULT_YS if ys is None else ys)
+        assert sampled_l_max(m, ys) == want
+
+
+def test_wrong_shaped_sample_is_a_map_error_in_assembly():
+    g, m, mesh = CASES["bump"]
+    ev = m.eval_fn
+    bad = BoundaryMap(dim=m.dim, eval_fn=lambda y: (
+        np.zeros((3, 3)), np.zeros((3, 3))) if y == 0.5 else ev(y))
+    with pytest.raises(MapError, match="y=0.5 has wrong shape"):
+        assemble_two_particle(g, bad, mesh)
+    with pytest.raises(MapError, match="y=0.5 has wrong shape"):
+        validate_map(bad)

@@ -120,6 +120,21 @@ class TestWeylFits:
         assert moved.slope == pytest.approx(exact.slope, rel=1e-12)
         assert moved.n_used == exact.n_used
 
+    def test_chain_at_the_mesh_cap_enters_whole(self, interval):
+        # with h_max = 1/40 the cap (pi / (4 h_max))^2 is the double
+        # pi^2 (i^2 + j^2) at i^2 + j^2 = 100; one copy raised by one ulp
+        # must neither drop out of the fit nor move the slope
+        lam = np.sort([np.pi**2 * (i * i + j * j)
+                       for i in range(1, 12) for j in range(1, 12)])
+        top = np.flatnonzero(lam == np.pi**2 * 100)
+        assert len(top) == 2 and (np.pi / (4.0 / 40)) ** 2 == lam[top[0]]
+        split = lam.copy()
+        split[top[1]] = np.nextafter(lam[top[1]], np.inf)
+        exact = weyl_fit_two_particle(lam, interval, h_max=1 / 40)
+        moved = weyl_fit_two_particle(split, interval, h_max=1 / 40)
+        assert exact.n_used == moved.n_used == 69
+        assert moved.slope == pytest.approx(exact.slope, rel=1e-12)
+
 
 class TestHeatTrace:
     def test_single_zero_eigenvalue(self):
