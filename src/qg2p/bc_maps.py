@@ -50,12 +50,14 @@ class BoundaryMap:
     def samples(self, ys: Sequence[float] = None):
         """(P, L) at each of ``ys`` (the 101-point default grid without),
         each stacked as a (len(ys), dim, dim) array; a sample of another
-        shape is a MapError."""
+        shape or with a NaN or infinite entry is a MapError."""
         ys = _default_samples(ys)
         pairs = [self(y) for y in ys]
         for y, (P, L) in zip(ys, pairs):
             if P.shape != (self.dim, self.dim) or L.shape != P.shape:
                 raise MapError(f"sample at y={y} has wrong shape")
+            if not (np.isfinite(P).all() and np.isfinite(L).all()):
+                raise MapError(f"sample at y={y} has a NaN or infinite entry")
         return tuple(np.array(X) for X in zip(*pairs))
 
     def L_max(self, ys: Sequence[float] = None) -> float:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bc_maps, form_assembly, spectral_analysis, symmetry
-from .bc_maps import BoundaryMap, MapError, validate_map
+from .bc_maps import MapError, validate_map
 from .eigensolve import SolveError, SpectrumResult, chain_counts, solve
 from .form_assembly import AssemblyError, Mesh
 from .graph_core import BoundaryIndexMap, GraphError, MetricGraph, build_graph
@@ -193,17 +193,13 @@ def build_map(cfg: RunConfig):
     raise ConfigError(f"unknown map kind {kind!r}")
 
 
-def validate_on_mesh(m: BoundaryMap, mesh: Mesh):
-    """validate_map at the mesh's y-nodes, the points assembly evaluates."""
-    return validate_map(m, ys=mesh.y_nodes)
-
-
 def build_validated(cfg: RunConfig):
-    """(graph, map, mesh); a map that fails validate_on_mesh is a MapError,
-    raised before anything is assembled."""
+    """(graph, map, mesh); a map that fails validate_map at the mesh's
+    y-nodes, where assembly evaluates it, is a MapError, raised before
+    anything is assembled."""
     g, m = build_map(cfg)
     mesh = build_mesh(g, cfg.mesh)
-    errors = validate_on_mesh(m, mesh).errors
+    errors = validate_map(m, mesh.y_nodes).errors
     if errors:
         raise MapError(f"{errors[0]} ({len(errors)} map error(s); "
                        "see 'qg2p validate')")
@@ -272,7 +268,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["graph"] = {"edges": g.E, "vertices": g.V,
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
-    mrep = validate_on_mesh(m, mesh)
+    mrep = validate_map(m, mesh.y_nodes)
     report["map"] = {
         "ok": mrep.ok,
         "L_max": mrep.L_max,
@@ -282,10 +278,9 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
         "max_self_adjointness_defect": mrep.max_sa_defect,
         "errors": list(mrep.errors),
         "warnings": list(mrep.warnings),
+        "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
+        "local": bc_maps.is_local_two_particle(m, idx, mesh.y_nodes),
     }
-    report["map"]["noninteracting"] = bc_maps.is_noninteracting(
-        m, idx, mesh.y_nodes)
-    report["map"]["local"] = bc_maps.is_local_two_particle(m, idx, mesh.y_nodes)
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
         m, g, mesh.y_nodes)
     if cfg.map.get("kind") == "delta_example":

@@ -95,13 +95,16 @@ def available_memory() -> float:
 
 @dataclass
 class SpectrumResult:
-    """Sorted eigenvalues with eigenvectors prolonged to full coordinates."""
+    """Sorted eigenvalues with eigenvectors in full coordinates: given, or
+    kept reduced as ``blocks``, one ``(N, U, cols)`` per pencil with N @ U
+    the columns ``cols``, and prolonged on the first read."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray          # columns, full (unconstrained) dofs
+    eigenvectors: np.ndarray = field(default=None, repr=False)  # full dofs
     method: str = "dense"
     residuals: np.ndarray = None
     meta: dict = field(default_factory=dict)
+    blocks: tuple = field(default=(), repr=False)
 
     @property
     def k(self) -> int:
@@ -112,6 +115,20 @@ class SpectrumResult:
         lam = self.eigenvalues
         return [(float(np.mean(c)), len(c))
                 for c in np.split(lam, _chain_cuts(lam)) if len(c)]
+
+
+def _prolonged(self: SpectrumResult) -> np.ndarray:
+    if self._vectors is None and self.blocks:
+        X = np.empty((self.blocks[0][0].shape[0], self.k), dtype=np.result_type(
+            *[a.dtype for N, U, _ in self.blocks for a in (N, U)]))
+        for N, U, cols in self.blocks:
+            for j in range(0, len(cols), SLICE):    # SLICE columns at a time
+                X[:, cols[j:j + SLICE]] = N @ U[:, j:j + SLICE]
+        self._vectors = X
+    return self._vectors
+
+
+SpectrumResult.eigenvectors = property(_prolonged, lambda r, X: setattr(r, "_vectors", X))
 
 
 def _tied(a, b):
@@ -127,8 +144,8 @@ def _chain_cuts(lam: np.ndarray) -> np.ndarray:
 def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResult:
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
-    Eigenvectors are returned in full coordinates (N u) and the relative
-    residuals ||(K - B) x - lam M x|| / ||M x|| are attached.  ``meta``
+    Eigenvectors are prolonged to full coordinates (N u) on first read; the
+    relative residuals ||(K - B) x - lam M x|| / ||M x|| are attached.  ``meta``
     records the shifts and slices, the largest LU fill, whether inertia
     counts certified the spectrum (None on the dense path, which computes
     all of it) and the M-orthonormality defect of the eigenvectors.
@@ -154,54 +171,60 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
         A, Mr = form.reduced()
         # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
         need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
-        avail = available_memory()
-        if need > avail:
-            if force_dense or k > n - 2:
-                raise SolveError(f"dense eigensolve of a {n}-dof pencil needs "
-                                 f"about {need / 1e6:.0f} MB, "
-                                 f"{avail / 1e6:.0f} MB free")
+        if need > available_memory() and not (force_dense or k > n - 2):
             dense = False
             meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
                                     f"needs about {need / 1e6:.0f} MB")
+        else:
+            _check_memory("dense", n, need)
     if dense:
         lam, U = sla.eigh(A.toarray(), Mr.toarray())
         lam, U = lam[:k], U[:, :k]
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
         res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)
         return SpectrumResult(eigenvalues=np.asarray(lam, dtype=float),
-                              eigenvectors=form.N @ U, method="dense",
-                              residuals=res, meta=meta)
+                              method="dense", residuals=res, meta=meta,
+                              blocks=((form.N, U.copy(), np.arange(k)),))
 
     # a split needs each sector able to give k, as Lanczos needs k <= n - 2
     if sectors is None or k > min(f.nreduced for f in sectors) - 2:
         forms, sectors = [form], None
     else:
         forms = list(sectors)
-    pencils = _sliced_lanczos([f.reduced() for f in forms], k,
-                              -1.05 * form.C_infty - 1.0, meta)
+    reduced = [f.reduced() for f in forms]
+    # the accepted columns of every pencil and one slice's Lanczos basis
+    _check_memory("sliced", n, (k + 2 * SLICE + 1) * n * np.result_type(
+        *[X.dtype for pencil in reduced for X in pencil]).itemsize)
+    pencils = _sliced_lanczos(reduced, k, -1.05 * form.C_infty - 1.0, meta)
     # the lowest k of the union take a prefix of each pencil's eigenvalues
     lam = np.concatenate([p.lam[:min(p.count, k)] for p in pencils])
     order = np.argsort(lam, kind="stable")[:k]
     owner = np.repeat(np.arange(len(pencils)),
                       [min(p.count, k) for p in pencils])[order]
-    X = np.empty((form.ndof, k), dtype=np.result_type(
-        *[f.N.dtype for f in forms], *[p.U.dtype for p in pencils]))
-    res, defect = np.empty(k), 0.0
+    res, defect, blocks = np.empty(k), 0.0, []
     for f, p, cols in zip(forms, pencils,
                           (np.flatnonzero(owner == i) for i in range(len(forms)))):
         U = p.U[:, :len(cols)]
         res[cols], d = _residuals(*f.reduced(), p.lam[:len(cols)], U)
         defect = max(defect, d)
-        for j in range(0, len(cols), SLICE):    # full coordinates, SLICE at a time
-            X[:, cols[j:j + SLICE]] = f.N @ U[:, j:j + SLICE]
+        blocks.append((f.N, U, cols))
     if sectors:
         meta["sectors"] = [
             {"sector": f.meta["sector"], "pencil_size": p.n, "shifts": p.shifts,
              "slices": len(p.shifts), "accepted": p.count}
             for f, p in zip(forms, pencils)]
     meta["max_m_orth_defect"] = defect
-    return SpectrumResult(eigenvalues=lam[order], eigenvectors=X,
-                          method="shift-invert", residuals=res, meta=meta)
+    return SpectrumResult(eigenvalues=lam[order], method="shift-invert",
+                          residuals=res, meta=meta, blocks=tuple(blocks))
+
+
+def _check_memory(kind: str, n: int, need: float) -> None:
+    """SolveError when a ``kind`` eigensolve of an n-dof pencil needs
+    ``need`` bytes, more than ``available_memory``."""
+    avail = available_memory()
+    if need > avail:
+        raise SolveError(f"{kind} eigensolve of a {n}-dof pencil needs about "
+                         f"{need / 1e6:.0f} MB, {avail / 1e6:.0f} MB free")
 
 
 def _residuals(A, M, lam, U):
@@ -274,7 +297,7 @@ class _Slices:
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
         self.lam = np.empty(k)
-        self.U = np.empty((self.n, k), dtype=self.dtype)  # untouched columns stay unpaged
+        self.U = np.empty((self.n, k), dtype=self.dtype, order="F")  # paged as accepted
         self.sigma = self.tau = sigma
         self.count, self.spacing, self.shifts, self.fill = 0, None, [], 0
         self.lu, self.nu0, self.start_read, self.counted = None, None, False, True

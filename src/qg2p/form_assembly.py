@@ -302,10 +302,9 @@ def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
     return traces
 
 
-def _coupling_clusters(m: BoundaryMap, mesh: Mesh, traces):
-    """Connected components of the P/L coupling pattern; every cluster must
-    live on one common normalized running grid."""
-    P, L = m.samples(mesh.y_nodes)
+def _coupling_clusters(P: np.ndarray, L: np.ndarray, traces):
+    """Connected components of the coupling pattern of the sample stacks
+    P, L; every cluster must live on one common normalized running grid."""
     pat = ((np.abs(P) > NULLSPACE_TOL) | (np.abs(L) > NULLSPACE_TOL)).any(axis=0)
     pat = pat | pat.T
     np.fill_diagonal(pat, True)
@@ -346,7 +345,9 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
         format="csr")
 
     traces = boundary_component_nodes(mesh, idx)
-    clusters = _coupling_clusters(m, mesh, traces)
+    ys = mesh.y_nodes
+    P, L = m.samples(ys)
+    clusters = _coupling_clusters(P, L, traces)
     ndof = mesh.ndof2
 
     b_parts, c_parts = [], []
@@ -355,7 +356,8 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
 
     for cl in clusters:
         ts = traces[cl[0]].positions
-        Ps, Ls = (X[:, cl[:, None], cl] for X in m.samples(ts))
+        at = np.searchsorted(ys, ts)[:, None, None]      # ts are among ys
+        Ps, Ls = P[at, cl[:, None], cl], L[at, cl[:, None], cl]
         w = np.array([traces[p].weight for p in cl])
         nodes = np.array([traces[p].nodes for p in cl])   # (component, node)
 
@@ -387,7 +389,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     B = _realify(0.5 * (B + B.conj().T))
     C = coo(c_parts, (n_constraints, ndof))
 
-    c_inf = semibound_constant(m, g, mesh.y_nodes)
+    c_inf = semibound_constant(m, g, ys)
     return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
                         meta={"graph": g, "mesh": mesh, "map": m,
                               "index": idx, "kind": "two_particle"})

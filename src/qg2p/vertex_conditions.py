@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph_core import BoundaryIndexMap, MetricGraph
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10   # rank, self-adjointness and locality tolerance
 
 
 class ConditionError(ValueError):
@@ -36,27 +36,29 @@ class ABReport:
         return self.rank_ok and self.sa_ok
 
 
-def validate_ab(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ABReport:
+def validate_ab(A: np.ndarray, B: np.ndarray) -> ABReport:
     """Check rank([A B]) = 2E and self-adjointness of A B*."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConditionError(f"A, B must be equal square matrices, got {A.shape}, {B.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ConditionError("A, B have a NaN or infinite entry")
     n = A.shape[0]
     sv = np.linalg.svd(np.hstack([A, B]), compute_uv=False)
-    cutoff = tol * max(sv[0], 1.0)
+    cutoff = TOL * max(sv[0], 1.0)
     rank = int(np.count_nonzero(sv > cutoff))
     ab = A @ B.conj().T
     defect = float(np.linalg.norm(ab - ab.conj().T, 2))
     scale = max(np.linalg.norm(ab, 2), 1.0)
     return ABReport(rank=rank, rank_ok=rank == n, sa_defect=defect,
-                    sa_ok=defect <= tol * scale)
+                    sa_ok=defect <= TOL * scale)
 
 
-def ab_to_pl(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL):
+def ab_to_pl(A: np.ndarray, B: np.ndarray):
     """Canonical (P, L) of a valid pair: P projects onto ker B and
     L = (B restricted to ran B*)^{-1} A Q, extended by zero on ran P."""
-    report = validate_ab(A, B, tol)
+    report = validate_ab(A, B)
     if not report.ok:
         raise ConditionError(f"invalid (A, B): {report}")
     A = np.asarray(A, dtype=complex)
@@ -64,15 +66,15 @@ def ab_to_pl(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL):
     n = A.shape[0]
 
     u, sv, vh = np.linalg.svd(B)
-    cutoff = tol * max(sv[0] if sv.size else 0.0, 1.0)
+    cutoff = TOL * max(sv[0] if sv.size else 0.0, 1.0)
     null = vh.conj().T[:, sv <= cutoff] if sv.size else np.eye(n)
     P = _hermitize(null @ null.conj().T)
     Q = np.eye(n) - P
 
     # Minimum-norm solution of B L = A Q lies in ran B* = ran Q.
-    L = np.linalg.pinv(B, rcond=tol) @ A @ Q
+    L = np.linalg.pinv(B, rcond=TOL) @ A @ Q
     resid = np.linalg.norm(B @ L - A @ Q, 2)
-    if resid > 1e3 * tol * max(1.0, np.linalg.norm(A, 2)):
+    if resid > 1e3 * TOL * max(1.0, np.linalg.norm(A, 2)):
         raise ConditionError(f"B L = A Q unsolvable (residual {resid:.2e})")
     L = _hermitize(Q @ L @ Q)
     return P, L
@@ -92,8 +94,8 @@ class VertexConditions:
         return self.A.shape[0]
 
     @classmethod
-    def from_ab(cls, A, B, tol: float = DEFAULT_TOL) -> "VertexConditions":
-        P, L = ab_to_pl(A, B, tol)
+    def from_ab(cls, A, B) -> "VertexConditions":
+        P, L = ab_to_pl(A, B)
         return cls(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), P, L)
 
     @classmethod
@@ -115,14 +117,13 @@ def equivalence_check(A, B, A2, B2, tol: float = 1e-8) -> bool:
             and np.linalg.norm(L1 - L2, 2) <= tol * scale)
 
 
-def is_local(P: np.ndarray, L: np.ndarray, idx: BoundaryIndexMap,
-             tol: float = DEFAULT_TOL) -> bool:
+def is_local(P: np.ndarray, L: np.ndarray, idx: BoundaryIndexMap) -> bool:
     """True iff P and L are block-diagonal w.r.t. the vertex blocks."""
     block_of = np.empty(P.shape[0], dtype=int)
     for v, block in idx.vertex_blocks.items():
         block_of[list(block)] = v
     apart = block_of[:, None] != block_of[None, :]
-    return not ((np.abs(P[apart]) > tol).any() or (np.abs(L[apart]) > tol).any())
+    return not ((np.abs(P[apart]) > TOL).any() or (np.abs(L[apart]) > TOL).any())
 
 
 def standard_family(kind: str, g: MetricGraph, alpha: float = None,

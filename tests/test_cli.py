@@ -413,6 +413,51 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @staticmethod
+    def non_finite_docs():
+        """Maps with a NaN or infinite entry and the first y it shows at."""
+        Z, L = np.zeros((4, 4)), np.zeros((4, 4))
+        L[1, 1] = np.nan
+        constant = piecewise_doc(Z, L)
+        constant["map"] = {"kind": "constant", **constant["map"]["pieces"][0]}
+        late = piecewise_doc(Z)                # NaN from y = 0.5 on
+        late["map"]["breakpoints"] = [0.0, 0.5, 1.0]
+        late["map"]["pieces"].append({"P": matrix_to_json(Z),
+                                      "L": matrix_to_json(L)})
+        lifted = dirichlet_square_doc(nodes=9)
+        lifted["map"] = {"kind": "lifted",
+                         "A": matrix_to_json(np.diag([1.0, np.inf])),
+                         "B": matrix_to_json(np.zeros((2, 2)))}
+        return {"constant": (constant, "y=0.0"), "piecewise": (late, "y=0.5"),
+                "lifted-ab": (lifted, "NaN or infinite")}
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    @pytest.mark.parametrize("name", ["constant", "piecewise", "lifted-ab"])
+    def test_non_finite_map_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    command, name):
+        doc, where = self.non_finite_docs()[name]
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        if err:                                # else a note of the report
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        else:
+            err = json.loads(out)["notes"][0]
+        assert where in err
+
+    def test_sliced_solve_over_memory_budget_exits_3(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
+        code = main(["spectrum", "--config",   # 361 dofs, k = 5: Lanczos
+                     write_config(tmp_path, dirichlet_square_doc(nodes=21)),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: sliced eigensolve")
+        assert len(err.strip().splitlines()) == 1
+
     def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,
                                                          monkeypatch, capsys):
         from scipy.sparse.linalg import ArpackNoConvergence

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -324,7 +325,8 @@ class TestExchangeSplit:
 class TestMemoryGuard:
     def test_threshold_dense_falls_back_to_lanczos(self, monkeypatch):
         oracle = solve(random_pencil_form(n=50), 5, force_dense=True)
-        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
+        # dense needs 6 n^2 8 = 120 kB, the slices (k + 2 SLICE + 1) n 8 = 66 kB
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e5)
         res = solve(random_pencil_form(n=50), 5)
         assert res.method == "shift-invert"
         assert "dense needs" in res.meta["warnings"][0]
@@ -384,6 +386,74 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 5, force_dense=True)
         with pytest.raises(SolveError, match="MB free"):
             solve(random_pencil_form(n=50), 49)
+
+    def test_sliced_solve_over_budget_fails(self, monkeypatch):
+        # the slices need (k + 2 SLICE + 1) n 8 = 66 kB; dense falls back first
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 5e4)
+        with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
+            solve(random_pencil_form(n=50), 5)
+        with pytest.raises(SolveError, match="sliced eigensolve"):
+            solve(random_pencil_form(n=50), 5, force_dense=False)
+
+
+def dirichlet_square_form(interval, nodes=17):
+    """The lifted Dirichlet pencil on the unit square, full space: with k = 8
+    it is sliced as its boson and fermion pencils."""
+    vc = standard_family("dirichlet", interval)
+    return assemble_two_particle(interval, lift_one_particle(vc, interval),
+                                 Mesh.uniform(interval, nodes))
+
+
+class TestReducedEigenvectors:
+    @pytest.mark.parametrize("force_dense", [False, True])
+    def test_prolonged_on_first_read(self, interval, force_dense):
+        form, k = dirichlet_square_form(interval), 8
+        res = solve(form, k, force_dense=force_dense)
+        assert len(res.blocks) == (1 if force_dense else 2)
+        X = res.eigenvectors
+        assert res.eigenvectors is X                  # built once, then kept
+        eager = np.full_like(X, np.nan)
+        for N, U, cols in res.blocks:                 # N u per pencil
+            assert np.all(np.diff(cols) > 0)
+            eager[:, cols] = N @ U
+        assert np.array_equal(X, eager)
+        if force_dense:                               # the product solve formed
+            A, Mr = form.reduced()
+            U = sla.eigh(A.toarray(), Mr.toarray())[1][:, :k]
+            assert np.array_equal(X, form.N @ U)
+        # column j belongs to the j-th lowest eigenvalue
+        NH = form.N.conj().T
+        MX = NH @ (form.M @ X)
+        R = NH @ (form.operator() @ X) - MX * res.eigenvalues
+        assert (np.linalg.norm(R, axis=0) / np.linalg.norm(MX, axis=0)).max() < 1e-8
+
+    def test_given_matrix_is_kept(self, interval):
+        res = solve(dirichlet_square_form(interval), 8)
+        flipped = replace(res, eigenvectors=-res.eigenvectors)
+        assert np.array_equal(flipped.eigenvectors, -res.eigenvectors)
+        assert SpectrumResult(np.zeros(2), np.eye(2)).eigenvectors.shape == (2, 2)
+        assert SpectrumResult(np.zeros(2)).eigenvectors is None
+
+    def test_solve_holds_no_full_coordinate_matrix(self, interval):
+        form, k = dirichlet_square_form(interval), 8
+        full = form.ndof * k * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            res = solve(form, k)
+            after_solve = tracemalloc.take_snapshot()
+            res.eigenvectors
+            after_read = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert res.meta["sectors"] is not None
+        assert max(t.size for t in after_solve.traces) < full
+        assert max(t.size for t in after_read.traces) >= full
+
+    def test_slice_buffers_are_column_major(self, interval):
+        A, M = random_pencil_form(n=50).reduced()
+        assert eigensolve._Slices(A, M, -1.0, 5).U.flags.f_contiguous
+        res = solve(dirichlet_square_form(interval), 8)
+        assert all(U.flags.f_contiguous for _, U, _ in res.blocks)
 
 
 class TestMethodChoice:

@@ -64,7 +64,7 @@ def loop_two_particle_terms(g, m, mesh):
     b_rows, b_cols, b_vals = [], [], []
     c_rows, c_cols, c_vals = [], [], []
     n_constraints = 0
-    for cl in _coupling_clusters(m, mesh, traces):
+    for cl in _coupling_clusters(*m.samples(mesh.y_nodes), traces):
         ts = traces[cl[0]].positions
         n = len(ts)
         Ls = [m(t)[1][np.ix_(cl, cl)] for t in ts]
@@ -591,7 +591,7 @@ def test_l_max_and_clusters_match_loops(name):
     assert m.L_max(ys) == loop_l_max(m, ys)
     assert sampled_l_max(m, ys) == loop_sampled_l_max(m, ys)
     traces = boundary_component_nodes(mesh, BoundaryIndexMap(g))
-    got = _coupling_clusters(m, mesh, traces)
+    got = _coupling_clusters(*m.samples(ys), traces)
     want = loop_coupling_clusters(m, ys)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
