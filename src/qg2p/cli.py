@@ -259,6 +259,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     try:
         g, m = build_map(cfg)
         mesh = build_mesh(g, cfg.mesh)
+        mrep = validate_map(m, mesh.y_nodes)
     except (GraphError, ConditionError, MapError, ConfigError,
             AssemblyError) as exc:
         report["notes"].append(str(exc))
@@ -268,7 +269,6 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["graph"] = {"edges": g.E, "vertices": g.V,
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
-    mrep = validate_map(m, mesh.y_nodes)
     report["map"] = {
         "ok": mrep.ok,
         "L_max": mrep.L_max,

@@ -29,7 +29,7 @@ DENSE_COST = 6000
 TIE_TOL = 1e-8
 SLICE = 80          # eigenvalues asked per shift: Lanczos keeps 2 SLICE + 1 vectors
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
-START_STEPS = 60    # doublings of the first shift's distance from 0
+START_STEPS = 60    # first shifts tried: -1, -16, -256, ... (see _start)
 
 
 class SolveError(RuntimeError):
@@ -191,11 +191,8 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
         forms, sectors = [form], None
     else:
         forms = list(sectors)
-    reduced = [f.reduced() for f in forms]
-    # the accepted columns of every pencil and one slice's Lanczos basis
-    _check_memory("sliced", n, (k + 2 * SLICE + 1) * n * np.result_type(
-        *[X.dtype for pencil in reduced for X in pencil]).itemsize)
-    pencils = _sliced_lanczos(reduced, k, -1.05 * form.C_infty - 1.0, meta)
+    pencils = _sliced_lanczos([f.reduced() for f in forms], k,
+                              -1.05 * form.C_infty - 1.0, meta)
     # the lowest k of the union take a prefix of each pencil's eigenvalues
     lam = np.concatenate([p.lam[:min(p.count, k)] for p in pencils])
     order = np.argsort(lam, kind="stable")[:k]
@@ -275,36 +272,40 @@ def _inertia(A, M, tau: float):
     return _negative_pivots(lu), lu
 
 
-def _lowered_start(A, M, sigma: float):
-    """(sigma, nu, lu) for the first of sigma, 2 sigma, 4 sigma, ... with
-    no eigenvalue below it (or no count but a usable factor)."""
+def _start(A, M, floor: float):
+    """(sigma, nu, lu) for the first of -1, -16, -256, ... with no
+    eigenvalue below it (or no count but a usable factor); the first
+    candidate below ``floor`` is floor itself, and the rest go on from it."""
+    sigma = -1.0
     for _ in range(START_STEPS):
         nu, lu = _inertia(A, M, sigma)
         if not nu and lu is not None:
             return sigma, nu, lu
-        sigma *= 2.0
-    raise SolveError(f"no shift below the spectrum found down to {sigma:.3e}")
+        lu = None                         # one factor alive at a time
+        sigma = floor if sigma > floor > 16.0 * sigma else 16.0 * sigma
+    raise SolveError(f"no shift below the spectrum found above {sigma:.3e}")
 
 
 class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
-    eigenvalues below it, the spacing near it, the accepted shifts, the
-    start factor and the lowest k accepted eigenpairs."""
+    eigenvalues below it (the floor of the start shifts until the first
+    slice), the spacing near it, the accepted shifts, the next slice's
+    factor and the lowest k accepted eigenpairs."""
 
-    def __init__(self, A, M, sigma: float, k: int):
-        self.A, self.M = A.tocsc(), M.tocsc()
+    def __init__(self, A, M, floor: float, k: int):
+        self.A, self.M = A, M
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
         self.lam = np.empty(k)
         self.U = np.empty((self.n, k), dtype=self.dtype, order="F")  # paged as accepted
-        self.sigma = self.tau = sigma
+        self.tau = floor
         self.count, self.spacing, self.shifts, self.fill = 0, None, [], 0
-        self.lu, self.nu0, self.start_read, self.counted = None, None, False, True
+        self.lu, self.counted = None, True
 
     @property
     def cut(self) -> float:
-        """tau once a slice has confirmed the start below the spectrum."""
+        """tau once the pencil has run a slice, -inf before."""
         return self.tau if self.shifts else -np.inf
 
     def advance(self, m: int) -> None:
@@ -317,7 +318,7 @@ class _Slices:
             s = tau + offset
             if self.lu is None:
                 try:
-                    self.lu = _factor(A, M, s, symmetric=not self.start_read)
+                    self.lu = _factor(A, M, s)
                 except RuntimeError as exc:
                     raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
             self.fill = max(self.fill, self.lu.nnz)
@@ -327,15 +328,7 @@ class _Slices:
                                     v0=self.v0, maxiter=5000)
             except spla.ArpackError as exc:
                 raise SolveError(f"shift-invert Lanczos failed: {exc}") from None
-            if not self.start_read:
-                self.nu0, self.start_read = _negative_pivots(self.lu), True
-                self.counted = self.nu0 is not None
             self.lu = op = None           # one factor alive at a time
-            if self.nu0:                  # eigenvalues below the start
-                self.sigma, self.nu0, self.lu = _lowered_start(A, M, 2.0 * self.sigma)
-                tau = self.tau = self.sigma
-                self.counted = self.nu0 is not None
-                continue
             order = np.argsort(lam)
             lam, U = lam[order], U[:, order]
             r = np.abs(lam - s).max()
@@ -368,16 +361,18 @@ class _Slices:
                          f"failed its checks {SLICE_TRIES} times")
 
 
-def _sliced_lanczos(pencils, k: int, sigma: float, meta: dict):
+def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     """Lowest k eigenpairs of the union of the pencils' spectra by
     shift-invert Lanczos in certified slices; returns each pencil's
     ``_Slices`` with its accepted eigenpairs.
 
     Each pencil keeps a cut tau separating its accepted eigenvalues (below)
-    from the rest; it starts at the first shift sigma, where nu(sigma) must
-    be 0.  That shift's unpivoted factor is the first slice's OPinv, and its
-    pivots are read after that run, when Lanczos has freed its basis; a
-    nonzero count lowers the start and repeats the slice.  A slice asks for
+    from the rest.  Before its first slice, ``_start`` counts nu at -1, -16,
+    -256, ... (clipped once to ``floor``, the paper's C_infty bound) and
+    the cut starts at the first shift with nu = 0; that shift's unpivoted
+    factor is the first slice's OPinv.  Near the spectrum, not at the far
+    bound, the start keeps the shift-inverted spectrum spread out, which
+    saves Lanczos steps and keeps the residuals small.  A slice asks for
     the m eigenvalues nearest s = tau + offset.  They fill the window
     |lam - s| <= r, so when s - r <= tau every eigenvalue between tau and
     the slice's top is found; the top cluster may continue past the window
@@ -395,8 +390,11 @@ def _sliced_lanczos(pencils, k: int, sigma: float, meta: dict):
     pencil's part of the eigenvalues below the lowest cut, or of the dofs
     before any are known.  One pencil is the plain sliced solve.
     """
-    states = [_Slices(A, M, sigma, k) for A, M in pencils]
+    states = [_Slices(A, M, floor, k) for A, M in pencils]
     total = sum(p.n for p in states)
+    # the accepted columns of every pencil and one slice's Lanczos basis
+    need = (k + 2 * SLICE + 1) * total * max(p.dtype.itemsize for p in states)
+    _check_memory("sliced", total, need)
     shifts = []
     while True:
         low = min(states, key=lambda p: p.cut)
@@ -405,9 +403,15 @@ def _sliced_lanczos(pencils, k: int, sigma: float, meta: dict):
             break
         share = (below[states.index(low)] / sum(below) if sum(below)
                  else low.n / total)
-        need = max(int(np.ceil(share * k)) - low.count,
-                   int(np.ceil(share * (k - sum(below)))))
-        low.advance(min(SLICE, max(8, need * 9 // 8 + 2), low.n - 2))
+        m = max(int(np.ceil(share * k)) - low.count,
+                int(np.ceil(share * (k - sum(below)))))
+        if not low.shifts:            # its first slice runs on the start factor
+            low.tau, nu, low.lu = _start(low.A, low.M, low.tau)
+            low.counted = nu is not None
+            # again with the start factor kept twice (its count copied L and U)
+            _check_memory("sliced", total,
+                          need + 2 * low.lu.nnz * (low.dtype.itemsize + 4))
+        low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2))
         shifts.append(low.shifts[-1])
     meta.update(shifts=shifts, slices=len(shifts),
                 lu_fill_nnz=int(max(p.fill for p in states)),

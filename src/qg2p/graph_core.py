@@ -51,12 +51,6 @@ class MetricGraph:
     def total_length(self) -> float:
         return float(sum(e.length for e in self.edges))
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for e in self.edges:
-            d += (e.init == v) + (e.fin == v)
-        return d
-
     def edges_connected(self, e1: int, e2: int) -> bool:
         """True iff the two edges share at least one vertex (or e1 == e2)."""
         if e1 == e2:
@@ -172,13 +166,6 @@ class BoundaryIndexMap:
     def dim_full(self) -> int:
         return 4 * self.E * self.E
 
-    @property
-    def dim_reduced(self) -> int:
-        return 2 * self.E * self.E
-
-    def tp_pos(self, e1: int, e2: int, side: int) -> int:
-        return self.two_particle[((e1, e2), side)]
-
     def component(self, pos: int) -> ComponentInfo:
         E = self.E
         half, rest = divmod(pos, 2 * E * E)
@@ -199,8 +186,3 @@ class BoundaryIndexMap:
     def boundary_vertex(self, pos: int) -> int:
         c = self.component(pos)
         return self.graph.edges[c.boundary_edge].end_vertex(c.boundary_end)
-
-    def exchange_component(self, pos: int) -> int:
-        """Index of the component carrying the exchanged particle's trace."""
-        h = self.dim_reduced
-        return pos + h if pos < h else pos - h

@@ -34,13 +34,6 @@ def exchange_permutation(mesh: Mesh) -> np.ndarray:
     return perm
 
 
-def project(vec: np.ndarray, sign: int, perm: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a vector onto the (anti)symmetric sector."""
-    if sign not in (+1, -1):
-        raise SymmetryError("sign must be +1 (boson) or -1 (fermion)")
-    return 0.5 * (vec + sign * vec[perm])
-
-
 def sector_basis(mesh: Mesh, sign: int) -> sp.csr_matrix:
     """Orthonormal basis of the (anti)symmetric subspace as sparse columns.
 
@@ -61,13 +54,6 @@ def sector_basis(mesh: Mesh, sign: int) -> sp.csr_matrix:
     vals = np.concatenate([val, sign * val[paired]])
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(len(perm), len(reps))).tocsr()
-
-
-def sector_dimensions(mesh: Mesh):
-    perm = exchange_permutation(mesh)
-    fixed = int(np.count_nonzero(perm == np.arange(len(perm))))
-    pairs = (len(perm) - fixed) // 2
-    return {"boson": pairs + fixed, "fermion": pairs}
 
 
 def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:

@@ -18,8 +18,9 @@ from qg2p.graph_core import build_graph
 from qg2p.spectral_analysis import (bracketing_run, heat_trace, lift_spectrum,
                                     weyl_fit_one_particle,
                                     weyl_fit_two_particle)
-from qg2p.symmetry import assemble_symmetric_form, exchange_permutation, project
+from qg2p.symmetry import assemble_symmetric_form
 from qg2p.vertex_conditions import delta_family, standard_family, validate_ab
+from test_symmetry import projector
 
 
 def report(capsys, idx, name, ok, detail=""):
@@ -225,19 +226,19 @@ def test_09_delta_interaction_example(capsys):
 
 def test_10_projector_and_map_algebra(interval, two_edges, capsys):
     mesh = Mesh(two_edges, (5, 6))
-    perm = exchange_permutation(mesh)
+    Ps, Pa = projector(mesh, +1), projector(mesh, -1)
     rng = np.random.default_rng(42)
     worst_proj = 0.0
     for _ in range(1000):
-        v = rng.standard_normal(len(perm))
-        s, a = project(v, +1, perm), project(v, -1, perm)
+        v = rng.standard_normal(mesh.ndof2)
+        s, a = Ps @ v, Pa @ v
         worst_proj = max(
             worst_proj,
             np.abs(s + a - v).max(),
-            np.abs(project(s, +1, perm) - s).max(),
-            np.abs(project(a, -1, perm) - a).max(),
-            np.abs(project(s, -1, perm)).max(),
-            np.abs(project(a, +1, perm)).max())
+            np.abs(Ps @ s - s).max(),
+            np.abs(Pa @ a - a).max(),
+            np.abs(Pa @ s).max(),
+            np.abs(Ps @ a).max())
 
     shipped = [
         lift_one_particle(standard_family("dirichlet", interval), interval),

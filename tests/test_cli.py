@@ -441,11 +441,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         out, err = capsys.readouterr()
         assert code == 2
-        if err:                                # else a note of the report
-            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        if command == "validate":              # one channel: the report's notes
+            assert err == ""
+            notes = json.loads(out)["notes"]
+            assert len(notes) == 1 and where in notes[0]
         else:
-            err = json.loads(out)["notes"][0]
-        assert where in err
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+            assert where in err
 
     def test_sliced_solve_over_memory_budget_exits_3(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -178,7 +178,9 @@ class TestSlicing:
                             lambda A, M, tau: cuts.append(tau) or inertia(A, M, tau))
         res = solve(form, SLICE + 40, force_dense=False)
         assert shifts[2] < shifts[1]            # re-centred lower
-        assert len(cuts) == res.meta["slices"]  # no count on the short window
+        assert cuts[0] == shifts[0]             # the start's count
+        # one count per accepted slice, none on the short window
+        assert len(cuts) == res.meta["slices"] + 1
         exact = lift_spectrum(lam1, SLICE + 40)
         assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
 
@@ -213,7 +215,7 @@ class TestSlicing:
         d = solve(form, 3, force_dense=True)
         it = solve(form, 3, force_dense=False)
         assert it.meta["shifts"][0] < d.eigenvalues[0]
-        assert it.meta["shifts"][0] == -2.0 ** 19    # -1 doubled 19 times
+        assert it.meta["shifts"][0] == -16.0 ** 5    # the sixth of -1, -16, ...
         scale = np.abs(d.eigenvalues).max()
         assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale < 1e-9
 
@@ -322,12 +324,60 @@ class TestExchangeSplit:
         assert res.meta["inertia_certified"] is True
 
 
+class TestStartShift:
+    def test_star_delta_lift_starts_at_minus_one(self, monkeypatch):
+        g, m, mesh, k = SPLIT_CASES["star-delta-lift"]
+        form = assemble_two_particle(g, m, mesh)
+        assert form.C_infty > 0
+        dense = solve(form, k, force_dense=True).eigenvalues
+        events, inertia, eigsh = [], eigensolve._inertia, eigensolve.spla.eigsh
+        monkeypatch.setattr(eigensolve, "_inertia", lambda A, M, tau:
+                            events.append(("count", tau)) or inertia(A, M, tau))
+        monkeypatch.setattr(eigensolve.spla, "eigsh", lambda *a, **kw:
+                            events.append(("eigsh", kw["sigma"])) or eigsh(*a, **kw))
+        res = solve(form, k, force_dense=False)
+        assert [rec["shifts"][0] for rec in res.meta["sectors"]] == [-1.0, -1.0]
+        assert events[:2] == [("count", -1.0), ("eigsh", -1.0)]
+        assert res.meta["inertia_certified"] is True
+        assert np.abs(res.eigenvalues - dense).max() / np.abs(dense).max() <= 1e-12
+
+    def test_piecewise_map_starts_at_minus_sixteen(self):
+        g, m, mesh, k = SPLIT_CASES["piecewise"]
+        form = assemble_two_particle(g, m, mesh)
+        dense = solve(form, k, force_dense=True).eigenvalues
+        res = solve(form, k, force_dense=False)
+        assert res.meta["shifts"][0] == -16.0
+        assert res.meta["inertia_certified"] is True
+        assert np.abs(res.eigenvalues - dense).max() / np.abs(dense).max() <= 1e-12
+
+    def test_step_map_start_near_the_spectrum(self, interval):
+        form = step_map_form(interval)
+        d = solve(form, 10, force_dense=True)
+        it = solve(form, 10, force_dense=False)
+        assert d.eigenvalues[0] < -2e5 and it.meta["shifts"][0] == -16.0 ** 5
+        scale = np.abs(d.eigenvalues).max()
+        assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale <= 1e-12
+        assert it.residuals.max() <= 1e-7    # 3.0e-5 from the C_infty start
+        assert it.meta["inertia_certified"] is True
+
+    def test_start_goes_on_from_the_floor(self, monkeypatch):
+        tried = []
+        monkeypatch.setattr(eigensolve, "_inertia",
+                            lambda A, M, tau: tried.append(tau) or (1, None))
+        with pytest.raises(SolveError, match="no shift below the spectrum"):
+            eigensolve._start(None, None, -100.0)
+        assert tried[:5] == [-1.0, -16.0, -100.0, -1600.0, -25600.0]
+        assert len(tried) == eigensolve.START_STEPS
+
+
 class TestMemoryGuard:
-    def test_threshold_dense_falls_back_to_lanczos(self, monkeypatch):
-        oracle = solve(random_pencil_form(n=50), 5, force_dense=True)
-        # dense needs 6 n^2 8 = 120 kB, the slices (k + 2 SLICE + 1) n 8 = 66 kB
-        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e5)
-        res = solve(random_pencil_form(n=50), 5)
+    def test_threshold_dense_falls_back_to_lanczos(self, interval, monkeypatch):
+        form = dirichlet_lift(interval, 12)[0]          # sparse, n = 100
+        oracle = solve(form, 5, force_dense=True)
+        # dense needs 6 n^2 8 = 480 kB, the slices (k + 2 SLICE + 1) n 8 =
+        # 133 kB and their start factor 2 nnz (8 + 4) = 44 kB
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 3e5)
+        res = solve(form, 5)
         assert res.method == "shift-invert"
         assert "dense needs" in res.meta["warnings"][0]
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
@@ -394,6 +444,15 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 5)
         with pytest.raises(SolveError, match="sliced eigensolve"):
             solve(random_pencil_form(n=50), 5, force_dense=False)
+
+    def test_start_factor_over_budget_fails(self, monkeypatch):
+        # the slices need (k + 2 SLICE + 1) n 8 = 130 kB, with the dense start
+        # factor kept twice, 2 nnz (8 + 4) = 242 kB, more
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 2e5)
+        monkeypatch.setattr(eigensolve.spla, "eigsh",
+                            lambda *a, **kw: pytest.fail("Lanczos ran"))
+        with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
+            solve(random_pencil_form(n=100), 1)
 
 
 def dirichlet_square_form(interval, nodes=17):

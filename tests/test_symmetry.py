@@ -7,8 +7,8 @@ from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.spectral_analysis import lift_spectrum
 from qg2p.symmetry import (SymmetryError, assemble_symmetric_form,
-                           exchange_permutation, exchange_sectors, project,
-                           sector_basis, sector_dimensions)
+                           exchange_permutation, exchange_sectors,
+                           sector_basis)
 from qg2p.vertex_conditions import standard_family
 
 
@@ -18,6 +18,13 @@ def swap_matrix(mesh):
     R = np.zeros((n, n))
     R[np.arange(n), perm] = 1.0
     return R
+
+
+def projector(mesh, sign):
+    """S S^T for the sector basis S: the orthogonal projection onto the
+    (anti)symmetric sector."""
+    S = sector_basis(mesh, sign)
+    return S @ S.T
 
 
 class TestExchangeOperator:
@@ -44,46 +51,43 @@ class TestExchangeOperator:
 class TestProjectors:
     def test_symmetric_fixed_point(self, interval):
         mesh = Mesh.uniform(interval, 5)
-        perm = exchange_permutation(mesh)
         v = np.arange(25.0).reshape(5, 5)
         v = (v + v.T).ravel()
-        assert np.allclose(project(v, +1, perm), v)
-        assert np.allclose(project(v, -1, perm), 0.0)
+        assert np.allclose(projector(mesh, +1) @ v, v)
+        assert np.allclose(projector(mesh, -1) @ v, 0.0)
 
     def test_antisymmetric_killed_by_boson_projector(self, interval):
         mesh = Mesh.uniform(interval, 5)
-        perm = exchange_permutation(mesh)
         v = np.arange(25.0).reshape(5, 5)
         v = (v - v.T).ravel()
-        assert np.allclose(project(v, +1, perm), 0.0)
-        assert np.allclose(project(v, -1, perm), v)
+        assert np.allclose(projector(mesh, +1) @ v, 0.0)
+        assert np.allclose(projector(mesh, -1) @ v, v)
 
     def test_partition_of_identity_on_random_vectors(self, two_edges):
         mesh = Mesh(two_edges, (5, 5))
-        perm = exchange_permutation(mesh)
+        Ps, Pa = projector(mesh, +1), projector(mesh, -1)
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            v = rng.standard_normal(len(perm))
-            s, a = project(v, +1, perm), project(v, -1, perm)
+            v = rng.standard_normal(mesh.ndof2)
+            s, a = Ps @ v, Pa @ v
             assert np.abs(s + a - v).max() < 1e-13
-            assert np.abs(project(s, +1, perm) - s).max() < 1e-13
-            assert np.abs(project(s, -1, perm)).max() < 1e-13
+            assert np.abs(Ps @ s - s).max() < 1e-13
+            assert np.abs(Pa @ s).max() < 1e-13
 
     def test_sectors_M_orthogonal(self, two_edges):
         mesh = Mesh(two_edges, (5, 5))
         m = lift_one_particle(standard_family("neumann", two_edges), two_edges)
         M = assemble_two_particle(two_edges, m, mesh).M
-        perm = exchange_permutation(mesh)
         rng = np.random.default_rng(1)
-        v, w = rng.standard_normal((2, len(perm)))
-        s = project(v, +1, perm)
-        a = project(w, -1, perm)
+        v, w = rng.standard_normal((2, mesh.ndof2))
+        s = projector(mesh, +1) @ v
+        a = projector(mesh, -1) @ w
         assert abs(s @ (M @ a)) < 1e-12
 
     def test_bad_sign_rejected(self, interval):
         mesh = Mesh.uniform(interval, 4)
         with pytest.raises(SymmetryError):
-            project(np.zeros(16), 2, exchange_permutation(mesh))
+            sector_basis(mesh, 2)
 
 
 class TestSectorBasis:
@@ -94,8 +98,11 @@ class TestSectorBasis:
 
     def test_dimensions_sum_to_total(self, two_edges):
         mesh = Mesh(two_edges, (4, 4))
-        dims = sector_dimensions(mesh)
-        assert dims["boson"] + dims["fermion"] == mesh.ndof2
+        perm = exchange_permutation(mesh)
+        fixed = np.count_nonzero(perm == np.arange(mesh.ndof2))
+        boson, fermion = (sector_basis(mesh, s).shape[1] for s in (+1, -1))
+        assert boson - fermion == fixed      # fixed points are bosons only
+        assert boson + fermion == mesh.ndof2
 
     def test_columns_orthonormal_and_in_sector(self, two_edges):
         mesh = Mesh(two_edges, (4, 5))
