@@ -25,15 +25,13 @@ class MapError(ValueError):
 class BoundaryMap:
     """A y-dependent pair (P(y), L(y)) of square matrices on C^{4E^2}.
 
-    ``eval_fn`` returns the pair at a normalized position y in [0, 1].
-    ``kind`` is a descriptor tag (constant | lifted | piecewise |
-    delta_example | callable); ``noninteracting_tag`` marks maps built as
-    lifts of one-particle conditions.
+    ``eval_fn`` returns the pair at a normalized position y in [0, 1];
+    ``noninteracting_tag`` marks maps built as lifts of one-particle
+    conditions.
     """
 
     dim: int
     eval_fn: Callable[[float], tuple]
-    kind: str = "callable"
     noninteracting_tag: bool = False
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -70,14 +68,13 @@ def _default_samples(ys):
     return np.asarray(ys, dtype=float)
 
 
-def constant_map(P, L, kind: str = "constant", **meta) -> BoundaryMap:
+def constant_map(P, L) -> BoundaryMap:
     P = _hermitize(np.asarray(P, dtype=complex))
     L = _hermitize(np.asarray(L, dtype=complex))
-    return BoundaryMap(dim=P.shape[0], eval_fn=lambda y: (P, L), kind=kind,
-                       meta=meta)
+    return BoundaryMap(dim=P.shape[0], eval_fn=lambda y: (P, L))
 
 
-def piecewise_map(breakpoints, pieces, dim: int = None) -> BoundaryMap:
+def piecewise_map(breakpoints, pieces) -> BoundaryMap:
     """Right-continuous step map: piece i applies on [b_i, b_{i+1})."""
     bps = np.asarray(breakpoints, dtype=float)
     mats = [(np.asarray(P, dtype=complex), np.asarray(L, dtype=complex))
@@ -89,7 +86,7 @@ def piecewise_map(breakpoints, pieces, dim: int = None) -> BoundaryMap:
         i = int(np.clip(np.searchsorted(bps, y, side="right") - 1, 0, len(mats) - 1))
         return mats[i]
 
-    return BoundaryMap(dim=mats[0][0].shape[0], eval_fn=ev, kind="piecewise",
+    return BoundaryMap(dim=mats[0][0].shape[0], eval_fn=ev,
                        meta={"breakpoints": bps.tolist()})
 
 
@@ -187,8 +184,7 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     P = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
     P[at], L[at] = vc.P, vc.L
-    return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), kind="lifted",
-                       noninteracting_tag=True)
+    return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), noninteracting_tag=True)
 
 
 def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
@@ -237,11 +233,10 @@ def delta_example_map(v: Callable[[float, float], float], truncation: float):
     g = build_graph({"vertices": ["center", "leaf1", "leaf2"],
                      "edges": [["center", "leaf1", truncation],
                                ["center", "leaf2", truncation]]})
-    T = truncation
     n = 16  # 4 E^2 with E = 2
 
     def ev(yhat: float):
-        A, B = delta_center_ab(v, T, yhat)
+        A, B = delta_center_ab(v, truncation, yhat)
         P0, L0 = ab_to_pl(A, B)
         half_dim = 8
         Ph = np.zeros((half_dim, half_dim), dtype=complex)
@@ -257,9 +252,7 @@ def delta_example_map(v: Callable[[float, float], float], truncation: float):
         L[half_dim:, half_dim:] = Lh
         return P, L
 
-    m = BoundaryMap(dim=n, eval_fn=ev, kind="delta_example",
-                    meta={"truncation": T})
-    return g, m
+    return g, BoundaryMap(dim=n, eval_fn=ev)
 
 
 def delta_center_ab(v: Callable[[float, float], float], truncation: float,

@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,31 +66,26 @@ class RunConfig:
     analysis: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
-    def to_doc(self) -> dict:
-        return {"graph": self.graph, "map": self.map, "mesh": self.mesh,
-                "sector": self.sector, "num_eigs": self.num_eigs,
-                "particles": self.particles, "analysis": self.analysis,
-                "output": self.output}
-
 
 def parse_config(doc: dict) -> RunConfig:
+    """The RunConfig of a config document, or ConfigError: sections are
+    objects, counts integers and the analysis entries well formed."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - {"graph", "map", "mesh", "sector", "num_eigs",
-                          "particles", "analysis", "output"}
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("graph", "map", "mesh", "analysis", "output"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"config section {key!r} must be an object")
     for key in ("graph", "map", "mesh"):
         if key not in doc and not (key == "graph"
                                    and doc.get("map", {}).get("kind") == "delta_example"):
             raise ConfigError(f"config needs a {key!r} section")
-    cfg = RunConfig(graph=doc.get("graph", {}), map=dict(doc["map"]),
-                    mesh=dict(doc["mesh"]),
-                    sector=doc.get("sector", "full"),
-                    num_eigs=int(doc.get("num_eigs", 10)),
-                    particles=int(doc.get("particles", 2)),
-                    analysis=dict(doc.get("analysis", {})),
-                    output=dict(doc.get("output", {})))
+    cfg = RunConfig(**{"graph": {}, **doc})
+    if type(cfg.num_eigs) is not int or type(cfg.particles) is not int:
+        raise ConfigError("num_eigs and particles must be integers")
+    cfg.analysis = _checked_analysis(cfg.analysis)
     if cfg.sector not in ("full", "boson", "fermion"):
         raise ConfigError(f"unknown sector {cfg.sector!r}")
     if cfg.particles not in (1, 2):
@@ -115,8 +110,37 @@ def load_config(path: str, **overrides) -> RunConfig:
     return parse_config(doc)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(cfg.to_doc(), indent=2, sort_keys=True)
+def _window(pair) -> tuple:
+    """(lo, hi) from two numbers, or numeric strings, with finite lo < hi."""
+    try:
+        lo, hi = map(float, pair) if isinstance(pair, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        lo = hi = np.nan
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"window must be two finite numbers lo < hi, got {pair!r}")
+    return lo, hi
+
+
+def _positive(v, kind, what: str):
+    if type(v) not in (int, float) or not 0 < v < np.inf or kind(v) != v:
+        raise ConfigError(f"{what} must be a positive {kind.__name__}")
+    return kind(v)
+
+
+def _checked_analysis(a: dict) -> dict:
+    """A copy of ``a`` with the entries cmd_analyze reads checked and filled
+    in: window (lo, hi), weyl_tol, heat {"t": t}, bracketing {"n": n}."""
+    a = dict(a)
+    if "window" in a:
+        a["window"] = _window(a["window"])
+    if "weyl_tol" in a:
+        a["weyl_tol"] = _positive(a["weyl_tol"], float, "analysis weyl_tol")
+    for key, entry, default, kind in (("heat", "t", 0.01, float),
+                                      ("bracketing", "n", 50, int)):
+        if key in a:
+            v = a[key].get(entry, default) if isinstance(a[key], dict) else None
+            a[key] = {entry: _positive(v, kind, f"analysis {key}.{entry}")}
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +148,15 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def build_mesh(g: MetricGraph, mesh_spec: dict) -> Mesh:
-    if "h" in mesh_spec:
-        return Mesh.by_spacing(g, float(mesh_spec["h"]))
-    if "nodes" in mesh_spec:
-        return Mesh.uniform(g, int(mesh_spec["nodes"]))
-    if "nodes_per_edge" in mesh_spec:
-        return Mesh(g, tuple(int(n) for n in mesh_spec["nodes_per_edge"]))
+    try:
+        if "h" in mesh_spec:
+            return Mesh.by_spacing(g, float(mesh_spec["h"]))
+        if "nodes" in mesh_spec:
+            return Mesh.uniform(g, int(mesh_spec["nodes"]))
+        if "nodes_per_edge" in mesh_spec:
+            return Mesh(g, tuple(int(n) for n in mesh_spec["nodes_per_edge"]))
+    except (TypeError, ValueError) as exc:     # AssemblyError included
+        raise ConfigError(f"bad mesh: {exc}") from None
     raise ConfigError("mesh needs 'h', 'nodes' or 'nodes_per_edge'")
 
 
@@ -193,21 +220,16 @@ def build_map(cfg: RunConfig):
     raise ConfigError(f"unknown map kind {kind!r}")
 
 
-def build_validated(cfg: RunConfig):
-    """(graph, map, mesh); a map that fails validate_map at the mesh's
-    y-nodes, where assembly evaluates it, is a MapError, raised before
-    anything is assembled."""
+def assemble_from_config(cfg: RunConfig):
+    """(graph, map, mesh, form) of the config's particles and sector; a map
+    that fails validate_map at the mesh's y-nodes, where assembly evaluates
+    it, is a MapError, raised before anything is assembled."""
     g, m = build_map(cfg)
     mesh = build_mesh(g, cfg.mesh)
     errors = validate_map(m, mesh.y_nodes).errors
     if errors:
         raise MapError(f"{errors[0]} ({len(errors)} map error(s); "
                        "see 'qg2p validate')")
-    return g, m, mesh
-
-
-def assemble_from_config(cfg: RunConfig):
-    g, m, mesh = build_validated(cfg)
     if cfg.particles == 1:
         vc = build_conditions(g, cfg.map)
         form = form_assembly.assemble_one_particle(g, vc, mesh)
@@ -322,7 +344,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
     result = solve(form, cfg.num_eigs)
     lam = result.eigenvalues
     toggles = cfg.analysis
-    window = window or tuple(toggles.get("window", ())) or None
+    window = window or toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}
     d = _outdir(cfg, outdir)
 
@@ -341,13 +363,13 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
                    (lam, chain_counts(lam), rep.slope * x), "%.12e,%d,%.12e")
 
     if "heat" in toggles:
-        t = float(toggles["heat"].get("t", 0.01))
-        analysis["heat_trace"] = spectral_analysis.heat_trace(lam, t)
+        analysis["heat_trace"] = spectral_analysis.heat_trace(
+            lam, toggles["heat"]["t"])
 
     if "bracketing" in toggles:
-        n = int(toggles["bracketing"].get("n", 50))
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            g, m, mesh, n, sector=cfg.sector, eigenvalues=lam))
+            g, m, mesh, toggles["bracketing"]["n"], sector=cfg.sector,
+            eigenvalues=lam))
 
     if toggles.get("lift_check") and m.noninteracting_tag:
         vc = build_conditions(g, cfg.map)
@@ -369,13 +391,11 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     to the plane; writes the folded grid and a continuity report."""
     if cfg.map.get("kind") != "delta_example":
         raise ConfigError("example-delta needs a map of kind 'delta_example'")
-    g, m, mesh = build_validated(cfg)
-    n0, n1 = mesh.nodes
-    if n0 != n1:
+    g, _ = build_map(cfg)       # samples nothing: checked before assembly
+    if len(set(build_mesh(g, cfg.mesh).nodes)) > 1:
         raise ConfigError("the folded example needs equal node counts")
-    form = form_assembly.assemble_two_particle(g, m, mesh)
-    sym = symmetry.assemble_symmetric_form(form, +1)
-    result = solve(sym, cfg.num_eigs)
+    g, m, mesh, form = assemble_from_config(replace(cfg, sector="boson"))
+    result = solve(form, cfg.num_eigs)
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]
@@ -401,7 +421,7 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
         "axis_jump_x": jump_x,
         "axis_jump_y": jump_y,
         "truncation": T,
-        "mesh_nodes": n0,
+        "mesh_nodes": mesh.nodes[0],
     }
     _json_dump(os.path.join(d, "example_delta.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -410,14 +430,6 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _parse_window(text: str):
-    try:
-        lo, hi = text.split(":")
-        return (float(lo), float(hi))
-    except ValueError:
-        raise ConfigError(f"window must be 'lo:hi', got {text!r}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -444,7 +456,7 @@ def main(argv=None) -> int:
         mesh = None if args.mesh_h is None else {"h": args.mesh_h}
         cfg = load_config(args.config, mesh=mesh, num_eigs=args.num_eigs,
                           sector=args.sector)
-        window = _parse_window(args.window) if args.window else None
+        window = _window(args.window.split(":")) if args.window else None
 
         if args.command == "validate":
             return cmd_validate(cfg, args.out)

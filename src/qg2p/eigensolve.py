@@ -1,13 +1,13 @@
 """Generalized eigenvalue solves for the reduced discrete pencils.
 
-A pencil of size n is solved dense only when k > n - 2 or n^2 <= c k (dense
-costs about n^3, the slices k n) and its memory fits; else by shift-invert
-Lanczos in slices, one factor per shift, each certified by a Sylvester
-inertia count, so the k eigenvalues are provably the lowest k.  A full-space
-two-particle pencil whose map is block structured is sliced as its boson and
-fermion sector pencils (the symmetry-adapted block diagonalisation for the
-exchange group Z_2): the same loop advances whichever has the lower cut, and
-the union of their certified spectra is the full one.
+A full-space two-particle form whose map is block structured is solved as
+its boson and fermion sector pencils (the symmetry-adapted block
+diagonalisation for the exchange group Z_2), any other form as one pencil.
+The pencils are solved dense, one at a time, when k > min(n_s) - 2 or
+n^2 <= c k (n = sum n_s; dense costs about n^3, the slices k n) and memory
+fits; else by shift-invert Lanczos in slices, one factor per shift, each
+certified by a Sylvester inertia count, one loop over the pencils.  The
+lowest k of the union of their spectra, the full one, are the result.
 """
 from __future__ import annotations
 
@@ -150,69 +150,64 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
     counts certified the spectrum (None on the dense path, which computes
     all of it) and the M-orthonormality defect of the eigenvectors.
 
-    A full-space two-particle form whose map is block structured is sliced
-    as its boson and fermion sector pencils, whose spectra together are the
-    full one (``meta["sectors"]`` has one record each, else None); the
-    dense path always takes the full pencil.
+    A full-space two-particle form whose map is block structured is solved
+    as its boson and fermion sector pencils, dense or sliced, whose spectra
+    together are the full one (``meta["sectors"]`` has one record each,
+    else None); ``force_dense=True`` takes the unsplit full pencil.
     """
     if k < 1:
         raise SolveError("need k >= 1 eigenvalues")
-    sectors = None if force_dense else symmetry.exchange_sectors(form)
-    n = (sectors[0].nreduced + sectors[1].nreduced if sectors
-         else form.nreduced)
+    forms = (None if force_dense else symmetry.exchange_sectors(form)) or (form,)
+    sizes = [f.nreduced for f in forms]
+    n = sum(sizes)
     if k > n:
         raise SolveError(f"requested {k} eigenvalues from a pencil of size {n}")
 
     meta = {"C_infty": form.C_infty, "pencil_size": n, "sectors": None,
             "warnings": []}
+    sliceable = k <= min(sizes) - 2    # Lanczos gives at most n_s - 2 of each
     dense = (force_dense if force_dense is not None
-             else dense_preferred(n, k)) or k > n - 2
+             else dense_preferred(n, k)) or not sliceable
     if dense:
-        A, Mr = form.reduced()
-        # eigh(A, M): dense A and M, eigh's copies of both, vectors and workspace
-        need = 6.0 * n * n * np.result_type(A.dtype, Mr.dtype).itemsize
-        if need > available_memory() and not (force_dense or k > n - 2):
+        # eigh(A, M) per pencil: A, M, eigh's copies of both, vectors, workspace
+        need = 6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
+                                            for X in f.reduced())
+        if need > available_memory() and sliceable and not force_dense:
             dense = False
             meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
                                     f"needs about {need / 1e6:.0f} MB")
         else:
-            _check_memory("dense", n, need)
+            _check_memory("dense", max(sizes), need)
     if dense:
-        lam, U = sla.eigh(A.toarray(), Mr.toarray())
-        lam, U = lam[:k], U[:, :k]
+        solved = []             # (lowest k, their vectors, accepted, shifts)
+        for f in forms:
+            lam, U = sla.eigh(*(X.toarray() for X in f.reduced()))
+            solved.append((lam[:k], U[:, :k].copy(), len(lam), []))
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
-        res, meta["max_m_orth_defect"] = _residuals(A, Mr, lam, U)
-        return SpectrumResult(eigenvalues=np.asarray(lam, dtype=float),
-                              method="dense", residuals=res, meta=meta,
-                              blocks=((form.N, U.copy(), np.arange(k)),))
-
-    # a split needs each sector able to give k, as Lanczos needs k <= n - 2
-    if sectors is None or k > min(f.nreduced for f in sectors) - 2:
-        forms, sectors = [form], None
     else:
-        forms = list(sectors)
-    pencils = _sliced_lanczos([f.reduced() for f in forms], k,
-                              -1.05 * form.C_infty - 1.0, meta)
+        solved = [(p.lam[:min(p.count, k)], p.U, p.count, p.shifts)
+                  for p in _sliced_lanczos([f.reduced() for f in forms], k,
+                                           -1.05 * form.C_infty - 1.0, meta)]
     # the lowest k of the union take a prefix of each pencil's eigenvalues
-    lam = np.concatenate([p.lam[:min(p.count, k)] for p in pencils])
+    lam = np.concatenate([s[0] for s in solved])
     order = np.argsort(lam, kind="stable")[:k]
-    owner = np.repeat(np.arange(len(pencils)),
-                      [min(p.count, k) for p in pencils])[order]
+    owner = np.repeat(np.arange(len(forms)), [len(s[0]) for s in solved])[order]
     res, defect, blocks = np.empty(k), 0.0, []
-    for f, p, cols in zip(forms, pencils,
-                          (np.flatnonzero(owner == i) for i in range(len(forms)))):
-        U = p.U[:, :len(cols)]
-        res[cols], d = _residuals(*f.reduced(), p.lam[:len(cols)], U)
+    for i, (f, (lam_i, U, _, _)) in enumerate(zip(forms, solved)):
+        cols = np.flatnonzero(owner == i)
+        U = U[:, :len(cols)]
+        res[cols], d = _residuals(*f.reduced(), lam_i[:len(cols)], U)
         defect = max(defect, d)
         blocks.append((f.N, U, cols))
-    if sectors:
+    if len(forms) > 1:
         meta["sectors"] = [
-            {"sector": f.meta["sector"], "pencil_size": p.n, "shifts": p.shifts,
-             "slices": len(p.shifts), "accepted": p.count}
-            for f, p in zip(forms, pencils)]
+            {"sector": f.meta["sector"], "pencil_size": size, "shifts": shifts,
+             "slices": len(shifts), "accepted": count}
+            for f, size, (_, _, count, shifts) in zip(forms, sizes, solved)]
     meta["max_m_orth_defect"] = defect
-    return SpectrumResult(eigenvalues=lam[order], method="shift-invert",
-                          residuals=res, meta=meta, blocks=tuple(blocks))
+    return SpectrumResult(eigenvalues=lam[order], residuals=res, meta=meta,
+                          method="dense" if dense else "shift-invert",
+                          blocks=tuple(blocks))
 
 
 def _check_memory(kind: str, n: int, need: float) -> None:

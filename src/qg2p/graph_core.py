@@ -68,8 +68,8 @@ def build_graph(spec: dict) -> MetricGraph:
     they are inferred in order of first appearance.
     """
     raw_edges = spec.get("edges", [])
-    if len(raw_edges) < 1:
-        raise GraphError("graph needs at least one edge")
+    if not isinstance(raw_edges, (list, tuple)) or not raw_edges:
+        raise GraphError("graph needs a list of at least one edge")
 
     explicit = "vertices" in spec
     names = list(spec["vertices"]) if explicit else []
@@ -79,7 +79,11 @@ def build_graph(spec: dict) -> MetricGraph:
 
     edges = []
     for entry in raw_edges:
-        u, v, length = entry[0], entry[1], float(entry[2])
+        try:
+            u, v, length = entry
+            length = float(length)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {entry!r} is not [initial, final, length]") from None
         if not np.isfinite(length) or length <= 0.0:
             raise GraphError(f"edge ({u}, {v}) has nonpositive length {length}")
         for name in (u, v):

@@ -54,10 +54,6 @@ class WeylReport:
     window: tuple
     n_used: int
 
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.relative_error)
-
 
 def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
               cap: float) -> WeylReport:

@@ -46,4 +46,4 @@ def bump_interaction_map(dim=4, L0=None):
         L[half:, half:] = g * L0
         return np.zeros((dim, dim)), L
 
-    return BoundaryMap(dim=dim, eval_fn=ev, kind="callable")
+    return BoundaryMap(dim=dim, eval_fn=ev)

@@ -6,8 +6,7 @@ import pytest
 
 from qg2p import cli, eigensolve, form_assembly, symmetry
 from qg2p.cli import (ConfigError, build_map, load_config, main,
-                      matrix_from_json, matrix_to_json, parse_config,
-                      serialize_config)
+                      matrix_from_json, matrix_to_json, parse_config)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -54,10 +53,10 @@ class TestConfig:
                                    analysis={"weyl": True},
                                    output={"dir": "out"})
         cfg = parse_config(doc)
-        again = parse_config(json.loads(serialize_config(cfg)))
-        assert again.to_doc() == cfg.to_doc()
+        again = parse_config(json.loads(json.dumps(dataclasses.asdict(cfg))))
+        assert again == cfg
         for key, val in doc.items():
-            assert cfg.to_doc()[key] == val
+            assert dataclasses.asdict(cfg)[key] == val
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -166,10 +165,13 @@ class TestSpectrumCommand:
             errs[nodes] = abs(lam0 - 2 * np.pi**2)
             meta = json.loads((out / "spectrum.json").read_text())
             assert meta["max_m_orth_defect"] < 1e-10 and meta["warnings"] == []
-            if nodes == 9:      # 49 dofs: dense, nothing to certify
+            if nodes == 9:      # 49 dofs: dense sectors, nothing to certify
                 assert meta["method"] == "dense" and meta["slices"] == 0
                 assert meta["inertia_certified"] is None
-                assert meta["sectors"] is None
+                assert meta["sectors"] == [
+                    {"sector": name, "pencil_size": size, "shifts": [],
+                     "slices": 0, "accepted": size}
+                    for name, size in (("boson", 28), ("fermion", 21))]
             else:               # 961 and 3969 dofs: one certified slice at -1
                 assert meta["method"] == "shift-invert"  # in each sector
                 assert meta["inertia_certified"] is True
@@ -346,14 +348,40 @@ class TestExampleDeltaCommand:
         assert calls == []
 
 
+def analysis_doc(**analysis):
+    return dirichlet_square_doc(analysis=analysis)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command, doc, flags", [
         ("spectrum", dirichlet_square_doc(), ["--num-eigs", "0"]),
         ("example-delta", TestExampleDeltaCommand.DOC, ["--num-eigs", "0"]),
         ("spectrum", dirichlet_square_doc(), ["--mesh-h", "-1"]),
         ("spectrum", dirichlet_square_doc(nodes=2), []),
+        ("spectrum", dirichlet_square_doc(num_eigs="x"), []),
+        ("spectrum", dirichlet_square_doc(particles=1.9), []),
+        ("spectrum", dirichlet_square_doc(mesh=5), []),
+        ("spectrum", dirichlet_square_doc(output=3), []),
+        ("spectrum", dirichlet_square_doc(map=[1]), []),
+        ("spectrum", dirichlet_square_doc(mesh={"h": "x"}), []),
+        ("spectrum", dirichlet_square_doc(graph={"edges": [["a", "b"]]}), []),
+        ("analyze", analysis_doc(window=[50]), []),
+        ("analyze", analysis_doc(window="50:900"), []),
+        ("analyze", analysis_doc(heat=5), []),
+        ("analyze", analysis_doc(heat={"t": "x"}), []),
+        ("analyze", analysis_doc(heat={"t": -1}), []),
+        ("analyze", analysis_doc(bracketing=True), []),
+        ("analyze", analysis_doc(bracketing={"n": 0}), []),
+        ("analyze", analysis_doc(weyl_tol="x"), []),
+        ("analyze", dirichlet_square_doc(), ["--window", "900:50"]),
+        ("analyze", dirichlet_square_doc(), ["--window", "nan:900"]),
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
-            "two-mesh-nodes"])
+            "two-mesh-nodes", "num-eigs-string", "particles-float",
+            "mesh-number", "output-number", "map-list", "mesh-h-string",
+            "edge-of-two", "window-one-entry", "window-string", "heat-number",
+            "heat-t-string", "heat-t-negative", "bracketing-true",
+            "bracketing-n-0", "weyl-tol-string", "window-flag-reversed",
+            "window-flag-nan"])
     def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
                                               monkeypatch, command, doc, flags):
         monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
@@ -478,7 +506,8 @@ class TestExitCodes:
 
 
 def test_sector_solve_runs_one_nullspace(monkeypatch):
-    """A sector run computes only S null(C S), never the full-space basis."""
+    """A sector run computes only S null(C S), never the full-space basis;
+    a dense full-space run computes one per sector, and no third."""
     calls = []
     orig = form_assembly.nullspace_from_constraints
 
@@ -492,3 +521,10 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     _, _, _, form = cli.assemble_from_config(cfg)
     eigensolve.solve(form, cfg.num_eigs)
     assert len(calls) == 1
+
+    calls.clear()
+    cfg = parse_config(dirichlet_square_doc(nodes=15))    # 169 dofs, k = 5
+    _, _, _, form = cli.assemble_from_config(cfg)
+    res = eigensolve.solve(form, cfg.num_eigs)
+    assert res.method == "dense" and len(res.meta["sectors"]) == 2
+    assert len(calls) == 2 and form.basis is None

@@ -303,6 +303,21 @@ class TestExchangeSplit:
             assert res.meta[key] == ref.meta[key]
         assert np.array_equal(res.eigenvalues, ref.eigenvalues)
 
+    def test_dense_solve_splits_too(self, interval):
+        # k = 110 > 105 - 2: Lanczos cannot take the fermion sector, so
+        # both sectors go dense, the full pencil's nullspace never built
+        form, k = dirichlet_square_form(interval), 110
+        res = solve(form, k, force_dense=False)
+        assert res.method == "dense" and form.basis is None
+        assert res.meta["sectors"] == [
+            {"sector": name, "pencil_size": size, "shifts": [], "slices": 0,
+             "accepted": size}
+            for name, size in (("boson", 120), ("fermion", 105))]
+        dense = solve(form, k, force_dense=True)
+        assert dense.meta["sectors"] is None
+        scale = np.abs(dense.eigenvalues).max()
+        assert np.abs(res.eigenvalues - dense.eigenvalues).max() / scale <= 1e-12
+
     def test_sector_forms_stay_one_pencil(self, interval):
         from qg2p.symmetry import assemble_symmetric_form
         form = assemble_two_particle(interval, bump_interaction_map(),
