@@ -79,8 +79,8 @@ def piecewise_map(breakpoints, pieces) -> BoundaryMap:
     bps = np.asarray(breakpoints, dtype=float)
     mats = [(np.asarray(P, dtype=complex), np.asarray(L, dtype=complex))
             for P, L in pieces]
-    if len(bps) != len(mats) + 1:
-        raise MapError("need len(breakpoints) == len(pieces) + 1")
+    if not mats or len(bps) != len(mats) + 1:
+        raise MapError("need a piece and len(breakpoints) == len(pieces) + 1")
 
     def ev(y):
         i = int(np.clip(np.searchsorted(bps, y, side="right") - 1, 0, len(mats) - 1))
@@ -167,12 +167,12 @@ def validate_map(m: BoundaryMap, ys: Sequence[float] = None) -> MapValidationRep
 # lifts and structure predicates
 
 
-def _beta_blocks(E: int):
-    """Index pair that picks the fixed-second-edge blocks of a 4E^2 matrix
-    as a (2E, 2E, 2E) stack, one per (half, beta); a block's rows and
-    columns are the positions half 2E^2 + s E^2 + alpha E + beta, s-major."""
-    half, beta, s, alpha = np.ix_((0, 1), range(E), (0, 1), range(E))
-    pos = (half * 2 * E * E + s * E * E + alpha * E + beta).reshape(2 * E, 2 * E)
+def _beta_blocks(idx: BoundaryIndexMap):
+    """Index pair that picks the fixed-running-edge blocks of a 4E^2 matrix
+    as a (2E, 2E, 2E) stack, one per (half, running edge); a block's rows
+    and columns are its positions in increasing order."""
+    pos = np.argsort(idx.half * idx.E + idx.running_edge, kind="stable")
+    pos = pos.reshape(2 * idx.E, 2 * idx.E)
     return pos[:, :, None], pos[:, None, :]
 
 
@@ -180,7 +180,7 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     """y-independent map replicating the one-particle (P, L) across the
     per-edge decomposition of the boundary-value space."""
     n = 4 * g.E * g.E
-    at = _beta_blocks(g.E)
+    at = _beta_blocks(BoundaryIndexMap(g))
     P = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
     P[at], L[at] = vc.P, vc.L
@@ -191,7 +191,7 @@ def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
                       ys: Sequence[float] = None) -> bool:
     """True iff samples are y-constant and block-diagonal with identical
     blocks w.r.t. the fixed-second-edge decomposition of boundary values."""
-    at = _beta_blocks(idx.E)
+    at = _beta_blocks(idx)
     outside = np.ones((m.dim, m.dim), dtype=bool)
     outside[at] = False
     for M in m.samples(ys):
@@ -207,9 +207,9 @@ def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
     """True iff P(y), L(y) vanish outside the vertex-local blocks: entries
     may couple components only when their boundary edge-ends meet in the
     same vertex and each component's other edge is connected to its own."""
-    g, n = idx.graph, idx.dim_full
-    vtx = np.array([idx.boundary_vertex(p) for p in range(n)])
-    inside = np.array([g.edges_connected(*idx.component(p).pair) for p in range(n)])
+    vtx = idx.vertex[idx.end_pos]
+    inside = np.array([idx.graph.edges_connected(a, b) for a, b
+                       in zip(idx.end_pos % idx.E, idx.running_edge)])
     ok_pair = (vtx[:, None] == vtx[None, :]) & inside[:, None] & inside[None, :]
     return not any(np.abs(M[:, ~ok_pair]).max(initial=0.0) > TOL
                    for M in m.samples(ys))

@@ -7,6 +7,7 @@ override included), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,6 +93,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("particles must be 1 or 2")
     if cfg.num_eigs < 1:
         raise ConfigError("num_eigs must be positive")
+    out_dir = cfg.output.get("dir", ".")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output.dir must be a nonempty string")
     return cfg
 
 
@@ -160,17 +164,34 @@ def build_mesh(g: MetricGraph, mesh_spec: dict) -> Mesh:
     raise ConfigError("mesh needs 'h', 'nodes' or 'nodes_per_edge'")
 
 
+def _map_entries_checked(build):
+    """``build`` with a plain TypeError, ValueError or AttributeError (a
+    malformed map entry) as a ConfigError; the package's own pass through."""
+    @functools.wraps(build)
+    def checked(*args):
+        try:
+            return build(*args)
+        except (ConfigError, GraphError, ConditionError, MapError):
+            raise
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"bad map entry: {exc}") from None
+    return checked
+
+
 def _potential_from_spec(spec: dict):
     kind = spec.get("kind", "gaussian")
     if kind == "gaussian":
         amp = float(spec.get("amplitude", 1.0))
         width = float(spec.get("width", 1.0))
+        if width == 0.0:
+            raise ConfigError("gaussian potential needs a nonzero width")
         return lambda x, y: amp * np.exp(-(x * x + y * y) / (2.0 * width**2))
     if kind == "zero":
         return lambda x, y: 0.0
     raise ConfigError(f"unknown potential kind {spec.get('kind')!r}")
 
 
+@_map_entries_checked
 def build_conditions(g: MetricGraph, spec: dict) -> VertexConditions:
     """One-particle conditions from a descriptor (family name, delta
     strength, explicit (A, B) or explicit (P, L) matrices)."""
@@ -196,6 +217,7 @@ def _entry(spec, key: str):
         raise ConfigError(f"map spec needs {key!r}") from None
 
 
+@_map_entries_checked
 def build_map(cfg: RunConfig):
     """(graph, BoundaryMap) from the config; the delta example supplies its
     own truncated graph."""

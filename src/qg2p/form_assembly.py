@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .bc_maps import BoundaryMap, _default_samples
-from .graph_core import BoundaryIndexMap, MetricGraph, X0, XL, Y0, YL
+from .graph_core import BoundaryIndexMap, MetricGraph
 from .vertex_conditions import VertexConditions
 
 NULLSPACE_TOL = 1e-10
@@ -61,9 +61,6 @@ class Mesh:
     def h_max(self) -> float:
         return max(self.spacing(e) for e in range(self.graph.E))
 
-    def grid(self, e: int) -> np.ndarray:
-        return np.linspace(0.0, self.graph.edges[e].length, self.nodes[e])
-
     def normalized(self, e: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes[e])
 
@@ -75,9 +72,6 @@ class Mesh:
                                          for e in range(self.graph.E)]))
 
     # 1-D layout: edges concatenated in declaration order.
-    def edge_offset(self, e: int) -> int:
-        return int(sum(self.nodes[:e]))
-
     @property
     def ndof1(self) -> int:
         return int(sum(self.nodes))
@@ -180,12 +174,11 @@ class DiscreteForm:
         return self._reduced
 
 
-def nullspace_from_constraints(C: sp.spmatrix, ndof: int,
-                               tol: float = NULLSPACE_TOL) -> sp.csr_matrix:
+def nullspace_from_constraints(C: sp.spmatrix, ndof: int) -> sp.csr_matrix:
     """Orthonormal basis of {u : C u = 0}: identity columns on untouched
     dofs, then the kernel from one small SVD per connected block of the
-    constraint rows (same-shape blocks stacked), ranked with the global
-    cutoff tol * max(1, largest block singular value) like one SVD of C."""
+    constraint rows (same-shape blocks stacked), ranked like one SVD of C
+    by the cutoff NULLSPACE_TOL * max(1, largest block singular value)."""
     C = C.tocoo()
     if C.nnz == 0:
         return sp.identity(ndof, format="csr")
@@ -217,7 +210,7 @@ def nullspace_from_constraints(C: sp.spmatrix, ndof: int,
                                          dofs[members, None, :n]) + (vh.conj(),))
     b, j, s, rows, vals = (np.concatenate([a.ravel() for a in x])
                            for x in zip(*parts))
-    keep = (s <= tol * max(1.0, s.max())) & (np.abs(vals) > 1e-300)
+    keep = (s <= NULLSPACE_TOL * max(1.0, s.max())) & (np.abs(vals) > 1e-300)
     kernel, cols = np.unique((b * dofs.shape[1] + j)[keep], return_inverse=True)
     N = sp.coo_matrix((vals[keep], (rows[keep], cols)), shape=(ndof, len(kernel)))
     return _realify(N.tocsr())
@@ -240,11 +233,9 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
     M = sp.block_diag([mass_1d(e.length, n)
                        for e, n in zip(g.edges, mesh.nodes)], format="csr")
 
-    idx = BoundaryIndexMap(g)
-    bdof = np.empty(2 * g.E, dtype=int)
-    for e in range(g.E):
-        bdof[idx.op_pos(e, 0)] = mesh.edge_offset(e)
-        bdof[idx.op_pos(e, 1)] = mesh.edge_offset(e) + mesh.nodes[e] - 1
+    # dof of one-particle position end E + e: the first or last node of e
+    last = np.cumsum(mesh.nodes) - 1
+    bdof = np.concatenate([last - np.array(mesh.nodes) + 1, last])
 
     ndof = mesh.ndof1
     B = sp.coo_matrix(
@@ -260,67 +251,46 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
     l_max = float(np.linalg.norm(vc.L, 2))
     c_inf = _semibound(l_max, min(e.length for e in g.edges))
     return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
-                        meta={"graph": g, "mesh": mesh, "kind": "one_particle"})
+                        meta={"mesh": mesh, "kind": "one_particle"})
 
 
 # ---------------------------------------------------------------------------
 # two-particle assembly
 
 
-@dataclass(frozen=True)
-class ComponentTrace:
-    """Global node indices of one boundary component, plus its trace data."""
-
-    nodes: np.ndarray          # global dof per running-grid node
-    running_edge: int
-    weight: float              # sqrt(l) factor of the rescaled convention
-    positions: np.ndarray      # normalized y of each node
-
-
 def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
-    """ComponentTrace for each of the 4 E^2 boundary components."""
-    g = mesh.graph
-    traces = []
-    for p in range(idx.dim_full):
-        c = idx.component(p)
-        a, b = c.pair
-        na, nb = mesh.rect_shape(a, b)
-        off = mesh.rect_offset(a, b)
-        if c.side == X0:
-            nodes = off + np.arange(nb)
-        elif c.side == XL:
-            nodes = off + (na - 1) * nb + np.arange(nb)
-        elif c.side == Y0:
-            nodes = off + np.arange(na) * nb
-        else:
-            nodes = off + np.arange(na) * nb + (nb - 1)
-        run = c.running_edge
-        traces.append(ComponentTrace(
-            nodes=nodes, running_edge=run,
-            weight=float(np.sqrt(g.edges[run].length)),
-            positions=mesh.normalized(run)))
-    return traces
+    """Global dofs of each of the 4 E^2 boundary components, one array per
+    component, ordered along its running edge."""
+    out = []
+    for half, s, a, b in zip(idx.half, *divmod(idx.end_pos, idx.E),
+                             idx.running_edge):
+        na, nb = mesh.nodes[a], mesh.nodes[b]
+        run = np.arange(nb)
+        if half == 0:       # row s (na - 1) of rectangle (a, b)
+            out.append(mesh.rect_offset(a, b) + s * (na - 1) * nb + run)
+        else:               # column s (na - 1) of rectangle (b, a)
+            out.append(mesh.rect_offset(b, a) + run * na + s * (na - 1))
+    return out
 
 
-def _coupling_clusters(P: np.ndarray, L: np.ndarray, traces):
+def _coupling_clusters(P: np.ndarray, L: np.ndarray, counts: np.ndarray):
     """Connected components of the coupling pattern of the sample stacks
-    P, L; every cluster must live on one common normalized running grid."""
+    P, L; every cluster must live on one common normalized running grid,
+    so its components' running node ``counts`` must agree."""
     pat = ((np.abs(P) > NULLSPACE_TOL) | (np.abs(L) > NULLSPACE_TOL)).any(axis=0)
     pat = pat | pat.T
     np.fill_diagonal(pat, True)
     ncl, labels = connected_components(sp.csr_matrix(pat), directed=False)
     clusters = [np.flatnonzero(labels == k) for k in range(ncl)]
-    for cl in clusters:
-        counts = {len(traces[p].positions) for p in cl}
-        if len(counts) > 1:
-            raise AssemblyError(
-                "boundary map couples components on incompatible grids; "
-                "use equal node counts on the coupled edges")
+    if any(len(set(counts[cl])) > 1 for cl in clusters):
+        raise AssemblyError(
+            "boundary map couples components on incompatible grids; "
+            "use equal node counts on the coupled edges")
     return clusters
 
 
-def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
-                          idx: BoundaryIndexMap = None) -> DiscreteForm:
+def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
+                          mesh: Mesh) -> DiscreteForm:
     """Discretize the two-particle form on the disjoint rectangles.
 
     Stiffness/mass are exact tensor products per rectangle; the boundary
@@ -330,7 +300,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     form's kernel basis ``N``, computed on first use.  Corner nodes collect
     the constraints of both adjacent sides.
     """
-    idx = idx or BoundaryIndexMap(g)
+    idx = BoundaryIndexMap(g)
     if m.dim != idx.dim_full:
         raise AssemblyError(f"map dimension {m.dim} != 4 E^2 = {idx.dim_full}")
 
@@ -344,10 +314,10 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
         [sp.kron(m1[a], m1[b]) for a in range(E) for b in range(E)],
         format="csr")
 
-    traces = boundary_component_nodes(mesh, idx)
+    comp_nodes = boundary_component_nodes(mesh, idx)
     ys = mesh.y_nodes
     P, L = m.samples(ys)
-    clusters = _coupling_clusters(P, L, traces)
+    clusters = _coupling_clusters(P, L, np.array(mesh.nodes)[idx.running_edge])
     ndof = mesh.ndof2
 
     b_parts, c_parts = [], []
@@ -355,11 +325,11 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
     melem = np.array([[2.0, 1.0], [1.0, 2.0]])
 
     for cl in clusters:
-        ts = traces[cl[0]].positions
+        ts = mesh.normalized(idx.running_edge[cl[0]])
         at = np.searchsorted(ys, ts)[:, None, None]      # ts are among ys
         Ps, Ls = P[at, cl[:, None], cl], L[at, cl[:, None], cl]
-        w = np.array([traces[p].weight for p in cl])
-        nodes = np.array([traces[p].nodes for p in cl])   # (component, node)
+        w = np.sqrt(g.lengths[idx.running_edge[cl]])   # sqrt(l) rescaling
+        nodes = np.array([comp_nodes[p] for p in cl])   # (component, node)
 
         # boundary term: per element j, L averaged between the end nodes;
         # entries run over (j, ci, cj, di, dj) in that order, which fixes
@@ -391,8 +361,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap, mesh: Mesh,
 
     c_inf = semibound_constant(m, g, ys)
     return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
-                        meta={"graph": g, "mesh": mesh, "map": m,
-                              "index": idx, "kind": "two_particle"})
+                        meta={"mesh": mesh, "map": m, "kind": "two_particle"})
 
 
 def sampled_l_max(m: BoundaryMap, ys: Sequence[float] = None) -> float:

@@ -9,6 +9,8 @@ import numpy as np
 from .eigensolve import chain_counts, counting_function, solve
 from .graph_core import MetricGraph
 
+BRACKET_SLACK = 1e-9   # relative slack of the bracketing inequalities
+
 
 class AnalysisError(ValueError):
     pass
@@ -135,10 +137,9 @@ class BracketingReport:
 
 
 def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
-                     dirichlet_eigs: np.ndarray, n: int,
-                     rel_slack: float = 1e-9) -> BracketingReport:
-    """Verify mu_n(Robin) <= mu_n <= mu_n(Dirichlet) for the first n levels,
-    plus the implied reversal of the counting functions."""
+                     dirichlet_eigs: np.ndarray, n: int) -> BracketingReport:
+    """Verify mu_n(Robin) <= mu_n <= mu_n(Dirichlet) for the first n levels
+    up to BRACKET_SLACK, plus the implied reversal of the counting functions."""
     r = np.sort(np.asarray(robin_eigs))[:n]
     m = np.sort(np.asarray(target_eigs))[:n]
     d = np.sort(np.asarray(dirichlet_eigs))[:n]
@@ -147,7 +148,7 @@ def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
     scale = np.maximum(1.0, np.abs(m))
     low = np.max((r - m) / scale)
     up = np.max((m - d) / scale)
-    ok = low <= rel_slack and up <= rel_slack
+    ok = low <= BRACKET_SLACK and up <= BRACKET_SLACK
 
     grid = np.concatenate([r, m, d])
     nd, nm, nr = (counting_function(s, grid) for s in (d, m, r))

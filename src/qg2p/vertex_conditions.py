@@ -14,6 +14,7 @@ import numpy as np
 from .graph_core import BoundaryIndexMap, MetricGraph
 
 TOL = 1e-10   # rank, self-adjointness and locality tolerance
+EQUIV_TOL = 1e-8   # (P, L) distance below which two pairs are equivalent
 
 
 class ConditionError(ValueError):
@@ -108,21 +109,19 @@ class VertexConditions:
         return cls(P + L, Q, P, L)
 
 
-def equivalence_check(A, B, A2, B2, tol: float = 1e-8) -> bool:
-    """True iff both pairs induce the same domain, i.e. the same (P, L)."""
+def equivalence_check(A, B, A2, B2) -> bool:
+    """True iff both pairs induce the same domain, i.e. the same (P, L), to
+    within EQUIV_TOL."""
     P1, L1 = ab_to_pl(A, B)
     P2, L2 = ab_to_pl(A2, B2)
     scale = max(1.0, np.linalg.norm(L1, 2), np.linalg.norm(L2, 2))
-    return (np.linalg.norm(P1 - P2, 2) <= tol
-            and np.linalg.norm(L1 - L2, 2) <= tol * scale)
+    return (np.linalg.norm(P1 - P2, 2) <= EQUIV_TOL
+            and np.linalg.norm(L1 - L2, 2) <= EQUIV_TOL * scale)
 
 
 def is_local(P: np.ndarray, L: np.ndarray, idx: BoundaryIndexMap) -> bool:
     """True iff P and L are block-diagonal w.r.t. the vertex blocks."""
-    block_of = np.empty(P.shape[0], dtype=int)
-    for v, block in idx.vertex_blocks.items():
-        block_of[list(block)] = v
-    apart = block_of[:, None] != block_of[None, :]
+    apart = idx.vertex[:, None] != idx.vertex[None, :]
     return not ((np.abs(P[apart]) > TOL).any() or (np.abs(L[apart]) > TOL).any())
 
 
@@ -155,16 +154,10 @@ def standard_family(kind: str, g: MetricGraph, alpha: float = None,
 def delta_family(g: MetricGraph, strength: float) -> VertexConditions:
     """Delta-type coupling: continuity at each vertex plus a derivative-sum
     condition with the given strength (strength 0 is the Kirchhoff case)."""
-    idx = BoundaryIndexMap(g)
-    n = 2 * g.E
-    P = np.zeros((n, n))
-    L = np.zeros((n, n))
-    for v, block in idx.vertex_blocks.items():
-        d = len(block)
-        if d == 0:
-            continue
-        b = np.array(block)
-        # ker P = constants on the block; L acts as -strength/d on them.
-        P[np.ix_(b, b)] = np.eye(d) - np.ones((d, d)) / d
-        L[np.ix_(b, b)] = -(strength / d**2) * np.ones((d, d))
+    vertex = BoundaryIndexMap(g).vertex
+    block = vertex[:, None] == vertex[None, :]
+    d = block.sum(axis=1)[:, None]       # the degree of each end's vertex
+    # ker P = constants on each vertex block; L acts as -strength/d on them.
+    P = np.eye(2 * g.E) - np.where(block, 1.0 / d, 0.0)
+    L = np.where(block, -(strength / d**2), 0.0)
     return VertexConditions.from_pl(P, L)

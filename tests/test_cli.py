@@ -352,7 +352,38 @@ def analysis_doc(**analysis):
     return dirichlet_square_doc(analysis=analysis)
 
 
+def malformed_docs():
+    """Configs with one malformed map or graph entry, by name."""
+    delta, square = TestExampleDeltaCommand.DOC, dirichlet_square_doc()
+    piece = piecewise_doc(np.eye(4))
+
+    def with_map(doc, **entries):
+        return {**doc, "map": {**doc["map"], **entries}}
+
+    def with_graph(**graph):
+        return {**square, "graph": graph}
+
+    return {
+        "delta-potential-number": with_map(delta, potential=5),
+        "delta-truncation-string": with_map(delta, truncation="x"),
+        "delta-amplitude-string": with_map(delta, potential={"amplitude": "x"}),
+        "delta-width-zero": with_map(delta, potential={"width": 0}),
+        "robin-alpha-string": with_map(square, family="robin", alpha="x"),
+        "mixed-mask-number": with_map(square, family="mixed", mask=5),
+        "delta-strength-string": {**square, "map": {"kind": "lifted",
+                                                    "delta_strength": "x"}},
+        "pieces-number": with_map(piece, pieces=5),
+        "pieces-empty": with_map(piece, breakpoints=[0.0], pieces=[]),
+        "breakpoints-string": with_map(piece, breakpoints="x"),
+        "vertices-number": with_graph(vertices=5, edges=[["a", "b", 1.0]]),
+        "endpoint-list": with_graph(edges=[[["a"], "b", 1.0]]),
+        "endpoint-object": with_graph(edges=[[{"a": 1}, "b", 1.0]]),
+    }
+
+
 class TestExitCodes:
+    MALFORMED = malformed_docs()
+
     @pytest.mark.parametrize("command, doc, flags", [
         ("spectrum", dirichlet_square_doc(), ["--num-eigs", "0"]),
         ("example-delta", TestExampleDeltaCommand.DOC, ["--num-eigs", "0"]),
@@ -375,13 +406,17 @@ class TestExitCodes:
         ("analyze", analysis_doc(weyl_tol="x"), []),
         ("analyze", dirichlet_square_doc(), ["--window", "900:50"]),
         ("analyze", dirichlet_square_doc(), ["--window", "nan:900"]),
+        ("spectrum", dirichlet_square_doc(output={"dir": 5}), []),
+        ("spectrum", dirichlet_square_doc(output={"dir": ""}), []),
+        *[("spectrum", doc, []) for doc in MALFORMED.values()],
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
             "two-mesh-nodes", "num-eigs-string", "particles-float",
             "mesh-number", "output-number", "map-list", "mesh-h-string",
             "edge-of-two", "window-one-entry", "window-string", "heat-number",
             "heat-t-string", "heat-t-negative", "bracketing-true",
             "bracketing-n-0", "weyl-tol-string", "window-flag-reversed",
-            "window-flag-nan"])
+            "window-flag-nan", "output-dir-number", "output-dir-empty",
+            *MALFORMED])
     def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
                                               monkeypatch, command, doc, flags):
         monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
@@ -391,6 +426,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_entry_is_a_validate_note(self, tmp_path, capsys, name):
+        code = main(["validate", "--config",
+                     write_config(tmp_path, self.MALFORMED[name])])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        assert report["map"] == {} and len(report["notes"]) == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2

@@ -18,12 +18,13 @@ import scipy.sparse as sp
 
 from conftest import bump_interaction_map
 from scipy.sparse.csgraph import connected_components
+from test_graph_core import X0, XL, Y0, YL, component, end_vertex, position
 
 from qg2p.bc_maps import (BoundaryMap, MapError, MapValidationReport,
-                          block_structured, constant_map, delta_example_map,
-                          fold_to_plane, is_local_two_particle,
-                          is_noninteracting, lift_one_particle, piecewise_map,
-                          validate_map)
+                          _beta_blocks, block_structured, constant_map,
+                          delta_example_map, fold_to_plane,
+                          is_local_two_particle, is_noninteracting,
+                          lift_one_particle, piecewise_map, validate_map)
 from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 _realify, assemble_one_particle,
                                 assemble_two_particle,
@@ -31,7 +32,8 @@ from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 nullspace_from_constraints, sampled_l_max)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.symmetry import exchange_permutation, sector_basis
-from qg2p.vertex_conditions import delta_family, is_local, standard_family
+from qg2p.vertex_conditions import (VertexConditions, delta_family, is_local,
+                                    standard_family)
 
 
 def assert_identical(X, Y):
@@ -57,19 +59,39 @@ def assert_same_kernel(N, N0, C, tol=1e-12):
 # loop references
 
 
+def loop_component_nodes(mesh):
+    """(dofs, running edge) of each two-particle boundary component, from
+    one per-side formula for each side of each rectangle."""
+    E = mesh.graph.E
+    nodes, running = [None] * (4 * E * E), [None] * (4 * E * E)
+    for e1 in range(E):
+        for e2 in range(E):
+            na, nb = mesh.rect_shape(e1, e2)
+            off = mesh.rect_offset(e1, e2)
+            for side, dofs, run in (
+                    (X0, off + np.arange(nb), e2),
+                    (XL, off + (na - 1) * nb + np.arange(nb), e2),
+                    (Y0, off + np.arange(na) * nb, e1),
+                    (YL, off + np.arange(na) * nb + (nb - 1), e1)):
+                p = position(E, (e1, e2), side)
+                nodes[p], running[p] = dofs, run
+    return nodes, running
+
+
 def loop_two_particle_terms(g, m, mesh):
     """(B, C) of assemble_two_particle, one entry per loop iteration."""
-    traces = boundary_component_nodes(mesh, BoundaryIndexMap(g))
+    nodes, running = loop_component_nodes(mesh)
+    counts = np.array([len(n) for n in nodes])
     ndof = mesh.ndof2
     b_rows, b_cols, b_vals = [], [], []
     c_rows, c_cols, c_vals = [], [], []
     n_constraints = 0
-    for cl in _coupling_clusters(*m.samples(mesh.y_nodes), traces):
-        ts = traces[cl[0]].positions
+    for cl in _coupling_clusters(*m.samples(mesh.y_nodes), counts):
+        ts = mesh.normalized(running[cl[0]])
         n = len(ts)
         Ls = [m(t)[1][np.ix_(cl, cl)] for t in ts]
         Ps = [m(t)[0][np.ix_(cl, cl)] for t in ts]
-        w = np.array([traces[p].weight for p in cl])
+        w = np.array([np.sqrt(g.edges[running[p]].length) for p in cl])
         for j in range(n - 1):
             hh = ts[j + 1] - ts[j]
             Lbar = 0.5 * (Ls[j] + Ls[j + 1])
@@ -83,8 +105,8 @@ def loop_two_particle_terms(g, m, mesh):
                         continue
                     for di in (0, 1):
                         for dj in (0, 1):
-                            b_rows.append(traces[p].nodes[j + di])
-                            b_cols.append(traces[q].nodes[j + dj])
+                            b_rows.append(nodes[p][j + di])
+                            b_cols.append(nodes[q][j + dj])
                             b_vals.append(lv * melem[di, dj])
         for j in range(n):
             for r in range(len(cl)):
@@ -95,7 +117,7 @@ def loop_two_particle_terms(g, m, mesh):
                     v = row[ci] * w[ci]
                     if abs(v) > NULLSPACE_TOL:
                         c_rows.append(n_constraints)
-                        c_cols.append(traces[q].nodes[j])
+                        c_cols.append(nodes[q][j])
                         c_vals.append(v)
                 n_constraints += 1
     B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(ndof, ndof)).tocsr()
@@ -106,11 +128,11 @@ def loop_two_particle_terms(g, m, mesh):
 
 
 def loop_one_particle_constraints(g, vc, mesh):
-    idx = BoundaryIndexMap(g)
     bdof = np.empty(2 * g.E, dtype=int)
-    for e in range(g.E):
-        bdof[idx.op_pos(e, 0)] = mesh.edge_offset(e)
-        bdof[idx.op_pos(e, 1)] = mesh.edge_offset(e) + mesh.nodes[e] - 1
+    off = 0
+    for e in range(g.E):     # ends at positions end E + e
+        bdof[e], bdof[g.E + e] = off, off + mesh.nodes[e] - 1
+        off += mesh.nodes[e]
     rows, cols, vals = [], [], []
     nc = 0
     for r in range(2 * g.E):
@@ -185,13 +207,15 @@ def loop_fold(grids):
     return acc / cnt
 
 
-def loop_is_local(P, L, idx, tol=1e-10):
+def loop_vertices(g):
+    """Vertex of each one-particle position end E + e."""
+    return [end_vertex(g, pos % g.E, pos // g.E) for pos in range(2 * g.E)]
+
+
+def loop_is_local(P, L, g, tol=1e-10):
     """vertex_conditions.is_local, one entry pair per iteration."""
     n = P.shape[0]
-    block_of = np.empty(n, dtype=int)
-    for v, block in idx.vertex_blocks.items():
-        for pos in block:
-            block_of[pos] = v
+    block_of = loop_vertices(g)
     for i in range(n):
         for j in range(n):
             if block_of[i] != block_of[j]:
@@ -201,15 +225,14 @@ def loop_is_local(P, L, idx, tol=1e-10):
 
 
 @functools.lru_cache
-def loop_local_pairs(idx):
+def loop_local_pairs(g):
     """The pairs is_local_two_particle allows, one pair per iteration."""
-    g, n = idx.graph, idx.dim_full
+    n = 4 * g.E * g.E
 
     def in_some_block(p):
-        c = idx.component(p)
-        return g.edges_connected(c.pair[0], c.pair[1])
+        return g.edges_connected(*component(g.E, p)[0])
 
-    vtx = [idx.boundary_vertex(p) for p in range(n)]
+    vtx = [end_vertex(g, *component(g.E, p)[2:4]) for p in range(n)]
     ok_pair = np.zeros((n, n), dtype=bool)
     for p in range(n):
         for q in range(n):
@@ -218,8 +241,8 @@ def loop_local_pairs(idx):
     return ok_pair
 
 
-def loop_is_local_two_particle(m, idx, tol=1e-9):
-    ok_pair = loop_local_pairs(idx)
+def loop_is_local_two_particle(m, g, tol=1e-9):
+    ok_pair = loop_local_pairs(g)
     for y in np.linspace(0.0, 1.0, 101):
         P, L = m(y)
         for M in (P, L):
@@ -233,7 +256,7 @@ def loop_beta_block(E, half, beta):
     return [off + s * E * E + alpha * E + beta for s in (0, 1) for alpha in range(E)]
 
 
-def loop_is_noninteracting(m, idx, tol=1e-9):
+def loop_is_noninteracting(m, E, tol=1e-9):
     """bc_maps.is_noninteracting, one (half, beta) block per iteration."""
     ys = np.linspace(0.0, 1.0, 101)
     P0, L0 = m(ys[0])
@@ -245,8 +268,8 @@ def loop_is_noninteracting(m, idx, tol=1e-9):
         ref = None
         mask = np.zeros_like(M, dtype=bool)
         for half in (0, 1):
-            for beta in range(idx.E):
-                rows = loop_beta_block(idx.E, half, beta)
+            for beta in range(E):
+                rows = loop_beta_block(E, half, beta)
                 blk = M[np.ix_(rows, rows)]
                 mask[np.ix_(rows, rows)] = True
                 if ref is None:
@@ -338,6 +361,20 @@ def loop_coupling_clusters(m, ys, tol=1e-10):
     return [np.flatnonzero(labels == k) for k in range(ncl)]
 
 
+def loop_delta_family(g, strength):
+    """(P, L) of delta_family, one vertex block per iteration."""
+    vtx = loop_vertices(g)
+    n = 2 * g.E
+    P, L = np.zeros((n, n)), np.zeros((n, n))
+    for v in range(g.V):
+        b = [pos for pos in range(n) if vtx[pos] == v]
+        d = len(b)
+        if d:
+            P[np.ix_(b, b)] = np.eye(d) - np.ones((d, d)) / d
+            L[np.ix_(b, b)] = -(strength / d**2) * np.ones((d, d))
+    return P, L
+
+
 def loop_lift(vc, E):
     """(P, L) of lift_one_particle, one (half, beta) block per iteration."""
     n = 4 * E * E
@@ -422,6 +459,17 @@ def test_one_particle_constraints_match_loops(family):
     assert_same_kernel(form.N, loop_nullspace(C, form.ndof), C)
 
 
+@pytest.mark.parametrize("edges, nodes", [
+    ([["a", "b", 0.7], ["b", "c", 1.3]], (4, 6)),
+    ([["c", "l1", 1.0], ["c", "l2", 0.8], ["c", "l3", 1.2]], (5, 7, 9))])
+def test_boundary_component_nodes_match_side_formulas(edges, nodes):
+    mesh = Mesh(build_graph({"edges": edges}), nodes)
+    got = boundary_component_nodes(mesh, BoundaryIndexMap(mesh.graph))
+    want, _ = loop_component_nodes(mesh)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_fold_matches_loop():
     rng = np.random.default_rng(7)
     grids = [rng.standard_normal((6, 6)) for _ in range(4)]
@@ -457,10 +505,10 @@ def poke(rng, M):
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_GRAPHS))
 def test_is_local_matches_loop(name):
-    idx = BoundaryIndexMap(STRUCTURE_GRAPHS[name])
-    local = np.zeros((2 * idx.E, 2 * idx.E), dtype=bool)
-    for block in idx.vertex_blocks.values():
-        local[np.ix_(block, block)] = True
+    g = STRUCTURE_GRAPHS[name]
+    idx = BoundaryIndexMap(g)
+    vtx = np.array(loop_vertices(g))
+    local = vtx[:, None] == vtx[None, :]
     rng = np.random.default_rng(11)
     seen = set()
     for trial in range(200):
@@ -468,15 +516,16 @@ def test_is_local_matches_loop(name):
         if trial % 2:
             poke(rng, (P, L)[trial % 3 == 0])
         got = is_local(P, L, idx)
-        assert got == loop_is_local(P, L, idx)
+        assert got == loop_is_local(P, L, g)
         seen.add(got)
     assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_GRAPHS))
 def test_is_local_two_particle_matches_loop(name):
-    idx = BoundaryIndexMap(STRUCTURE_GRAPHS[name])
-    ok_pair = loop_local_pairs(idx)
+    g = STRUCTURE_GRAPHS[name]
+    idx = BoundaryIndexMap(g)
+    ok_pair = loop_local_pairs(g)
     rng = np.random.default_rng(12)
     seen = set()
     for trial in range(200):
@@ -486,7 +535,7 @@ def test_is_local_two_particle_matches_loop(name):
             poke(rng, pieces[trial % 4 // 2][trial % 3 == 0])
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
         got = is_local_two_particle(m, idx)
-        assert got == loop_is_local_two_particle(m, idx)
+        assert got == loop_is_local_two_particle(m, g)
         seen.add(got)
     assert seen == {True, False}
 
@@ -505,9 +554,33 @@ def test_is_noninteracting_matches_loop(name):
         pieces = [(P, L), (P, L if trial % 5 else 2.0 * L)]
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
         got = is_noninteracting(m, idx)
-        assert got == loop_is_noninteracting(m, idx)
+        assert got == loop_is_noninteracting(m, idx.E)
         seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("E", [1, 2, 3, 4])
+def test_beta_blocks_match_loop(E):
+    g = build_graph({"edges": [[i, i + 1, 1.0] for i in range(E)]})
+    rows, cols = _beta_blocks(BoundaryIndexMap(g))
+    want = np.array([loop_beta_block(E, half, beta)
+                     for half in (0, 1) for beta in range(E)])
+    assert np.array_equal(rows[:, :, 0], want)
+    assert np.array_equal(cols[:, 0, :], want)
+
+
+def test_delta_family_matches_loop_bitwise():
+    # a loop edge, and an isolated vertex that holds no edge end
+    looped = build_graph({"vertices": ["a", "b", "z", "c"],
+                          "edges": [["a", "b", 1.0], ["b", "c", 1.5],
+                                    ["c", "a", 0.8], ["a", "a", 0.3]]})
+    for g in (*STRUCTURE_GRAPHS.values(), looped):
+        for strength in (0.0, 2.1, -1.3):
+            vc = delta_family(g, strength)
+            want = VertexConditions.from_pl(*loop_delta_family(g, strength))
+            for got, ref in zip((vc.A, vc.B, vc.P, vc.L),
+                                (want.A, want.B, want.P, want.L)):
+                assert got.tobytes() == ref.tobytes()
 
 
 def test_lift_matches_loop_bitwise():
@@ -590,8 +663,8 @@ def test_l_max_and_clusters_match_loops(name):
     assert m.L_max() == loop_l_max(m)
     assert m.L_max(ys) == loop_l_max(m, ys)
     assert sampled_l_max(m, ys) == loop_sampled_l_max(m, ys)
-    traces = boundary_component_nodes(mesh, BoundaryIndexMap(g))
-    got = _coupling_clusters(*m.samples(ys), traces)
+    counts = np.array([len(n) for n in loop_component_nodes(mesh)[0]])
+    got = _coupling_clusters(*m.samples(ys), counts)
     want = loop_coupling_clusters(m, ys)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
