@@ -81,6 +81,8 @@ def piecewise_map(breakpoints, pieces) -> BoundaryMap:
             for P, L in pieces]
     if not mats or len(bps) != len(mats) + 1:
         raise MapError("need a piece and len(breakpoints) == len(pieces) + 1")
+    if not np.all(np.diff(bps) > 0.0):
+        raise MapError("breakpoints must be strictly increasing")
 
     def ev(y):
         i = int(np.clip(np.searchsorted(bps, y, side="right") - 1, 0, len(mats) - 1))

@@ -220,7 +220,8 @@ def _entry(spec, key: str):
 @_map_entries_checked
 def build_map(cfg: RunConfig):
     """(graph, BoundaryMap) from the config; the delta example supplies its
-    own truncated graph."""
+    own truncated graph.  A map whose dimension is not 4 E^2 is a MapError,
+    raised before anything samples it."""
     spec = cfg.map
     kind = spec.get("kind")
     if kind == "delta_example":
@@ -232,14 +233,18 @@ def build_map(cfg: RunConfig):
         vc = build_conditions(g, spec)
         return g, bc_maps.lift_one_particle(vc, g)
     if kind == "constant":
-        return g, bc_maps.constant_map(matrix_from_json(_entry(spec, "P")),
-                                       matrix_from_json(_entry(spec, "L")))
-    if kind == "piecewise":
+        m = bc_maps.constant_map(matrix_from_json(_entry(spec, "P")),
+                                 matrix_from_json(_entry(spec, "L")))
+    elif kind == "piecewise":
         pieces = [(matrix_from_json(_entry(p, "P")),
                    matrix_from_json(_entry(p, "L")))
                   for p in _entry(spec, "pieces")]
-        return g, bc_maps.piecewise_map(_entry(spec, "breakpoints"), pieces)
-    raise ConfigError(f"unknown map kind {kind!r}")
+        m = bc_maps.piecewise_map(_entry(spec, "breakpoints"), pieces)
+    else:
+        raise ConfigError(f"unknown map kind {kind!r}")
+    if m.dim != 4 * g.E ** 2:
+        raise MapError(f"map dimension {m.dim} != 4 E^2 = {4 * g.E ** 2}")
+    return g, m
 
 
 def assemble_from_config(cfg: RunConfig):

@@ -17,10 +17,11 @@ class AnalysisError(ValueError):
 
 
 def lift_spectrum(one_particle: np.ndarray, count: int,
-                  sector: str = "full") -> np.ndarray:
+                  sector: str = "full", complete: bool = False) -> np.ndarray:
     """Lowest eigenvalues of the two-particle operator with non-interacting
     conditions: sums lam_n + lam_m of one-particle eigenvalues, with n <= m
-    (boson), n < m (fermion), or all ordered pairs (full)."""
+    (boson), n < m (fermion), or all ordered pairs (full); all of them
+    exact when the one-particle spectrum is ``complete``."""
     lam = np.sort(np.asarray(one_particle, dtype=float))
     if sector == "full":
         sums = np.add.outer(lam, lam).ravel()
@@ -37,6 +38,8 @@ def lift_spectrum(one_particle: np.ndarray, count: int,
         raise AnalysisError(
             f"need {count} lifted eigenvalues but only {len(sums)} sums are "
             "reliable; supply more one-particle eigenvalues")
+    if complete:
+        return sums[:count]
     # Sums using the largest one-particle eigenvalue may miss smaller
     # combinations outside the supplied range; stay below that ceiling.
     ceiling = lam[-1] + lam[0]
@@ -139,7 +142,8 @@ class BracketingReport:
 def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
                      dirichlet_eigs: np.ndarray, n: int) -> BracketingReport:
     """Verify mu_n(Robin) <= mu_n <= mu_n(Dirichlet) for the first n levels
-    up to BRACKET_SLACK, plus the implied reversal of the counting functions."""
+    up to BRACKET_SLACK, plus the implied reversal of the counting functions
+    with the Robin levels moved down and the Dirichlet ones up by it."""
     r = np.sort(np.asarray(robin_eigs))[:n]
     m = np.sort(np.asarray(target_eigs))[:n]
     d = np.sort(np.asarray(dirichlet_eigs))[:n]
@@ -151,43 +155,46 @@ def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
     ok = low <= BRACKET_SLACK and up <= BRACKET_SLACK
 
     grid = np.concatenate([r, m, d])
-    nd, nm, nr = (counting_function(s, grid) for s in (d, m, r))
+    slack = BRACKET_SLACK * scale
+    nd, nm, nr = (counting_function(s, grid) for s in (d + slack, m, r - slack))
     return BracketingReport(ok=bool(ok), n_checked=n,
                             max_lower_violation=float(max(low, 0.0)),
                             max_upper_violation=float(max(up, 0.0)),
                             counting_ok=bool(np.all((nd <= nm) & (nm <= nr))))
 
 
+def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
+                       sector: str = "full"):
+    """Lowest n eigenvalues in ``sector`` of the lower (no constraints,
+    L = l_max I) and upper (Dirichlet) comparison operators on ``mesh``:
+    lifts of one-particle (P, L), so sums of whole one-particle spectra."""
+    from .form_assembly import assemble_one_particle
+    from .vertex_conditions import VertexConditions
+
+    def lifted(P, L):
+        form = assemble_one_particle(g, VertexConditions.from_pl(P, L), mesh)
+        return lift_spectrum(solve(form, form.nreduced).eigenvalues, n,
+                             sector, complete=True)
+
+    one = np.eye(2 * g.E)
+    return lifted(0.0 * one, l_max * one), lifted(one, 0.0 * one)
+
+
 def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
                    sector: str = "full",
                    eigenvalues: np.ndarray = None) -> BracketingReport:
-    """Assemble and solve the map together with its two comparison
-    operators on the same mesh, then check the sandwich.
-
-    Lower comparison: no constraints and boundary map L_max times the
-    identity, with L_max sampled where assembly samples the map; upper
-    comparison: full Dirichlet.  ``eigenvalues``, the map's own lowest
-    eigenvalues on this mesh and sector, replace its solve when there are
-    at least n_max + 5 of them.
-    """
-    from .bc_maps import constant_map
+    """Check the sandwich of the map between its ``comparison_spectra`` on
+    the same mesh, L_max sampled where assembly samples the map.  The map's
+    own lowest ``eigenvalues`` on this mesh and sector, when at least
+    n_max + 5 are given, replace its solve."""
     from .form_assembly import assemble_two_particle, sampled_l_max
     from .symmetry import assemble_symmetric_form
 
-    dim = m.dim
-    l_max = sampled_l_max(m, mesh.y_nodes)
-    robin = constant_map(np.zeros((dim, dim)), l_max * np.eye(dim))
-    dirichlet = constant_map(np.eye(dim), np.zeros((dim, dim)))
-    sign = {"full": None, "boson": +1, "fermion": -1}[sector]
-
-    def spectrum(bmap):
-        form = assemble_two_particle(g, bmap, mesh)
-        if sign is not None:
-            form = assemble_symmetric_form(form, sign)
-        k = min(n_max + 5, form.nreduced)
-        return solve(form, k).eigenvalues
-
-    target = (eigenvalues if eigenvalues is not None
-              and len(eigenvalues) >= n_max + 5 else spectrum(m))
-    return bracketing_check(spectrum(robin), target,
-                            spectrum(dirichlet), n_max)
+    if eigenvalues is None or len(eigenvalues) < n_max + 5:
+        form = assemble_two_particle(g, m, mesh)
+        if sector != "full":
+            form = assemble_symmetric_form(form, +1 if sector == "boson" else -1)
+        eigenvalues = solve(form, min(n_max + 5, form.nreduced)).eigenvalues
+    robin, dirichlet = comparison_spectra(
+        g, sampled_l_max(m, mesh.y_nodes), mesh, n_max, sector)
+    return bracketing_check(robin, eigenvalues, dirichlet, n_max)

@@ -240,7 +240,9 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--config", write_config(tmp_path, doc),
                      "--out", str(out)])
         assert code == 0
-        assert solves == [15, 15]   # the 60 eigenvalues serve as the target
+        # the 60 eigenvalues serve as the target; the comparison operators
+        # take one whole one-particle solve each (41 and 39 reduced dofs)
+        assert solves == [41, 39]
         report = json.loads((out / "analysis.json").read_text())
         assert report["weyl"]["pass"]
         assert report["bracketing"]["ok"]
@@ -375,6 +377,10 @@ def malformed_docs():
         "pieces-number": with_map(piece, pieces=5),
         "pieces-empty": with_map(piece, breakpoints=[0.0], pieces=[]),
         "breakpoints-string": with_map(piece, breakpoints="x"),
+        "breakpoints-unsorted": with_map(piece, breakpoints=[1.0, 0.0]),
+        "constant-dim-3": {**square, "map": {
+            "kind": "constant", "P": matrix_to_json(np.eye(3)),
+            "L": matrix_to_json(np.zeros((3, 3)))}},
         "vertices-number": with_graph(vertices=5, edges=[["a", "b", 1.0]]),
         "endpoint-list": with_graph(edges=[[["a"], "b", 1.0]]),
         "endpoint-object": with_graph(edges=[[{"a": 1}, "b", 1.0]]),

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import bump_interaction_map
-from qg2p.bc_maps import lift_one_particle
-from qg2p.eigensolve import counting_function
-from qg2p.form_assembly import Mesh
+from qg2p.bc_maps import constant_map, lift_one_particle
+from qg2p.eigensolve import counting_function, solve
+from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.spectral_analysis import (AnalysisError, bracketing_check,
-                                    bracketing_run, heat_trace, lift_spectrum,
+                                    bracketing_run, comparison_spectra,
+                                    heat_trace, lift_spectrum,
                                     weyl_fit_one_particle,
                                     weyl_fit_two_particle)
+from qg2p.symmetry import assemble_symmetric_form
 from qg2p.vertex_conditions import standard_family
 from test_eigensolve import step_map
 
@@ -176,6 +178,10 @@ class TestBracketing:
     def test_raw_check_passes_on_nested_spectra(self):
         m = np.arange(1.0, 61.0)
         assert bracketing_check(m - 0.5, m, m + 0.5, 50).ok
+        # a lower bound equal to the target up to roundoff: the counting
+        # reversal gets the same slack as the levels
+        rep = bracketing_check(m * (1 + 1e-14), m, m + 0.5, 50)
+        assert rep.ok and rep.counting_ok
 
     def test_violation_detected(self):
         m = np.arange(1.0, 61.0)
@@ -185,16 +191,15 @@ class TestBracketing:
         assert not rep.ok and rep.max_lower_violation > 0
 
     def test_dirichlet_map_hits_upper_bound(self, interval):
-        from qg2p.bc_maps import constant_map
         m = constant_map(np.eye(4), np.zeros((4, 4)))
         rep = bracketing_run(interval, m, Mesh.uniform(interval, 17), 10)
-        assert rep.ok and rep.max_upper_violation == 0.0
+        # the comparison spectrum is lifted, the map's solved: roundoff apart
+        assert rep.ok and rep.max_upper_violation <= 1e-11
 
     def test_neumann_map_hits_lower_bound(self, interval):
-        from qg2p.bc_maps import constant_map
         m = constant_map(np.zeros((4, 4)), np.zeros((4, 4)))
         rep = bracketing_run(interval, m, Mesh.uniform(interval, 17), 10)
-        assert rep.ok and rep.max_lower_violation == 0.0
+        assert rep.ok and rep.max_lower_violation <= 1e-11
 
     def test_robin_lift_strict_sandwich(self, interval):
         m = lift_one_particle(
@@ -231,3 +236,49 @@ class TestBracketing:
         calls.clear()
         assert bracketing_run(interval, m, mesh, 20, eigenvalues=lam[:24]) == ref
         assert len(calls) == 3                  # 24 < 20 + 5: solved again
+
+
+def two_particle_comparison(g, l_max, mesh, n, sector):
+    """The lowest n eigenvalues of the two comparison operators solved as
+    two-particle pencils of constant maps on C^{4E^2}, in ``sector``."""
+    dim = 4 * g.E ** 2
+    out = []
+    for P, L in ((np.zeros((dim, dim)), l_max * np.eye(dim)),
+                 (np.eye(dim), np.zeros((dim, dim)))):
+        form = assemble_two_particle(g, constant_map(P, L), mesh)
+        if sector != "full":
+            form = assemble_symmetric_form(form, +1 if sector == "boson" else -1)
+        out.append(solve(form, n).eigenvalues)
+    return out
+
+
+class TestComparisonSpectra:
+    @pytest.mark.parametrize("graph, nodes", [
+        ("interval", (41,)), ("two_edges", (21, 15)),
+        ("star3", (17, 17, 17)), ("star3", (13, 17, 21))],
+        ids=["interval-41", "two-edges-21-15", "star3-17", "star3-13-17-21"])
+    @pytest.mark.parametrize("l_max", [0.0, 2.5])
+    def test_lift_matches_two_particle_solves(self, request, graph, nodes,
+                                              l_max):
+        g = request.getfixturevalue(graph)
+        mesh = Mesh(g, nodes)
+        for sector in ("full", "boson", "fermion"):
+            lifted = comparison_spectra(g, l_max, mesh, 20, sector)
+            solved = two_particle_comparison(g, l_max, mesh, 20, sector)
+            for a, b in zip(lifted, solved):
+                # relative to the spectrum's scale: the Neumann ground state
+                # 0 is solved only to about 1e-12 absolute
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("n, sector", [(9, "full"), (6, "boson"),
+                                           (3, "fermion")])
+    def test_whole_one_particle_spectrum_is_lifted(self, interval, n, sector):
+        # 5 nodes: 3 Dirichlet one-particle levels give exactly n sums
+        rep = bracketing_run(interval, bump_interaction_map(),
+                             Mesh.uniform(interval, 5), n, sector=sector)
+        assert rep.ok and rep.counting_ok and rep.n_checked == n
+
+    def test_more_levels_than_sums_raise(self, interval):
+        with pytest.raises(AnalysisError):
+            bracketing_run(interval, bump_interaction_map(),
+                           Mesh.uniform(interval, 5), 20)
