@@ -26,13 +26,11 @@ class BoundaryMap:
     """A y-dependent pair (P(y), L(y)) of square matrices on C^{4E^2}.
 
     ``eval_fn`` returns the pair at a normalized position y in [0, 1];
-    ``noninteracting_tag`` marks maps built as lifts of one-particle
-    conditions.
+    a lift of one-particle conditions keeps them as ``meta["conditions"]``.
     """
 
     dim: int
     eval_fn: Callable[[float], tuple]
-    noninteracting_tag: bool = False
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -186,7 +184,7 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     P = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
     P[at], L[at] = vc.P, vc.L
-    return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), noninteracting_tag=True)
+    return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), meta={"conditions": vc})
 
 
 def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,

@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrix (de)serialization: nested arrays of [re, im] pairs
+# matrix deserialization: nested arrays of [re, im] pairs
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -45,11 +45,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ConfigError("matrices must be nested arrays of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_to_json(m: np.ndarray):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +65,8 @@ class RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     """The RunConfig of a config document, or ConfigError: sections are
-    objects, counts integers and the analysis entries well formed."""
+    objects, counts integers and the analysis entries well formed; sectors,
+    bracketing and lift_check need two particles."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
@@ -91,6 +87,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown sector {cfg.sector!r}")
     if cfg.particles not in (1, 2):
         raise ConfigError("particles must be 1 or 2")
+    two_only = cfg.sector != "full" or "bracketing" in cfg.analysis
+    if cfg.particles == 1 and (two_only or cfg.analysis.get("lift_check")):
+        raise ConfigError("sectors, bracketing and lift_check need two particles")
     if cfg.num_eigs < 1:
         raise ConfigError("num_eigs must be positive")
     out_dir = cfg.output.get("dir", ".")
@@ -152,14 +151,17 @@ def _checked_analysis(a: dict) -> dict:
 
 
 def build_mesh(g: MetricGraph, mesh_spec: dict) -> Mesh:
+    """The mesh of a spacing 'h' or of integer 'nodes' or 'nodes_per_edge'."""
     try:
         if "h" in mesh_spec:
             return Mesh.by_spacing(g, float(mesh_spec["h"]))
-        if "nodes" in mesh_spec:
-            return Mesh.uniform(g, int(mesh_spec["nodes"]))
-        if "nodes_per_edge" in mesh_spec:
-            return Mesh(g, tuple(int(n) for n in mesh_spec["nodes_per_edge"]))
-    except (TypeError, ValueError) as exc:     # AssemblyError included
+        counts = ([mesh_spec["nodes"]] * g.E if "nodes" in mesh_spec
+                  else mesh_spec.get("nodes_per_edge"))
+        if counts is not None:
+            if any(type(n) is not int for n in counts):
+                raise ValueError(f"node counts must be integers, got {mesh_spec}")
+            return Mesh(g, tuple(counts))
+    except (TypeError, ValueError, OverflowError) as exc:   # AssemblyError too
         raise ConfigError(f"bad mesh: {exc}") from None
     raise ConfigError("mesh needs 'h', 'nodes' or 'nodes_per_edge'")
 
@@ -258,11 +260,10 @@ def assemble_from_config(cfg: RunConfig):
         raise MapError(f"{errors[0]} ({len(errors)} map error(s); "
                        "see 'qg2p validate')")
     if cfg.particles == 1:
-        vc = build_conditions(g, cfg.map)
-        form = form_assembly.assemble_one_particle(g, vc, mesh)
-        if cfg.sector != "full":
-            raise ConfigError("sectors apply to two-particle runs only")
-        return g, m, mesh, form
+        if "conditions" not in m.meta:
+            raise ConfigError("one-particle runs need a map of kind 'lifted'")
+        return g, m, mesh, form_assembly.assemble_one_particle(
+            g, m.meta["conditions"], mesh)
     form = form_assembly.assemble_two_particle(g, m, mesh)
     if cfg.sector != "full":
         sign = +1 if cfg.sector == "boson" else -1
@@ -395,15 +396,11 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
 
     if "bracketing" in toggles:
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            g, m, mesh, toggles["bracketing"]["n"], sector=cfg.sector,
-            eigenvalues=lam))
+            form, toggles["bracketing"]["n"], eigenvalues=lam))
 
-    if toggles.get("lift_check") and m.noninteracting_tag:
-        vc = build_conditions(g, cfg.map)
-        one = form_assembly.assemble_one_particle(g, vc, mesh)
-        r1 = solve(one, min(one.nreduced, 4 * cfg.num_eigs))
-        oracle = spectral_analysis.lift_spectrum(r1.eigenvalues, len(lam),
-                                                 sector=cfg.sector)
+    if toggles.get("lift_check") and "conditions" in m.meta:
+        oracle = spectral_analysis.lifted_spectrum(
+            g, m.meta["conditions"], mesh, len(lam), cfg.sector)
         dev = float(np.abs(oracle - lam).max() / max(1.0, np.abs(lam).max()))
         analysis["lift_check"] = {"max_relative_deviation": dev,
                                   "pass": dev < 1e-9}

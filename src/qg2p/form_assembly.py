@@ -51,8 +51,7 @@ class Mesh:
     def by_spacing(cls, g: MetricGraph, h: float) -> "Mesh":
         if h <= 0:
             raise AssemblyError("spacing must be positive")
-        return cls(g, tuple(max(3, int(round(e.length / h)) + 1)
-                            for e in g.edges))
+        return cls(g, tuple(int(round(e.length / h)) + 1 for e in g.edges))
 
     def spacing(self, e: int) -> float:
         return self.graph.edges[e].length / (self.nodes[e] - 1)

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import form_assembly
 from .eigensolve import chain_counts, counting_function, solve
 from .graph_core import MetricGraph
+from .vertex_conditions import VertexConditions
 
 BRACKET_SLACK = 1e-9   # relative slack of the bracketing inequalities
 
@@ -163,38 +165,37 @@ def bracketing_check(robin_eigs: np.ndarray, target_eigs: np.ndarray,
                             counting_ok=bool(np.all((nd <= nm) & (nm <= nr))))
 
 
+def lifted_spectrum(g: MetricGraph, vc: VertexConditions, mesh, n: int,
+                    sector: str = "full") -> np.ndarray:
+    """Lowest n eigenvalues in ``sector`` of the two-particle lift of the
+    one-particle conditions ``vc`` on ``mesh``: sums of the whole
+    one-particle spectrum, all of it solved at once."""
+    one = form_assembly.assemble_one_particle(g, vc, mesh)
+    return lift_spectrum(solve(one, one.nreduced).eigenvalues, n, sector,
+                         complete=True)
+
+
 def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
                        sector: str = "full"):
     """Lowest n eigenvalues in ``sector`` of the lower (no constraints,
     L = l_max I) and upper (Dirichlet) comparison operators on ``mesh``:
-    lifts of one-particle (P, L), so sums of whole one-particle spectra."""
-    from .form_assembly import assemble_one_particle
-    from .vertex_conditions import VertexConditions
-
-    def lifted(P, L):
-        form = assemble_one_particle(g, VertexConditions.from_pl(P, L), mesh)
-        return lift_spectrum(solve(form, form.nreduced).eigenvalues, n,
-                             sector, complete=True)
-
+    the ``lifted_spectrum`` of one-particle (P, L)."""
     one = np.eye(2 * g.E)
-    return lifted(0.0 * one, l_max * one), lifted(one, 0.0 * one)
+    return tuple(lifted_spectrum(g, VertexConditions.from_pl(P, L), mesh, n,
+                                 sector)
+                 for P, L in ((0.0 * one, l_max * one), (one, 0.0 * one)))
 
 
-def bracketing_run(g: MetricGraph, m, mesh, n_max: int,
-                   sector: str = "full",
+def bracketing_run(form: form_assembly.DiscreteForm, n_max: int,
                    eigenvalues: np.ndarray = None) -> BracketingReport:
-    """Check the sandwich of the map between its ``comparison_spectra`` on
-    the same mesh, L_max sampled where assembly samples the map.  The map's
-    own lowest ``eigenvalues`` on this mesh and sector, when at least
-    n_max + 5 are given, replace its solve."""
-    from .form_assembly import assemble_two_particle, sampled_l_max
-    from .symmetry import assemble_symmetric_form
-
-    if eigenvalues is None or len(eigenvalues) < n_max + 5:
-        form = assemble_two_particle(g, m, mesh)
-        if sector != "full":
-            form = assemble_symmetric_form(form, +1 if sector == "boson" else -1)
-        eigenvalues = solve(form, min(n_max + 5, form.nreduced)).eigenvalues
+    """Check the sandwich of a two-particle ``form`` between the
+    ``comparison_spectra`` on its mesh and in its sector, L_max sampled
+    where assembly sampled its map.  The form's own lowest ``eigenvalues``,
+    when at least n_max are given, replace its solve."""
+    mesh = form.meta["mesh"]
+    if eigenvalues is None or len(eigenvalues) < n_max:
+        eigenvalues = solve(form, min(n_max, form.nreduced)).eigenvalues
     robin, dirichlet = comparison_spectra(
-        g, sampled_l_max(m, mesh.y_nodes), mesh, n_max, sector)
+        mesh.graph, form_assembly.sampled_l_max(form.meta["map"], mesh.y_nodes),
+        mesh, n_max, form.meta.get("sector", "full"))
     return bracketing_check(robin, eigenvalues, dirichlet, n_max)

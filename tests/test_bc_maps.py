@@ -99,7 +99,7 @@ class TestLifts:
                         ("robin", {"alpha": 1.0})]:
             vc = standard_family(fam, two_edges, **kw)
             m = lift_one_particle(vc, two_edges)
-            assert m.noninteracting_tag
+            assert m.meta["conditions"] is vc
             assert is_noninteracting(m, idx)
             assert validate_map(m).ok
 

@@ -6,7 +6,13 @@ import pytest
 
 from qg2p import cli, eigensolve, form_assembly, symmetry
 from qg2p.cli import (ConfigError, build_map, load_config, main,
-                      matrix_from_json, matrix_to_json, parse_config)
+                      matrix_from_json, parse_config)
+
+
+def matrix_to_json(m):
+    """A complex matrix as the config's nested arrays of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -285,6 +291,37 @@ class TestAnalyzeCommand:
         # each member of a double gets the count through its second copy
         assert [int(n) for n in outputs[0][0]][:3] == [1, 3, 3]
 
+    def test_lift_check_on_the_whole_one_particle_spectrum(self, tmp_path,
+                                                            capsys):
+        # 9 nodes: 7 one-particle levels, all 49 sums exact; a solve
+        # truncated at 4 num_eigs levels used to stop at 33 of them (exit 3)
+        doc = dirichlet_square_doc(nodes=9, num_eigs=40,
+                                   analysis={"weyl": False, "lift_check": True})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["lift_check"]["pass"]
+
+    @pytest.mark.parametrize("sector", ["full", "boson"])
+    def test_lift_check_on_a_star_delta_lift(self, tmp_path, capsys, sector):
+        doc = {"graph": {"edges": [["c", "l1", 1.07], ["c", "l2", 0.93],
+                                   ["c", "l3", 1.02]]},
+               "map": {"kind": "lifted", "delta_strength": 2.0},
+               "mesh": {"nodes": 17}, "num_eigs": 12, "sector": sector,
+               "analysis": {"weyl": False, "lift_check": True}}
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        lift = json.loads((out / "analysis.json").read_text())["lift_check"]
+        assert lift["pass"] and lift["max_relative_deviation"] < 1e-9
+
+    def test_one_particle_run_needs_a_lift(self, tmp_path, capsys):
+        doc = piecewise_doc(np.eye(4), particles=1)
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "map of kind 'lifted'" in capsys.readouterr().err
+
     def test_insufficient_eigenvalues_is_numerical_failure(self, tmp_path):
         doc = dirichlet_square_doc(nodes=21, num_eigs=5,
                                    analysis={"weyl": True})
@@ -414,6 +451,18 @@ class TestExitCodes:
         ("analyze", dirichlet_square_doc(), ["--window", "nan:900"]),
         ("spectrum", dirichlet_square_doc(output={"dir": 5}), []),
         ("spectrum", dirichlet_square_doc(output={"dir": ""}), []),
+        ("spectrum", dirichlet_square_doc(mesh={"nodes": 9.7}), []),
+        ("spectrum", dirichlet_square_doc(mesh={"nodes": "9"}), []),
+        ("spectrum", dirichlet_square_doc(mesh={"nodes": True}), []),
+        ("spectrum", dirichlet_square_doc(mesh={"nodes_per_edge": [9.9]}), []),
+        ("spectrum", dirichlet_square_doc(), ["--mesh-h", "inf"]),
+        ("spectrum", dirichlet_square_doc(), ["--mesh-h", "1e300"]),
+        ("spectrum", dirichlet_square_doc(), ["--mesh-h", "1e-320"]),
+        ("analyze", dirichlet_square_doc(
+            nodes=65, particles=1, analysis={"bracketing": {"n": 5}}), []),
+        ("analyze", dirichlet_square_doc(
+            nodes=65, particles=1, analysis={"lift_check": True}), []),
+        ("spectrum", dirichlet_square_doc(particles=1, sector="boson"), []),
         *[("spectrum", doc, []) for doc in MALFORMED.values()],
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
             "two-mesh-nodes", "num-eigs-string", "particles-float",
@@ -422,7 +471,10 @@ class TestExitCodes:
             "heat-t-string", "heat-t-negative", "bracketing-true",
             "bracketing-n-0", "weyl-tol-string", "window-flag-reversed",
             "window-flag-nan", "output-dir-number", "output-dir-empty",
-            *MALFORMED])
+            "nodes-float", "nodes-string", "nodes-bool", "nodes-per-edge-float",
+            "mesh-h-inf", "mesh-h-huge", "mesh-h-subnormal",
+            "one-particle-bracketing", "one-particle-lift-check",
+            "one-particle-sector", *MALFORMED])
     def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
                                               monkeypatch, command, doc, flags):
         monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))

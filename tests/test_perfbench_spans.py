@@ -36,3 +36,25 @@ def test_tracer_spans_a_spectrum_request_and_uninstalls(tmp_path):
     assert tracer.request_metrics()["eigensolve.solve_calls"] == 1
     assert patched and all(getattr(owner, attr) is orig
                            for owner, attr, orig in patched)
+
+
+def test_tracer_spans_an_analyze_request_with_strict_json_metrics(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "graph": {"edges": [["a", "b", 1.0]]},
+        "map": {"kind": "lifted", "family": "dirichlet"},
+        "mesh": {"nodes": 41}, "num_eigs": 60,
+        "analysis": {"weyl": True, "heat": {"t": 0.01},
+                     "bracketing": {"n": 10}, "lift_check": True}}))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = tracer.request(cli.main, ["analyze", "--config", str(config),
+                                         "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"spectral_analysis.bracketing",
+            "spectral_analysis.lift_spectrum"} <= names
+    json.dumps(tracer.request_metrics(), allow_nan=False)

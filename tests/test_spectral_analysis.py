@@ -15,6 +15,14 @@ from qg2p.vertex_conditions import standard_family
 from test_eigensolve import step_map
 
 
+def sector_form(g, m, mesh, sector="full"):
+    """The two-particle form of ``m`` on ``mesh``, restricted to ``sector``."""
+    form = assemble_two_particle(g, m, mesh)
+    if sector == "full":
+        return form
+    return assemble_symmetric_form(form, +1 if sector == "boson" else -1)
+
+
 def dirichlet_interval(n):
     return (np.pi * np.arange(1, n + 1)) ** 2
 
@@ -192,30 +200,35 @@ class TestBracketing:
 
     def test_dirichlet_map_hits_upper_bound(self, interval):
         m = constant_map(np.eye(4), np.zeros((4, 4)))
-        rep = bracketing_run(interval, m, Mesh.uniform(interval, 17), 10)
+        rep = bracketing_run(
+            assemble_two_particle(interval, m, Mesh.uniform(interval, 17)), 10)
         # the comparison spectrum is lifted, the map's solved: roundoff apart
         assert rep.ok and rep.max_upper_violation <= 1e-11
 
     def test_neumann_map_hits_lower_bound(self, interval):
         m = constant_map(np.zeros((4, 4)), np.zeros((4, 4)))
-        rep = bracketing_run(interval, m, Mesh.uniform(interval, 17), 10)
+        rep = bracketing_run(
+            assemble_two_particle(interval, m, Mesh.uniform(interval, 17)), 10)
         assert rep.ok and rep.max_lower_violation <= 1e-11
 
     def test_robin_lift_strict_sandwich(self, interval):
         m = lift_one_particle(
             standard_family("robin", interval, alpha=1.0), interval)
-        rep = bracketing_run(interval, m, Mesh.uniform(interval, 25), 20)
+        rep = bracketing_run(
+            assemble_two_particle(interval, m, Mesh.uniform(interval, 25)), 20)
         assert rep.ok and rep.counting_ok
 
     def test_bump_map_sandwich(self, interval):
-        rep = bracketing_run(interval, bump_interaction_map(),
-                             Mesh.uniform(interval, 25), 20)
+        rep = bracketing_run(assemble_two_particle(
+            interval, bump_interaction_map(), Mesh.uniform(interval, 25)), 20)
         assert rep.ok and rep.counting_ok
 
     def test_lower_operator_samples_the_mesh(self, interval):
         # L_max on the default grid is 0 (a Neumann "lower" operator); at
         # the mesh's y-nodes it is 1e4
-        rep = bracketing_run(interval, step_map(), Mesh.uniform(interval, 17), 10)
+        rep = bracketing_run(
+            assemble_two_particle(interval, step_map(), Mesh.uniform(interval, 17)),
+            10)
         assert rep.ok and rep.counting_ok
         assert rep.max_lower_violation == 0.0
         assert rep.max_upper_violation == 0.0
@@ -223,33 +236,28 @@ class TestBracketing:
     def test_given_eigenvalues_replace_the_target_solve(self, interval,
                                                          monkeypatch):
         from qg2p import spectral_analysis
-        from qg2p.form_assembly import assemble_two_particle
-        m, mesh = bump_interaction_map(), Mesh.uniform(interval, 25)
-        lam = spectral_analysis.solve(assemble_two_particle(interval, m, mesh),
-                                      25).eigenvalues
-        ref = bracketing_run(interval, m, mesh, 20)
+        form = assemble_two_particle(interval, bump_interaction_map(),
+                                     Mesh.uniform(interval, 25))
+        lam = spectral_analysis.solve(form, 25).eigenvalues
+        ref = bracketing_run(form, 20)
         calls, orig = [], spectral_analysis.solve
         monkeypatch.setattr(spectral_analysis, "solve",
                             lambda *a, **kw: calls.append(a[1]) or orig(*a, **kw))
-        assert bracketing_run(interval, m, mesh, 20, eigenvalues=lam) == ref
+        assert bracketing_run(form, 20, eigenvalues=lam) == ref
         assert len(calls) == 2                  # the two comparison operators
         calls.clear()
-        assert bracketing_run(interval, m, mesh, 20, eigenvalues=lam[:24]) == ref
-        assert len(calls) == 3                  # 24 < 20 + 5: solved again
+        assert bracketing_run(form, 20, eigenvalues=lam[:19]) == ref
+        assert len(calls) == 3                  # 19 < 20: solved again
 
 
 def two_particle_comparison(g, l_max, mesh, n, sector):
     """The lowest n eigenvalues of the two comparison operators solved as
     two-particle pencils of constant maps on C^{4E^2}, in ``sector``."""
     dim = 4 * g.E ** 2
-    out = []
-    for P, L in ((np.zeros((dim, dim)), l_max * np.eye(dim)),
-                 (np.eye(dim), np.zeros((dim, dim)))):
-        form = assemble_two_particle(g, constant_map(P, L), mesh)
-        if sector != "full":
-            form = assemble_symmetric_form(form, +1 if sector == "boson" else -1)
-        out.append(solve(form, n).eigenvalues)
-    return out
+    return [solve(sector_form(g, constant_map(P, L), mesh, sector),
+                  n).eigenvalues
+            for P, L in ((np.zeros((dim, dim)), l_max * np.eye(dim)),
+                         (np.eye(dim), np.zeros((dim, dim))))]
 
 
 class TestComparisonSpectra:
@@ -274,11 +282,11 @@ class TestComparisonSpectra:
                                            (3, "fermion")])
     def test_whole_one_particle_spectrum_is_lifted(self, interval, n, sector):
         # 5 nodes: 3 Dirichlet one-particle levels give exactly n sums
-        rep = bracketing_run(interval, bump_interaction_map(),
-                             Mesh.uniform(interval, 5), n, sector=sector)
+        rep = bracketing_run(sector_form(interval, bump_interaction_map(),
+                                         Mesh.uniform(interval, 5), sector), n)
         assert rep.ok and rep.counting_ok and rep.n_checked == n
 
     def test_more_levels_than_sums_raise(self, interval):
         with pytest.raises(AnalysisError):
-            bracketing_run(interval, bump_interaction_map(),
-                           Mesh.uniform(interval, 5), 20)
+            bracketing_run(assemble_two_particle(
+                interval, bump_interaction_map(), Mesh.uniform(interval, 5)), 20)
