@@ -132,7 +132,14 @@ def _positive(v, kind, what: str):
 
 def _checked_analysis(a: dict) -> dict:
     """A copy of ``a`` with the entries cmd_analyze reads checked and filled
-    in: window (lo, hi), weyl_tol, heat {"t": t}, bracketing {"n": n}."""
+    in: window (lo, hi), weyl_tol, heat {"t": t}, bracketing {"n": n}, the
+    bools weyl and lift_check; any other key is a ConfigError."""
+    unknown = set(a) - {"window", "weyl", "weyl_tol", "heat", "bracketing",
+                        "lift_check"}
+    if unknown:
+        raise ConfigError(f"unknown analysis keys: {sorted(unknown)}")
+    if any(type(a.get(k, False)) is not bool for k in ("weyl", "lift_check")):
+        raise ConfigError("analysis weyl and lift_check must be true or false")
     a = dict(a)
     if "window" in a:
         a["window"] = _window(a["window"])
@@ -249,19 +256,25 @@ def build_map(cfg: RunConfig):
     return g, m
 
 
-def assemble_from_config(cfg: RunConfig):
-    """(graph, map, mesh, form) of the config's particles and sector; a map
-    that fails validate_map at the mesh's y-nodes, where assembly evaluates
-    it, is a MapError, raised before anything is assembled."""
+def checked_inputs(cfg: RunConfig):
+    """(graph, map, mesh, validate_map report at the mesh's y-nodes, where
+    assembly evaluates the map); a one-particle run needs a lifted map."""
     g, m = build_map(cfg)
     mesh = build_mesh(g, cfg.mesh)
-    errors = validate_map(m, mesh.y_nodes).errors
-    if errors:
-        raise MapError(f"{errors[0]} ({len(errors)} map error(s); "
-                       "see 'qg2p validate')")
+    if cfg.particles == 1 and "conditions" not in m.meta:
+        raise ConfigError("one-particle runs need a map of kind 'lifted'")
+    return g, m, mesh, validate_map(m, mesh.y_nodes)
+
+
+def assemble_from_config(cfg: RunConfig):
+    """(graph, map, mesh, form) of the config's particles and sector; inputs
+    that fail ``checked_inputs``, a map with validate_map errors included,
+    raise before anything is assembled."""
+    g, m, mesh, report = checked_inputs(cfg)
+    if report.errors:
+        raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
+                       "error(s); see 'qg2p validate')")
     if cfg.particles == 1:
-        if "conditions" not in m.meta:
-            raise ConfigError("one-particle runs need a map of kind 'lifted'")
         return g, m, mesh, form_assembly.assemble_one_particle(
             g, m.meta["conditions"], mesh)
     form = form_assembly.assemble_two_particle(g, m, mesh)
@@ -307,9 +320,7 @@ def _json_dump(path: str, obj) -> None:
 def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
-        g, m = build_map(cfg)
-        mesh = build_mesh(g, cfg.mesh)
-        mrep = validate_map(m, mesh.y_nodes)
+        g, m, mesh, mrep = checked_inputs(cfg)
     except (GraphError, ConditionError, MapError, ConfigError,
             AssemblyError) as exc:
         report["notes"].append(str(exc))
@@ -415,6 +426,9 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     to the plane; writes the folded grid and a continuity report."""
     if cfg.map.get("kind") != "delta_example":
         raise ConfigError("example-delta needs a map of kind 'delta_example'")
+    if cfg.sector == "fermion":
+        raise ConfigError("example-delta solves the boson sector; "
+                          "sector must be 'full' or 'boson'")
     g, _ = build_map(cfg)       # samples nothing: checked before assembly
     if len(set(build_mesh(g, cfg.mesh).nodes)) > 1:
         raise ConfigError("the folded example needs equal node counts")
@@ -424,13 +438,9 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]
 
-    def rect(a, b):
-        na, nb = mesh.rect_shape(a, b)
-        off = mesh.rect_offset(a, b)
-        return psi[off:off + na * nb].reshape(na, nb)
-
-    # edge 0 carries the positive half-axis, edge 1 the negative one
-    p11, p12, p21, p22 = rect(0, 0), rect(0, 1), rect(1, 0), rect(1, 1)
+    # edge 0 carries the positive half-axis, edge 1 the negative one;
+    # rect_dofs lists D_00, D_01, D_10, D_11 in that order
+    p11, p12, p21, p22 = (psi[dofs] for dofs in mesh.rect_dofs.values())
     folded = bc_maps.fold_to_plane(p11, p12, p21, p22)
     jump_x, jump_y = bc_maps.fold_axis_jumps(p11, p12, p21, p22)
 

@@ -8,6 +8,8 @@ block of the constraint rows; the reduced pencil stays symmetric.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,23 +77,20 @@ class Mesh:
     def ndof1(self) -> int:
         return int(sum(self.nodes))
 
-    # 2-D layout: rectangles in lexicographic (e1, e2) order; node (i, j)
-    # of rectangle (a, b) sits at offset + i * n_b + j.
-    def rect_shape(self, a: int, b: int):
-        return (self.nodes[a], self.nodes[b])
-
-    def rect_offset(self, a: int, b: int) -> int:
-        E = self.graph.E
-        off = 0
-        for p in range(a * E + b):
-            off += self.nodes[p // E] * self.nodes[p % E]
-        return off
+    @functools.cached_property
+    def rect_dofs(self) -> dict:
+        """The 2-D layout: (a, b) -> the global dofs of rectangle D_ab as an
+        (n_a, n_b) array, rectangles in lexicographic (a, b) order."""
+        out, start = {}, 0
+        for a, b in itertools.product(range(self.graph.E), repeat=2):
+            shape = (self.nodes[a], self.nodes[b])
+            out[a, b] = start + np.arange(shape[0] * shape[1]).reshape(shape)
+            start += out[a, b].size
+        return out
 
     @property
     def ndof2(self) -> int:
-        E = self.graph.E
-        return int(sum(self.nodes[a] * self.nodes[b]
-                       for a in range(E) for b in range(E)))
+        return int(sum(d.size for d in self.rect_dofs.values()))
 
 
 def stiffness_1d(length: float, n: int) -> sp.csr_matrix:
@@ -263,12 +262,9 @@ def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
     out = []
     for half, s, a, b in zip(idx.half, *divmod(idx.end_pos, idx.E),
                              idx.running_edge):
-        na, nb = mesh.nodes[a], mesh.nodes[b]
-        run = np.arange(nb)
-        if half == 0:       # row s (na - 1) of rectangle (a, b)
-            out.append(mesh.rect_offset(a, b) + s * (na - 1) * nb + run)
-        else:               # column s (na - 1) of rectangle (b, a)
-            out.append(mesh.rect_offset(b, a) + run * na + s * (na - 1))
+        # half 0: row s (n_a - 1) of D_ab; half 1: that column of D_ba
+        dofs = mesh.rect_dofs[a, b] if half == 0 else mesh.rect_dofs[b, a].T
+        out.append(dofs[s * (mesh.nodes[a] - 1)])
     return out
 
 

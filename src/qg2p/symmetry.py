@@ -21,16 +21,9 @@ class SymmetryError(ValueError):
 
 def exchange_permutation(mesh: Mesh) -> np.ndarray:
     """Permutation array p with (R psi)[k] = psi[p[k]] for the exchange R."""
-    E = mesh.graph.E
     perm = np.empty(mesh.ndof2, dtype=int)
-    for a in range(E):
-        for b in range(E):
-            na, nb = mesh.rect_shape(a, b)
-            off = mesh.rect_offset(a, b)
-            off_t = mesh.rect_offset(b, a)
-            i = np.repeat(np.arange(na), nb)
-            j = np.tile(np.arange(nb), na)
-            perm[off + i * nb + j] = off_t + j * na + i
+    for (a, b), dofs in mesh.rect_dofs.items():
+        perm[dofs] = mesh.rect_dofs[b, a].T
     return perm
 
 

@@ -206,12 +206,8 @@ def test_09_delta_interaction_example(capsys):
     psi = res.eigenvectors[:, 0].real
     psi = psi / np.abs(psi).max()
 
-    def rect(a, b):
-        na, nb = mesh.rect_shape(a, b)
-        off = mesh.rect_offset(a, b)
-        return psi[off:off + na * nb].reshape(na, nb)
-
-    p11, p12, p21, p22 = rect(0, 0), rect(0, 1), rect(1, 0), rect(1, 1)
+    p11, p12, p21, p22 = (psi[mesh.rect_dofs[a, b]]
+                          for a in (0, 1) for b in (0, 1))
     # continuity across the center vertex in the first variable
     cont = max(np.abs(p11[0, :] - p21[0, :]).max(),
                np.abs(p12[0, :] - p22[0, :]).max())

@@ -144,6 +144,15 @@ class TestValidateCommand:
         g, _ = build(load_config(write_config(tmp_path, doc)))
         assert sorted(seen) == list(form_assembly.Mesh(g, (5, 8)).y_nodes)
 
+    def test_one_particle_config_needs_a_lift(self, tmp_path, capsys):
+        # the rule of spectrum and analyze (test_one_particle_run_needs_a_lift)
+        doc = piecewise_doc(np.eye(4), particles=1)
+        code = main(["validate", "--config", write_config(tmp_path, doc)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["map"] == {}
+        assert report["notes"] == [
+            "one-particle runs need a map of kind 'lifted'"]
+
     def test_delta_example_passes_with_truncation_notice(self, tmp_path, capsys):
         doc = {"map": {"kind": "delta_example", "truncation": 2.0,
                        "potential": {"kind": "gaussian", "amplitude": -1.0,
@@ -371,6 +380,17 @@ class TestExampleDeltaCommand:
                          skiprows=1)[:, 2]
         assert psi[np.argmax(np.abs(psi))] > 0.0
 
+    def test_boson_sector_runs_like_the_default(self, tmp_path, capsys):
+        outs = []
+        for sector in ("full", "boson"):
+            out = tmp_path / sector
+            doc = dict(self.DOC, sector=sector)
+            assert main(["example-delta", "--config",
+                         write_config(tmp_path, doc), "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("folded.csv", "example_delta.json")])
+        assert outs[0] == outs[1]
+
     def test_unequal_node_counts_rejected_before_assembly(self, tmp_path,
                                                           monkeypatch, capsys):
         calls = []
@@ -463,6 +483,13 @@ class TestExitCodes:
         ("analyze", dirichlet_square_doc(
             nodes=65, particles=1, analysis={"lift_check": True}), []),
         ("spectrum", dirichlet_square_doc(particles=1, sector="boson"), []),
+        ("analyze", analysis_doc(wyel=True), []),
+        ("analyze", analysis_doc(weyl="no"), []),
+        ("analyze", analysis_doc(weyl=False, lift_check="false"), []),
+        ("example-delta", dict(TestExampleDeltaCommand.DOC, sector="fermion"),
+         []),
+        ("example-delta", TestExampleDeltaCommand.DOC,
+         ["--sector", "fermion"]),
         *[("spectrum", doc, []) for doc in MALFORMED.values()],
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
             "two-mesh-nodes", "num-eigs-string", "particles-float",
@@ -474,7 +501,9 @@ class TestExitCodes:
             "nodes-float", "nodes-string", "nodes-bool", "nodes-per-edge-float",
             "mesh-h-inf", "mesh-h-huge", "mesh-h-subnormal",
             "one-particle-bracketing", "one-particle-lift-check",
-            "one-particle-sector", *MALFORMED])
+            "one-particle-sector", "analysis-unknown-key", "weyl-string",
+            "lift-check-string", "example-delta-fermion",
+            "example-delta-fermion-flag", *MALFORMED])
     def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
                                               monkeypatch, command, doc, flags):
         monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))

@@ -84,14 +84,16 @@ class TestMesh:
     def test_rect_layout_covers_all_dofs(self, two_edges):
         mesh = Mesh(two_edges, (4, 5))
         assert mesh.ndof2 == 16 + 20 + 20 + 25
-        offs = sorted(mesh.rect_offset(a, b) for a in range(2) for b in range(2))
-        assert offs[0] == 0
+        assert list(mesh.rect_dofs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        offs = [d[0, 0] for d in mesh.rect_dofs.values()]
         assert offs == [0, 16, 36, 56]
+        assert np.array_equal(np.concatenate(
+            [d.ravel() for d in mesh.rect_dofs.values()]), np.arange(81))
 
     def test_grids_are_exact_tensor_products(self, two_edges):
         mesh = Mesh(two_edges, (4, 6))
-        assert mesh.rect_shape(0, 1) == (4, 6)
-        assert mesh.rect_shape(1, 0) == (6, 4)
+        assert mesh.rect_dofs[0, 1].shape == (4, 6)
+        assert mesh.rect_dofs[1, 0].shape == (6, 4)
 
     def test_1d_matrices_row_sums(self):
         # stiffness annihilates constants; mass integrates them to length

@@ -59,15 +59,39 @@ def assert_same_kernel(N, N0, C, tol=1e-12):
 # loop references
 
 
+def loop_rect_starts(mesh):
+    """({(a, b): dof of node (0, 0) of D_ab}, ndof2), accumulated over the
+    rectangles in lexicographic (a, b) order, each row-major."""
+    E, offsets, off = mesh.graph.E, {}, 0
+    for e1 in range(E):
+        for e2 in range(E):
+            offsets[e1, e2] = off
+            off += mesh.nodes[e1] * mesh.nodes[e2]
+    return offsets, off
+
+
+def loop_exchange_permutation(mesh):
+    """perm[dof of (a, b, i, j)] = dof of (b, a, j, i), node by node."""
+    offsets, ndof = loop_rect_starts(mesh)
+    perm = np.full(ndof, -1)
+    for (a, b), off in offsets.items():
+        na, nb = mesh.nodes[a], mesh.nodes[b]
+        for i in range(na):
+            for j in range(nb):
+                perm[off + i * nb + j] = offsets[b, a] + j * na + i
+    return perm
+
+
 def loop_component_nodes(mesh):
     """(dofs, running edge) of each two-particle boundary component, from
     one per-side formula for each side of each rectangle."""
     E = mesh.graph.E
     nodes, running = [None] * (4 * E * E), [None] * (4 * E * E)
+    offsets, _ = loop_rect_starts(mesh)
     for e1 in range(E):
         for e2 in range(E):
-            na, nb = mesh.rect_shape(e1, e2)
-            off = mesh.rect_offset(e1, e2)
+            na, nb = mesh.nodes[e1], mesh.nodes[e2]
+            off = offsets[e1, e2]
             for side, dofs, run in (
                     (X0, off + np.arange(nb), e2),
                     (XL, off + (na - 1) * nb + np.arange(nb), e2),
@@ -459,15 +483,26 @@ def test_one_particle_constraints_match_loops(family):
     assert_same_kernel(form.N, loop_nullspace(C, form.ndof), C)
 
 
-@pytest.mark.parametrize("edges, nodes", [
+UNEVEN_MESHES = pytest.mark.parametrize("edges, nodes", [
     ([["a", "b", 0.7], ["b", "c", 1.3]], (4, 6)),
     ([["c", "l1", 1.0], ["c", "l2", 0.8], ["c", "l3", 1.2]], (5, 7, 9))])
+
+
+@UNEVEN_MESHES
 def test_boundary_component_nodes_match_side_formulas(edges, nodes):
     mesh = Mesh(build_graph({"edges": edges}), nodes)
     got = boundary_component_nodes(mesh, BoundaryIndexMap(mesh.graph))
     want, _ = loop_component_nodes(mesh)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@UNEVEN_MESHES
+def test_exchange_permutation_matches_loop(edges, nodes):
+    mesh = Mesh(build_graph({"edges": edges}), nodes)
+    want = loop_exchange_permutation(mesh)
+    assert np.array_equal(np.sort(want), np.arange(mesh.ndof2))
+    assert np.array_equal(exchange_permutation(mesh), want)
 
 
 def test_fold_matches_loop():

@@ -58,3 +58,26 @@ def test_tracer_spans_an_analyze_request_with_strict_json_metrics(tmp_path):
     assert {"spectral_analysis.bracketing",
             "spectral_analysis.lift_spectrum"} <= names
     json.dumps(tracer.request_metrics(), allow_nan=False)
+
+
+def test_tracer_spans_an_example_delta_request_with_strict_json_metrics(
+        tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "map": {"kind": "delta_example", "truncation": 2.0,
+                "potential": {"kind": "gaussian", "amplitude": -2.0,
+                              "width": 0.5}},
+        "mesh": {"nodes": 17}, "sector": "boson", "num_eigs": 2}))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = tracer.request(cli.main, ["example-delta", "--config",
+                                         str(config), "--out",
+                                         str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "bc_maps.fold" in {span[0] for span in tracer.spans}
+    metrics = tracer.request_metrics()
+    assert metrics["symmetry.sector_dim"] > 0
+    json.dumps(metrics, allow_nan=False)
