@@ -12,7 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph_core import BoundaryIndexMap, MetricGraph, build_graph
-from .vertex_conditions import VertexConditions, _hermitize, ab_to_pl
+from .vertex_conditions import (ConditionError, VertexConditions, _hermitize,
+                                ab_to_pl, kernel_split, l_step)
 
 TOL = 1e-9   # entry and defect tolerance of the map checks and predicates
 
@@ -235,21 +236,25 @@ def delta_example_map(v: Callable[[float, float], float], truncation: float):
                                ["center", "leaf2", truncation]]})
     n = 16  # 4 E^2 with E = 2
 
+    # B, and with it P, Q and B+, does not depend on y; for a finite real v
+    # neither does the rank of [A B] nor the solvability of B L = A Q, so
+    # the full checks run once here and each y checks only v(0, +/- T y).
+    A, B = delta_center_ab(v, truncation, 0.0)
+    ab_to_pl(A, B)
+    P0, Q, B_pinv = kernel_split(B)
+    P = np.zeros((n, n), dtype=complex)
+    for off in (0, 8):               # the two halves carry the same block
+        P[off:off + 4, off:off + 4] = P0
+        P[off + 4:off + 8, off + 4:off + 8] = np.eye(4)  # far-end Dirichlet
+
     def ev(yhat: float):
-        A, B = delta_center_ab(v, truncation, yhat)
-        P0, L0 = ab_to_pl(A, B)
-        half_dim = 8
-        Ph = np.zeros((half_dim, half_dim), dtype=complex)
-        Lh = np.zeros((half_dim, half_dim), dtype=complex)
-        Ph[:4, :4] = P0
-        Lh[:4, :4] = L0
-        Ph[4:, 4:] = np.eye(4)  # Dirichlet at the truncated far ends
-        P = np.zeros((n, n), dtype=complex)
+        A, _ = delta_center_ab(v, truncation, yhat)
+        if not np.isfinite(A).all() or A.imag.any():
+            raise ConditionError(f"potential at y={yhat:.6g} is not finite "
+                                 "and real")
+        L0 = l_step(A, Q, B_pinv)
         L = np.zeros((n, n), dtype=complex)
-        P[:half_dim, :half_dim] = Ph
-        P[half_dim:, half_dim:] = Ph
-        L[:half_dim, :half_dim] = Lh
-        L[half_dim:, half_dim:] = Lh
+        L[:4, :4] = L[8:12, 8:12] = L0
         return P, L
 
     return g, BoundaryMap(dim=n, eval_fn=ev)

@@ -256,21 +256,28 @@ def build_map(cfg: RunConfig):
     return g, m
 
 
-def checked_inputs(cfg: RunConfig):
-    """(graph, map, mesh, validate_map report at the mesh's y-nodes, where
-    assembly evaluates the map); a one-particle run needs a lifted map."""
+def built_inputs(cfg: RunConfig):
+    """(graph, map, mesh) of the config; nothing samples the map."""
     g, m = build_map(cfg)
-    mesh = build_mesh(g, cfg.mesh)
+    return g, m, build_mesh(g, cfg.mesh)
+
+
+def checked_inputs(cfg: RunConfig, inputs: tuple = None):
+    """(graph, map, mesh, validate_map report at the mesh's y-nodes, where
+    assembly evaluates the map) of the config's ``built_inputs``, or of
+    ``inputs`` if the caller has built them; a one-particle run needs a
+    lifted map."""
+    g, m, mesh = built_inputs(cfg) if inputs is None else inputs
     if cfg.particles == 1 and "conditions" not in m.meta:
         raise ConfigError("one-particle runs need a map of kind 'lifted'")
     return g, m, mesh, validate_map(m, mesh.y_nodes)
 
 
-def assemble_from_config(cfg: RunConfig):
+def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, form) of the config's particles and sector; inputs
     that fail ``checked_inputs``, a map with validate_map errors included,
     raise before anything is assembled."""
-    g, m, mesh, report = checked_inputs(cfg)
+    g, m, mesh, report = checked_inputs(cfg, inputs)
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
                        "error(s); see 'qg2p validate')")
@@ -295,9 +302,12 @@ def _outdir(cfg: RunConfig, override: str = None) -> str:
 
 
 def _write_csv(path: str, header: str, columns, fmt: str) -> None:
+    """The header, then one ``fmt % row`` line per row of the columns: the
+    bytes of ``np.savetxt(fh, rows, fmt=fmt)``, formatted in one pass."""
+    rows = np.column_stack(columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, np.column_stack(columns), fmt=fmt)
+        fh.write(((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
@@ -429,10 +439,10 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     if cfg.sector == "fermion":
         raise ConfigError("example-delta solves the boson sector; "
                           "sector must be 'full' or 'boson'")
-    g, _ = build_map(cfg)       # samples nothing: checked before assembly
-    if len(set(build_mesh(g, cfg.mesh).nodes)) > 1:
+    g, m, mesh = built_inputs(cfg)   # samples nothing: checked before assembly
+    if len(set(mesh.nodes)) > 1:
         raise ConfigError("the folded example needs equal node counts")
-    g, m, mesh, form = assemble_from_config(replace(cfg, sector="boson"))
+    *_, form = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))
     result = solve(form, cfg.num_eigs)
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1

@@ -64,21 +64,34 @@ def ab_to_pl(A: np.ndarray, B: np.ndarray):
         raise ConditionError(f"invalid (A, B): {report}")
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    n = A.shape[0]
+    P, Q, B_pinv = kernel_split(B)
+    return P, l_step(A, Q, B_pinv, B)
 
+
+def kernel_split(B: np.ndarray):
+    """The A-independent part of ``ab_to_pl``: the orthogonal projector P
+    onto ker B, Q = 1 - P and the pseudo-inverse B⁺ of B."""
+    B = np.asarray(B, dtype=complex)
+    n = B.shape[0]
     u, sv, vh = np.linalg.svd(B)
     cutoff = TOL * max(sv[0] if sv.size else 0.0, 1.0)
     null = vh.conj().T[:, sv <= cutoff] if sv.size else np.eye(n)
     P = _hermitize(null @ null.conj().T)
-    Q = np.eye(n) - P
+    return P, np.eye(n) - P, np.linalg.pinv(B, rcond=TOL)
 
+
+def l_step(A: np.ndarray, Q: np.ndarray, B_pinv: np.ndarray,
+           B: np.ndarray = None) -> np.ndarray:
+    """The L of ``ab_to_pl`` from A and the ``kernel_split`` (Q, B⁺) of B.
+    Given B, first check that B L = A Q is solvable; a caller whose pair is
+    solvable for every A it passes (checked once) leaves B out."""
     # Minimum-norm solution of B L = A Q lies in ran B* = ran Q.
-    L = np.linalg.pinv(B, rcond=TOL) @ A @ Q
-    resid = np.linalg.norm(B @ L - A @ Q, 2)
-    if resid > 1e3 * TOL * max(1.0, np.linalg.norm(A, 2)):
-        raise ConditionError(f"B L = A Q unsolvable (residual {resid:.2e})")
-    L = _hermitize(Q @ L @ Q)
-    return P, L
+    L = B_pinv @ A @ Q
+    if B is not None:
+        resid = np.linalg.norm(B @ L - A @ Q, 2)
+        if resid > 1e3 * TOL * max(1.0, np.linalg.norm(A, 2)):
+            raise ConditionError(f"B L = A Q unsolvable (residual {resid:.2e})")
+    return _hermitize(Q @ L @ Q)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ from qg2p.bc_maps import (MapError, block_structured, constant_map,
                           is_noninteracting, lift_one_particle, piecewise_map,
                           validate_map)
 from qg2p.graph_core import BoundaryIndexMap
-from qg2p.vertex_conditions import standard_family, validate_ab
+from qg2p.vertex_conditions import (ConditionError, ab_to_pl, standard_family,
+                                    validate_ab)
 
 
 def gaussian_well(x, y, depth=2.0, width=0.5):
@@ -155,6 +156,35 @@ class TestDeltaExample:
     def test_truncation_must_be_positive(self):
         with pytest.raises(MapError):
             delta_example_map(gaussian_well, -1.0)
+
+    @pytest.mark.parametrize("v", [gaussian_well, lambda x, y: 0.0],
+                             ids=["gaussian", "zero"])
+    def test_samples_equal_the_embedded_center_pair(self, v):
+        """The map computes B's kernel split once; each sample is still
+        bit for bit the embedded ab_to_pl of the center pair at y."""
+        T = 3.0
+        g, m = delta_example_map(v, T)
+        for y in (0.0, 0.37, 1.0):
+            P0, L0 = ab_to_pl(*delta_center_ab(v, T, y))
+            P = np.zeros((16, 16), dtype=complex)
+            L = np.zeros((16, 16), dtype=complex)
+            for off in (0, 8):
+                P[off:off + 4, off:off + 4] = P0
+                P[off + 4:off + 8, off + 4:off + 8] = np.eye(4)
+                L[off:off + 4, off:off + 4] = L0
+            got = m(y)
+            assert np.array_equal(got[0], P) and np.array_equal(got[1], L)
+
+    @pytest.mark.parametrize("v", [
+        lambda x, y: np.nan,
+        lambda x, y: np.nan if y > 0.5 else 1.0,
+        lambda x, y: 1.0 + 0.5j,
+        lambda x, y: 1.0 + 0.5j if y > 0.5 else 1.0,
+    ], ids=["nan", "nan-at-y", "complex", "complex-at-y"])
+    def test_non_finite_or_complex_potential_is_a_condition_error(self, v):
+        with pytest.raises(ConditionError):
+            g, m = delta_example_map(v, 2.0)
+            m.samples()
 
 
 class TestFolding:

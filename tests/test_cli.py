@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qg2p import cli, eigensolve, form_assembly, symmetry
+from qg2p import bc_maps, cli, eigensolve, form_assembly, symmetry
 from qg2p.cli import (ConfigError, build_map, load_config, main,
                       matrix_from_json, parse_config)
 
@@ -51,6 +51,26 @@ class TestMatrixSerialization:
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigError):
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestWriteCsv:
+    VALUES = np.array([0.0, -1.5, 3.0, -7.0, 1e-300, -2.5e-310, 1e300,
+                       -9.87654321e123, 42.0, 6.02214076e23, -0.0, 1.0 / 3])
+
+    @pytest.mark.parametrize("fmt", ["%d,%.12e,%d,%.6e", "%.12e,%d,%.12e",
+                                     "%.9e,%.9e,%.12e"])
+    @pytest.mark.parametrize("nrows", [1, 5, 12])
+    def test_bytes_equal_savetxt(self, tmp_path, fmt, nrows):
+        """Integer-valued, negative, tiny, subnormal and huge floats, in
+        %d columns of a float array too, format as np.savetxt does."""
+        ncols = fmt.count("%")
+        columns = [np.roll(self.VALUES, 3 * c)[:nrows] for c in range(ncols)]
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), "a,b", columns, fmt)
+        with open(tmp_path / "ref.csv", "w") as fh:
+            fh.write("a,b\n")
+            np.savetxt(fh, np.column_stack(columns), fmt=fmt)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestConfig:
@@ -391,12 +411,28 @@ class TestExampleDeltaCommand:
                          for name in ("folded.csv", "example_delta.json")])
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(a) or orig(*a, **k))
+        return calls
+
+    def test_builds_map_and_mesh_once(self, tmp_path, monkeypatch, capsys):
+        maps, meshes = (self.count_calls(monkeypatch, cli, name)
+                        for name in ("build_map", "build_mesh"))
+        doc = dict(self.DOC, mesh={"nodes": 17})
+        assert main(["example-delta", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (len(maps), len(meshes)) == (1, 1)
+
     def test_unequal_node_counts_rejected_before_assembly(self, tmp_path,
                                                           monkeypatch, capsys):
-        calls = []
-        orig = form_assembly.assemble_two_particle
-        monkeypatch.setattr(form_assembly, "assemble_two_particle",
-                            lambda *a, **k: calls.append(a) or orig(*a, **k))
+        calls = self.count_calls(monkeypatch, form_assembly,
+                                 "assemble_two_particle")
+        samples = self.count_calls(monkeypatch, bc_maps.BoundaryMap,
+                                   "__call__")
         doc = dict(self.DOC, mesh={"nodes_per_edge": [7, 9]})
         code = main(["example-delta", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
@@ -404,7 +440,7 @@ class TestExampleDeltaCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "equal node counts" in err
-        assert calls == []
+        assert calls == [] and samples == []
 
 
 def analysis_doc(**analysis):

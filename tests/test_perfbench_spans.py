@@ -3,6 +3,7 @@
 in a traced benchmark run."""
 import json
 import os
+import subprocess
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
@@ -81,3 +82,22 @@ def test_tracer_spans_an_example_delta_request_with_strict_json_metrics(
     metrics = tracer.request_metrics()
     assert metrics["symmetry.sector_dim"] > 0
     json.dumps(metrics, allow_nan=False)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_traced_benchmark_run_prints_a_strict_json_correct_result():
+    """`perfbench/run.py --trace 1` as the benchmark is run: its last stdout
+    line parses as strict JSON (no NaN or Infinity) and says `correct`."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
+         "delta-fold", "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True, proc.stdout
+    assert result["metrics"]["bc_maps.map_calls"]["value"] > 0
