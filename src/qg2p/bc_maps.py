@@ -132,7 +132,11 @@ def validate_map(m: BoundaryMap, ys: Sequence[float] = None) -> MapValidationRep
     ys = _default_samples(ys)
     P, L = m.samples(ys)
     Q = np.eye(m.dim) - P
-    norm = lambda X: np.linalg.norm(X, 2, axis=(1, 2))    # per sample
+
+    def norm(X):   # per sample; inf, without LAPACK, where X overflowed
+        finite = np.isfinite(X).all(axis=(1, 2))
+        X = np.where(finite[:, None, None], X, 0.0)
+        return np.where(finite, np.linalg.norm(X, 2, axis=(1, 2)), np.inf)
     defects = (
         (np.maximum(norm(P @ P - P), norm(P - P.conj().swapaxes(1, 2))),
          "P(y={:.6g}) is not an orthogonal projector (defect {:.2e})"),

@@ -7,7 +7,6 @@ override included), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -33,15 +32,17 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+# the errors of inputs that break the paper's hypotheses: exit 2
+INPUT_ERRORS = (ConfigError, GraphError, ConditionError, MapError,
+                AssemblyError, SymmetryError)
+
+
 # ---------------------------------------------------------------------------
 # matrix deserialization: nested arrays of [re, im] pairs
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix entry: {exc}")
+    arr = np.asarray(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ConfigError("matrices must be nested arrays of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -159,32 +160,15 @@ def _checked_analysis(a: dict) -> dict:
 
 def build_mesh(g: MetricGraph, mesh_spec: dict) -> Mesh:
     """The mesh of a spacing 'h' or of integer 'nodes' or 'nodes_per_edge'."""
-    try:
-        if "h" in mesh_spec:
-            return Mesh.by_spacing(g, float(mesh_spec["h"]))
-        counts = ([mesh_spec["nodes"]] * g.E if "nodes" in mesh_spec
-                  else mesh_spec.get("nodes_per_edge"))
-        if counts is not None:
-            if any(type(n) is not int for n in counts):
-                raise ValueError(f"node counts must be integers, got {mesh_spec}")
-            return Mesh(g, tuple(counts))
-    except (TypeError, ValueError, OverflowError) as exc:   # AssemblyError too
-        raise ConfigError(f"bad mesh: {exc}") from None
+    if "h" in mesh_spec:
+        return Mesh.by_spacing(g, float(mesh_spec["h"]))
+    counts = ([mesh_spec["nodes"]] * g.E if "nodes" in mesh_spec
+              else mesh_spec.get("nodes_per_edge"))
+    if counts is not None:
+        if any(type(n) is not int for n in counts):
+            raise ConfigError(f"node counts must be integers, got {mesh_spec}")
+        return Mesh(g, tuple(counts))
     raise ConfigError("mesh needs 'h', 'nodes' or 'nodes_per_edge'")
-
-
-def _map_entries_checked(build):
-    """``build`` with a plain TypeError, ValueError or AttributeError (a
-    malformed map entry) as a ConfigError; the package's own pass through."""
-    @functools.wraps(build)
-    def checked(*args):
-        try:
-            return build(*args)
-        except (ConfigError, GraphError, ConditionError, MapError):
-            raise
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad map entry: {exc}") from None
-    return checked
 
 
 def _potential_from_spec(spec: dict):
@@ -200,7 +184,6 @@ def _potential_from_spec(spec: dict):
     raise ConfigError(f"unknown potential kind {spec.get('kind')!r}")
 
 
-@_map_entries_checked
 def build_conditions(g: MetricGraph, spec: dict) -> VertexConditions:
     """One-particle conditions from a descriptor (family name, delta
     strength, explicit (A, B) or explicit (P, L) matrices)."""
@@ -219,14 +202,6 @@ def build_conditions(g: MetricGraph, spec: dict) -> VertexConditions:
                       "('A','B') or ('P','L')")
 
 
-def _entry(spec, key: str):
-    try:
-        return spec[key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"map spec needs {key!r}") from None
-
-
-@_map_entries_checked
 def build_map(cfg: RunConfig):
     """(graph, BoundaryMap) from the config; the delta example supplies its
     own truncated graph.  A map whose dimension is not 4 E^2 is a MapError,
@@ -242,13 +217,12 @@ def build_map(cfg: RunConfig):
         vc = build_conditions(g, spec)
         return g, bc_maps.lift_one_particle(vc, g)
     if kind == "constant":
-        m = bc_maps.constant_map(matrix_from_json(_entry(spec, "P")),
-                                 matrix_from_json(_entry(spec, "L")))
+        m = bc_maps.constant_map(matrix_from_json(spec["P"]),
+                                 matrix_from_json(spec["L"]))
     elif kind == "piecewise":
-        pieces = [(matrix_from_json(_entry(p, "P")),
-                   matrix_from_json(_entry(p, "L")))
-                  for p in _entry(spec, "pieces")]
-        m = bc_maps.piecewise_map(_entry(spec, "breakpoints"), pieces)
+        pieces = [(matrix_from_json(p["P"]), matrix_from_json(p["L"]))
+                  for p in spec["pieces"]]
+        m = bc_maps.piecewise_map(spec["breakpoints"], pieces)
     else:
         raise ConfigError(f"unknown map kind {kind!r}")
     if m.dim != 4 * g.E ** 2:
@@ -257,9 +231,18 @@ def build_map(cfg: RunConfig):
 
 
 def built_inputs(cfg: RunConfig):
-    """(graph, map, mesh) of the config; nothing samples the map."""
-    g, m = build_map(cfg)
-    return g, m, build_mesh(g, cfg.mesh)
+    """(graph, map, mesh) of the config; nothing samples the map.  The one
+    input boundary: a builder's plain TypeError, ValueError, AttributeError,
+    KeyError or ArithmeticError (a malformed entry) becomes a ConfigError."""
+    try:
+        g, m = build_map(cfg)
+        return g, m, build_mesh(g, cfg.mesh)
+    except INPUT_ERRORS:
+        raise
+    except (TypeError, ValueError, AttributeError, KeyError,
+            ArithmeticError) as exc:
+        raise ConfigError(f"malformed config entry ({type(exc).__name__}: "
+                          f"{exc})") from None
 
 
 def checked_inputs(cfg: RunConfig, inputs: tuple = None):
@@ -317,10 +300,22 @@ def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
                 np.repeat(sizes, sizes), result.residuals), "%d,%.12e,%d,%.6e")
 
 
-def _json_dump(path: str, obj) -> None:
+def _json_text(obj, name: str) -> str:
+    """``obj`` as strict JSON; a NaN or infinity is a SolveError naming it."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        bad = [s.strip(" ,") for s in json.dumps(obj, indent=2).splitlines()
+               if s.rstrip(",").endswith(("NaN", "Infinity"))]
+        raise SolveError(f"{name}: non-finite {', '.join(bad)}") from None
+
+
+def _json_dump(path: str, obj) -> str:
+    """Write ``obj`` to ``path`` as strict JSON and return the text."""
+    text = _json_text(obj, os.path.basename(path))
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +326,9 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
         g, m, mesh, mrep = checked_inputs(cfg)
-    except (GraphError, ConditionError, MapError, ConfigError,
-            AssemblyError) as exc:
+    except INPUT_ERRORS as exc:
         report["notes"].append(str(exc))
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report, "validate report"))
         return EXIT_VALIDATION
 
     report["graph"] = {"edges": g.E, "vertices": g.V,
@@ -359,8 +353,9 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
             "non-compact two-half-line configuration truncated to length "
             f"{cfg.map.get('truncation', 1.0)} with far-end Dirichlet "
             "conditions; results depend on the truncation")
-    out = json.dumps(report, indent=2, sort_keys=True)
-    print(out)
+    if not mrep.ok:   # a map with errors may have inf defects: write null
+        report = json.loads(json.dumps(report), parse_constant=lambda c: None)
+    print(_json_text(report, "validate report"))
     if outdir or cfg.output.get("dir"):
         _json_dump(os.path.join(_outdir(cfg, outdir), "validation.json"), report)
     return EXIT_OK if mrep.ok else EXIT_VALIDATION
@@ -369,8 +364,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
 def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
     result = solve(form, cfg.num_eigs)
-    d = _outdir(cfg, outdir)
-    write_eigenvalue_csv(os.path.join(d, "eigenvalues.csv"), result)
+    d = _outdir(cfg, outdir)   # JSON first: a non-finite residual stops the CSV
     _json_dump(os.path.join(d, "spectrum.json"), {
         "sector": cfg.sector,
         "num_eigs": cfg.num_eigs,
@@ -383,6 +377,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
             "shifts", "slices", "sectors", "lu_fill_nnz", "inertia_certified",
             "max_m_orth_defect", "warnings")},
     })
+    write_eigenvalue_csv(os.path.join(d, "eigenvalues.csv"), result)
     print(f"wrote {cfg.num_eigs} eigenvalues ({result.method}) to {d}")
     return EXIT_OK
 
@@ -426,8 +421,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None,
         analysis["lift_check"] = {"max_relative_deviation": dev,
                                   "pass": dev < 1e-9}
 
-    _json_dump(os.path.join(d, "analysis.json"), analysis)
-    print(json.dumps(analysis, indent=2, sort_keys=True))
+    print(_json_dump(os.path.join(d, "analysis.json"), analysis))
     return EXIT_OK
 
 
@@ -467,8 +461,7 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
         "truncation": T,
         "mesh_nodes": mesh.nodes[0],
     }
-    _json_dump(os.path.join(d, "example_delta.json"), report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_dump(os.path.join(d, "example_delta.json"), report))
     return EXIT_OK
 
 
@@ -494,6 +487,7 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@np.errstate(all="ignore")   # a failing run prints its one line, no warnings
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -509,8 +503,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, args.out, window=window)
         return cmd_example_delta(cfg, args.out)
-    except (ConfigError, GraphError, ConditionError, MapError,
-            SymmetryError, AssemblyError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolveError, spectral_analysis.AnalysisError,

@@ -308,6 +308,9 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     M = sp.block_diag(
         [sp.kron(m1[a], m1[b]) for a in range(E) for b in range(E)],
         format="csr")
+    if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
+        raise AssemblyError("stiffness or mass overflows: an edge length "
+                            "is too large or too small")
 
     comp_nodes = boundary_component_nodes(mesh, idx)
     ys = mesh.y_nodes

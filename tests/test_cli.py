@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qg2p import bc_maps, cli, eigensolve, form_assembly, symmetry
-from qg2p.cli import (ConfigError, build_map, load_config, main,
+from qg2p.cli import (ConfigError, built_inputs, load_config, main,
                       matrix_from_json, parse_config)
 
 
@@ -603,7 +603,7 @@ class TestExitCodes:
         else:
             del doc["map"][key]
         with pytest.raises(ConfigError, match=repr(key)):
-            build_map(parse_config(doc))
+            built_inputs(parse_config(doc))
         code = main([command, "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
         assert code == 2
