@@ -12,8 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph_core import BoundaryIndexMap, MetricGraph, build_graph
-from .vertex_conditions import (ConditionError, VertexConditions, _hermitize,
-                                ab_to_pl, kernel_split, l_step)
+from .vertex_conditions import ConditionError, VertexConditions, _hermitize
 
 TOL = 1e-9   # entry and defect tolerance of the map checks and predicates
 
@@ -227,63 +226,35 @@ def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
 def delta_example_map(v: Callable[[float, float], float], truncation: float):
     """Two identical particles on two joined half-lines (truncated to a
     compact 2-star with Dirichlet far ends), coupled through a singular
-    vertex potential v sampled along the boundary.
-
-    Returns the truncated graph and the boundary map whose conditions
-    enforce continuity across the center vertex in the first variable and
-    a derivative jump weighted by v(0, +/- y).
-    """
+    vertex potential v sampled along the boundary: the truncated graph and
+    its boundary map, in closed form.  Each half of the map (offsets 0, 8)
+    holds components [11, 12, 21, 22] at 0-3; pairs (0, 2) and (1, 3) are
+    degree-2 vertices of strength v(0, +-T y), so as in delta_family at
+    d = 2, P = 1/2 [[1, -1], [-1, 1]] and L = -v/4 on each pair, and 4-7
+    keep P = 1 (far-end Dirichlet)."""
     if truncation <= 0:
         raise MapError("truncation must be positive")
     g = build_graph({"vertices": ["center", "leaf1", "leaf2"],
                      "edges": [["center", "leaf1", truncation],
                                ["center", "leaf2", truncation]]})
     n = 16  # 4 E^2 with E = 2
-
-    # B, and with it P, Q and B+, does not depend on y; for a finite real v
-    # neither does the rank of [A B] nor the solvability of B L = A Q, so
-    # the full checks run once here and each y checks only v(0, +/- T y).
-    A, B = delta_center_ab(v, truncation, 0.0)
-    ab_to_pl(A, B)
-    P0, Q, B_pinv = kernel_split(B)
-    P = np.zeros((n, n), dtype=complex)
-    for off in (0, 8):               # the two halves carry the same block
-        P[off:off + 4, off:off + 4] = P0
-        P[off + 4:off + 8, off + 4:off + 8] = np.eye(4)  # far-end Dirichlet
+    ends = np.array([[0, 2], [1, 3]])    # rows, cols: (half, pair, i, j)
+    rows = np.array([0, 8])[:, None, None, None] + ends[:, :, None]
+    cols = np.array([0, 8])[:, None, None, None] + ends[:, None, :]
+    P = np.eye(n, dtype=complex)
+    P[rows, cols] = np.where(rows == cols, 0.5, -0.5)
 
     def ev(yhat: float):
-        A, _ = delta_center_ab(v, truncation, yhat)
-        if not np.isfinite(A).all() or A.imag.any():
+        s = np.array([v(0.0, truncation * yhat), v(0.0, -truncation * yhat)],
+                     dtype=complex)
+        if not np.isfinite(s).all() or s.imag.any():
             raise ConditionError(f"potential at y={yhat:.6g} is not finite "
                                  "and real")
-        L0 = l_step(A, Q, B_pinv)
         L = np.zeros((n, n), dtype=complex)
-        L[:4, :4] = L[8:12, 8:12] = L0
+        L[rows, cols] = -s[:, None, None] / 4.0
         return P, L
 
     return g, BoundaryMap(dim=n, eval_fn=ev)
-
-
-def delta_center_ab(v: Callable[[float, float], float], truncation: float,
-                    yhat: float):
-    """The 4x4 (A(y), B(y)) of the center-vertex conditions at a normalized
-    position, in component order [11, 12, 21, 22]: continuity across the
-    vertex in the first variable plus a v-weighted derivative jump."""
-    v_plus = v(0.0, truncation * yhat)
-    v_minus = v(0.0, -truncation * yhat)
-    A = np.array([
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, v_plus, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-        [0.0, 0.0, 0.0, v_minus],
-    ], dtype=complex)
-    B = np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [-1.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, -1.0],
-    ], dtype=complex)
-    return A, B
 
 
 def fold_to_plane(psi11, psi12, psi21, psi22) -> np.ndarray:

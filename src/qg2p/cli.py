@@ -126,7 +126,7 @@ def _window(pair) -> tuple:
 
 
 def _positive(v, kind, what: str):
-    if type(v) not in (int, float) or not 0 < v < np.inf or kind(v) != v:
+    if type(v) not in (int, kind) or not 0 < v <= sys.float_info.max:
         raise ConfigError(f"{what} must be a positive {kind.__name__}")
     return kind(v)
 
@@ -176,9 +176,10 @@ def _potential_from_spec(spec: dict):
     if kind == "gaussian":
         amp = float(spec.get("amplitude", 1.0))
         width = float(spec.get("width", 1.0))
-        if width == 0.0:
-            raise ConfigError("gaussian potential needs a nonzero width")
-        return lambda x, y: amp * np.exp(-(x * x + y * y) / (2.0 * width**2))
+        denom = 2.0 * width ** 2
+        if not 0.0 < denom < np.inf:
+            raise ConfigError(f"gaussian width {width!r} has no positive finite square")
+        return lambda x, y: amp * np.exp(-(x * x + y * y) / denom)
     if kind == "zero":
         return lambda x, y: 0.0
     raise ConfigError(f"unknown potential kind {spec.get('kind')!r}")
@@ -249,10 +250,12 @@ def checked_inputs(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, validate_map report at the mesh's y-nodes, where
     assembly evaluates the map) of the config's ``built_inputs``, or of
     ``inputs`` if the caller has built them; a one-particle run needs a
-    lifted map."""
+    lifted map, a two-particle one finite stiffness and mass."""
     g, m, mesh = built_inputs(cfg) if inputs is None else inputs
     if cfg.particles == 1 and "conditions" not in m.meta:
         raise ConfigError("one-particle runs need a map of kind 'lifted'")
+    if cfg.particles == 2:
+        form_assembly.check_finite_scale(mesh)
     return g, m, mesh, validate_map(m, mesh.y_nodes)
 
 
@@ -341,6 +344,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
         "corner_regular": mrep.corner_regular,
         "max_projector_defect": mrep.max_projector_defect,
         "max_self_adjointness_defect": mrep.max_sa_defect,
+        "max_qlq_defect": mrep.max_qlq_defect,
         "errors": list(mrep.errors),
         "warnings": list(mrep.warnings),
         "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
@@ -438,6 +442,8 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
         raise ConfigError("the folded example needs equal node counts")
     *_, form = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))
     result = solve(form, cfg.num_eigs)
+    if not np.isfinite(result.residuals).all():   # spectrum.json's rule
+        raise SolveError("example-delta: non-finite residuals")
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]

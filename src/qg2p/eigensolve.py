@@ -11,6 +11,7 @@ lowest k of the union of their spectra, the full one, are the result.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -95,12 +96,10 @@ def available_memory() -> float:
 
 @dataclass
 class SpectrumResult:
-    """Sorted eigenvalues with eigenvectors in full coordinates: given, or
-    kept reduced as ``blocks``, one ``(N, U, cols)`` per pencil with N @ U
-    the columns ``cols``, and prolonged on the first read."""
+    """Sorted eigenvalues, with the eigenvectors kept reduced as ``blocks``,
+    one ``(N, U, cols)`` per pencil with N @ U the columns ``cols``."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(default=None, repr=False)  # full dofs
     method: str = "dense"
     residuals: np.ndarray = None
     meta: dict = field(default_factory=dict)
@@ -116,19 +115,15 @@ class SpectrumResult:
         return [(float(np.mean(c)), len(c))
                 for c in np.split(lam, _chain_cuts(lam)) if len(c)]
 
-
-def _prolonged(self: SpectrumResult) -> np.ndarray:
-    if self._vectors is None and self.blocks:
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors in full dofs, prolonged on the first read."""
         X = np.empty((self.blocks[0][0].shape[0], self.k), dtype=np.result_type(
             *[a.dtype for N, U, _ in self.blocks for a in (N, U)]))
         for N, U, cols in self.blocks:
             for j in range(0, len(cols), SLICE):    # SLICE columns at a time
                 X[:, cols[j:j + SLICE]] = N @ U[:, j:j + SLICE]
-        self._vectors = X
-    return self._vectors
-
-
-SpectrumResult.eigenvectors = property(_prolonged, lambda r, X: setattr(r, "_vectors", X))
+        return X
 
 
 def _tied(a, b):

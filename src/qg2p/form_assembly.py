@@ -284,6 +284,21 @@ def _coupling_clusters(P: np.ndarray, L: np.ndarray, counts: np.ndarray):
     return clusters
 
 
+def check_finite_scale(mesh: Mesh) -> None:
+    """AssemblyError unless the two-particle stiffness and mass are
+    representable.  With the 1-D diagonals k = 2/h and m = 4h/6, their
+    largest entries, k_a m_b + m_a k_b and m_a m_b, must be finite, and the
+    smallest mass entry, (h_a/6)(h_b/6), must be a normal number."""
+    h = np.array([mesh.spacing(e) for e in range(mesh.graph.E)])
+    with np.errstate(all="ignore"):
+        k, m = 2.0 / h, 4.0 * h / 6.0
+        big = [np.outer(k, m) + np.outer(m, k), np.outer(m, m)]
+        small = np.outer(h / 6.0, h / 6.0)
+    if not (np.isfinite(big).all() and small.min() >= np.finfo(float).tiny):
+        raise AssemblyError("stiffness or mass overflows or underflows: an "
+                            "edge length is too large or too small")
+
+
 def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
                           mesh: Mesh) -> DiscreteForm:
     """Discretize the two-particle form on the disjoint rectangles.
@@ -299,6 +314,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     if m.dim != idx.dim_full:
         raise AssemblyError(f"map dimension {m.dim} != 4 E^2 = {idx.dim_full}")
 
+    check_finite_scale(mesh)
     E = g.E
     k1 = [stiffness_1d(g.edges[e].length, mesh.nodes[e]) for e in range(E)]
     m1 = [mass_1d(g.edges[e].length, mesh.nodes[e]) for e in range(E)]
@@ -308,9 +324,6 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     M = sp.block_diag(
         [sp.kron(m1[a], m1[b]) for a in range(E) for b in range(E)],
         format="csr")
-    if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
-        raise AssemblyError("stiffness or mass overflows: an edge length "
-                            "is too large or too small")
 
     comp_nodes = boundary_component_nodes(mesh, idx)
     ys = mesh.y_nodes

@@ -1,9 +1,10 @@
 """One-particle boundary-condition algebra on C^{2E}.
 
-Self-adjoint Laplacian domains are described either by a matrix pair
-(A, B) with A F_bv + B F'_bv = 0, or canonically by an orthogonal
+Self-adjoint Laplacian domains are held canonically as an orthogonal
 projector P (P F_bv = 0) together with a self-adjoint map L supported on
-ker P (Q F'_bv + L Q F_bv = 0, Q = 1 - P).
+ker P (Q F'_bv + L Q F_bv = 0, Q = 1 - P).  A matrix pair (A, B) with
+A F_bv + B F'_bv = 0 is an input format: ``validate_ab``, ``ab_to_pl``,
+``VertexConditions.from_ab`` and ``equivalence_check`` read it.
 """
 from __future__ import annotations
 
@@ -60,66 +61,48 @@ def ab_to_pl(A: np.ndarray, B: np.ndarray):
     """Canonical (P, L) of a valid pair: P projects onto ker B and
     L = (B restricted to ran B*)^{-1} A Q, extended by zero on ran P."""
     report = validate_ab(A, B)
-    if not report.ok:
-        raise ConditionError(f"invalid (A, B): {report}")
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    P, Q, B_pinv = kernel_split(B)
-    return P, l_step(A, Q, B_pinv, B)
-
-
-def kernel_split(B: np.ndarray):
-    """The A-independent part of ``ab_to_pl``: the orthogonal projector P
-    onto ker B, Q = 1 - P and the pseudo-inverse B⁺ of B."""
-    B = np.asarray(B, dtype=complex)
-    n = B.shape[0]
-    u, sv, vh = np.linalg.svd(B)
+    n = len(A)
+    if not report.rank_ok:
+        raise ConditionError(f"invalid (A, B): [A B] has rank {report.rank}, "
+                             f"not 2E = {n}")
+    if not report.sa_ok:
+        raise ConditionError("invalid (A, B): A B* is not Hermitian "
+                             f"(defect {report.sa_defect:.2e})")
+    A, B = (np.asarray(X, dtype=complex) for X in (A, B))
+    _, sv, vh = np.linalg.svd(B)
     cutoff = TOL * max(sv[0] if sv.size else 0.0, 1.0)
     null = vh.conj().T[:, sv <= cutoff] if sv.size else np.eye(n)
     P = _hermitize(null @ null.conj().T)
-    return P, np.eye(n) - P, np.linalg.pinv(B, rcond=TOL)
-
-
-def l_step(A: np.ndarray, Q: np.ndarray, B_pinv: np.ndarray,
-           B: np.ndarray = None) -> np.ndarray:
-    """The L of ``ab_to_pl`` from A and the ``kernel_split`` (Q, B⁺) of B.
-    Given B, first check that B L = A Q is solvable; a caller whose pair is
-    solvable for every A it passes (checked once) leaves B out."""
+    Q = np.eye(n) - P
     # Minimum-norm solution of B L = A Q lies in ran B* = ran Q.
-    L = B_pinv @ A @ Q
-    if B is not None:
-        resid = np.linalg.norm(B @ L - A @ Q, 2)
-        if resid > 1e3 * TOL * max(1.0, np.linalg.norm(A, 2)):
-            raise ConditionError(f"B L = A Q unsolvable (residual {resid:.2e})")
-    return _hermitize(Q @ L @ Q)
+    L = np.linalg.pinv(B, rcond=TOL) @ A @ Q
+    resid = np.linalg.norm(B @ L - A @ Q, 2)
+    if resid > 1e3 * TOL * max(1.0, np.linalg.norm(A, 2)):
+        raise ConditionError(f"B L = A Q unsolvable (residual {resid:.2e})")
+    return P, _hermitize(Q @ L @ Q)
 
 
 @dataclass(frozen=True)
 class VertexConditions:
-    """Validated one-particle condition with both descriptions attached."""
+    """Validated one-particle condition in its canonical form (P, L)."""
 
-    A: np.ndarray
-    B: np.ndarray
     P: np.ndarray
     L: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.P.shape[0]
 
     @classmethod
     def from_ab(cls, A, B) -> "VertexConditions":
-        P, L = ab_to_pl(A, B)
-        return cls(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), P, L)
+        return cls(*ab_to_pl(A, B))
 
     @classmethod
     def from_pl(cls, P, L) -> "VertexConditions":
-        # (A, B) = (P + L, Q) is always a valid representative of (P, L).
         P = _hermitize(np.asarray(P, dtype=complex))
         L = _hermitize(np.asarray(L, dtype=complex))
         Q = np.eye(P.shape[0]) - P
-        L = _hermitize(Q @ L @ Q)
-        return cls(P + L, Q, P, L)
+        return cls(P, _hermitize(Q @ L @ Q))
 
 
 def equivalence_check(A, B, A2, B2) -> bool:

@@ -47,3 +47,26 @@ def bump_interaction_map(dim=4, L0=None):
         return np.zeros((dim, dim)), L
 
     return BoundaryMap(dim=dim, eval_fn=ev)
+
+
+def delta_center_ab(v, truncation, yhat):
+    """The paper's 4x4 (A(y), B(y)) of the delta example's center-vertex
+    conditions at a normalized position, in component order [11, 12, 21,
+    22]: continuity across the vertex in the first variable plus a
+    v-weighted derivative jump.  ``bc_maps.delta_example_map`` writes the
+    canonical (P, L) of this pair in closed form."""
+    v_plus = v(0.0, truncation * yhat)
+    v_minus = v(0.0, -truncation * yhat)
+    A = np.array([
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, v_plus, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [0.0, 0.0, 0.0, v_minus],
+    ], dtype=complex)
+    B = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [-1.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, -1.0],
+    ], dtype=complex)
+    return A, B

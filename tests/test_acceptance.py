@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bump_interaction_map
-from qg2p.bc_maps import (delta_center_ab, delta_example_map,
-                          fold_axis_jumps, lift_one_particle, validate_map)
+from conftest import bump_interaction_map, delta_center_ab
+from qg2p.bc_maps import (delta_example_map, fold_axis_jumps,
+                          lift_one_particle, validate_map)
 from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import (Mesh, assemble_one_particle,
                                 assemble_two_particle, semibound_constant)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import bump_interaction_map, smooth_bump
+from conftest import bump_interaction_map, delta_center_ab, smooth_bump
 from qg2p.bc_maps import (MapError, block_structured, constant_map,
-                          delta_center_ab, delta_example_map, fold_axis_jumps,
-                          fold_to_plane, is_local_two_particle,
-                          is_noninteracting, lift_one_particle, piecewise_map,
-                          validate_map)
+                          delta_example_map, fold_axis_jumps, fold_to_plane,
+                          is_local_two_particle, is_noninteracting,
+                          lift_one_particle, piecewise_map, validate_map)
 from qg2p.graph_core import BoundaryIndexMap
 from qg2p.vertex_conditions import (ConditionError, ab_to_pl, standard_family,
                                     validate_ab)
@@ -157,23 +156,47 @@ class TestDeltaExample:
         with pytest.raises(MapError):
             delta_example_map(gaussian_well, -1.0)
 
-    @pytest.mark.parametrize("v", [gaussian_well, lambda x, y: 0.0],
-                             ids=["gaussian", "zero"])
+    @pytest.mark.parametrize("v", [
+        gaussian_well, lambda x, y: 0.0, lambda x, y: 1.0 + 0.5 * y],
+        ids=["gaussian", "zero", "asymmetric"])
     def test_samples_equal_the_embedded_center_pair(self, v):
-        """The map computes B's kernel split once; each sample is still
-        bit for bit the embedded ab_to_pl of the center pair at y."""
-        T = 3.0
-        g, m = delta_example_map(v, T)
-        for y in (0.0, 0.37, 1.0):
-            P0, L0 = ab_to_pl(*delta_center_ab(v, T, y))
-            P = np.zeros((16, 16), dtype=complex)
-            L = np.zeros((16, 16), dtype=complex)
-            for off in (0, 8):
-                P[off:off + 4, off:off + 4] = P0
-                P[off + 4:off + 8, off + 4:off + 8] = np.eye(4)
-                L[off:off + 4, off:off + 4] = L0
-            got = m(y)
-            assert np.array_equal(got[0], P) and np.array_equal(got[1], L)
+        """The map writes (P, L) in closed form; each sample is within one
+        ulp of the strength of the embedded ab_to_pl of the paper's center
+        pair (A(y), B) at y, whose SVD and pseudo-inverse round."""
+        for T in (1.7, 2.0, 3.0):
+            g, m = delta_example_map(v, T)
+            for y in (0.0, 0.37, 1.0):
+                P0, L0 = ab_to_pl(*delta_center_ab(v, T, y))
+                P = np.zeros((16, 16), dtype=complex)
+                L = np.zeros((16, 16), dtype=complex)
+                for off in (0, 8):
+                    P[off:off + 4, off:off + 4] = P0
+                    P[off + 4:off + 8, off + 4:off + 8] = np.eye(4)
+                    L[off:off + 4, off:off + 4] = L0
+                ulp = np.spacing(max(1.0, abs(v(0.0, T * y)),
+                                     abs(v(0.0, -T * y))))
+                got = m(y)
+                assert np.abs(got[0] - P).max() <= ulp
+                assert np.abs(got[1] - L).max() <= ulp
+                assert np.array_equal(got[0], m(0.5)[0])   # P is y-free
+
+    def test_closed_form_is_exact(self):
+        g, m = delta_example_map(lambda x, y: 1.0 + 0.5 * y, 2.0)
+        P, L = m(0.25)                # strengths 1.25 and 0.75
+        half = 0.5 * np.array([[1, 0, -1, 0], [0, 1, 0, -1],
+                               [-1, 0, 1, 0], [0, -1, 0, 1]])
+        Lc = -np.array([[1.25, 0, 1.25, 0], [0, 0.75, 0, 0.75],
+                        [1.25, 0, 1.25, 0], [0, 0.75, 0, 0.75]]) / 4
+        for off in (0, 8):
+            assert np.array_equal(P[off:off + 4, off:off + 4], half)
+            assert np.array_equal(P[off + 4:off + 8, off + 4:off + 8],
+                                  np.eye(4))
+            assert np.array_equal(L[off:off + 4, off:off + 4], Lc)
+        assert np.count_nonzero(P) == 2 * (8 + 4)
+        assert np.count_nonzero(L) == 2 * 8
+
+    def test_potential_is_not_called_at_construction(self):
+        delta_example_map(lambda x, y: pytest.fail("v called"), 2.0)
 
     @pytest.mark.parametrize("v", [
         lambda x, y: np.nan,

@@ -143,6 +143,19 @@ class TestValidateCommand:
         assert code == 2
         assert report["map"] == {} and len(report["notes"]) == 1
 
+    @pytest.mark.parametrize("p00, qlq", [(1.0, 1.0), (1e300, None)],
+                             ids=["finite", "overflow"])
+    def test_reports_the_qlq_defect(self, tmp_path, capsys, p00, qlq):
+        # L(0, 0) = 1 lies in ran P, so L != Q L Q; with P(0, 0) = 1e300
+        # the product Q L Q overflows, and the report writes null
+        P, L = np.diag([p00, 0.0, 0.0, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0])
+        code = main(["validate", "--config",
+                     write_config(tmp_path, piecewise_doc(P, L))])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert any("L = Q L Q" in e for e in report["map"]["errors"])
+        assert report["map"]["max_qlq_defect"] == qlq
+
     def test_samples_only_the_mesh_y_nodes(self, tmp_path, capsys, monkeypatch):
         # every field of the report, the noninteracting and local flags
         # included, reads the map where assembly does
@@ -306,8 +319,7 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, doc)
         outputs = []
         for spectrum in (lam, split):
-            result = eigensolve.SpectrumResult(
-                eigenvalues=spectrum, eigenvectors=np.zeros((1, len(lam))))
+            result = eigensolve.SpectrumResult(eigenvalues=spectrum)
             monkeypatch.setattr(cli, "solve", lambda *a, **k: result)
             out = tmp_path / f"out{len(outputs)}"
             assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
@@ -388,8 +400,8 @@ class TestExampleDeltaCommand:
 
         def negated(*args, **kwargs):
             result = orig(*args, **kwargs)
-            return dataclasses.replace(result,
-                                       eigenvectors=-result.eigenvectors)
+            return dataclasses.replace(result, blocks=tuple(
+                (N, -U, cols) for N, U, cols in result.blocks))
 
         monkeypatch.setattr(cli, "solve", negated)
         assert main(["example-delta", "--config", cfg,
@@ -463,6 +475,7 @@ def malformed_docs():
         "delta-truncation-string": with_map(delta, truncation="x"),
         "delta-amplitude-string": with_map(delta, potential={"amplitude": "x"}),
         "delta-width-zero": with_map(delta, potential={"width": 0}),
+        "delta-width-underflow": with_map(delta, potential={"width": 1e-200}),
         "robin-alpha-string": with_map(square, family="robin", alpha="x"),
         "mixed-mask-number": with_map(square, family="mixed", mask=5),
         "delta-strength-string": {**square, "map": {"kind": "lifted",
@@ -495,6 +508,8 @@ class TestExitCodes:
         ("spectrum", dirichlet_square_doc(map=[1]), []),
         ("spectrum", dirichlet_square_doc(mesh={"h": "x"}), []),
         ("spectrum", dirichlet_square_doc(graph={"edges": [["a", "b"]]}), []),
+        ("spectrum", dirichlet_square_doc(
+            graph={"edges": [["a", "b", 1e-160]]}), []),
         ("analyze", analysis_doc(window=[50]), []),
         ("analyze", analysis_doc(window="50:900"), []),
         ("analyze", analysis_doc(heat=5), []),
@@ -502,7 +517,10 @@ class TestExitCodes:
         ("analyze", analysis_doc(heat={"t": -1}), []),
         ("analyze", analysis_doc(bracketing=True), []),
         ("analyze", analysis_doc(bracketing={"n": 0}), []),
+        ("analyze", analysis_doc(bracketing={"n": 1e300}), []),
+        ("analyze", analysis_doc(bracketing={"n": 5.0}), []),
         ("analyze", analysis_doc(weyl_tol="x"), []),
+        ("analyze", analysis_doc(weyl_tol=10**400), []),
         ("analyze", dirichlet_square_doc(), ["--window", "900:50"]),
         ("analyze", dirichlet_square_doc(), ["--window", "nan:900"]),
         ("spectrum", dirichlet_square_doc(output={"dir": 5}), []),
@@ -530,9 +548,10 @@ class TestExitCodes:
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
             "two-mesh-nodes", "num-eigs-string", "particles-float",
             "mesh-number", "output-number", "map-list", "mesh-h-string",
-            "edge-of-two", "window-one-entry", "window-string", "heat-number",
+            "edge-of-two", "edge-length-tiny", "window-one-entry", "window-string", "heat-number",
             "heat-t-string", "heat-t-negative", "bracketing-true",
-            "bracketing-n-0", "weyl-tol-string", "window-flag-reversed",
+            "bracketing-n-0", "bracketing-n-huge", "bracketing-n-float",
+            "weyl-tol-string", "weyl-tol-huge-int", "window-flag-reversed",
             "window-flag-nan", "output-dir-number", "output-dir-empty",
             "nodes-float", "nodes-string", "nodes-bool", "nodes-per-edge-float",
             "mesh-h-inf", "mesh-h-huge", "mesh-h-subnormal",
@@ -558,6 +577,41 @@ class TestExitCodes:
         assert code == 2 and err == ""
         report = json.loads(out)
         assert report["map"] == {} and len(report["notes"]) == 1
+
+    def test_width_whose_square_underflows_is_named(self, tmp_path, capsys):
+        doc = self.MALFORMED["delta-width-underflow"]
+        code = main(["example-delta", "--config", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: gaussian width 1e-200 has no positive finite "
+                       "square\n")
+
+    def test_amplitude_with_infinite_residuals_exits_3(self, tmp_path, capsys):
+        # L = -v/4 is finite, but C_infty and the residuals of the dense
+        # solve overflow
+        delta = TestExampleDeltaCommand.DOC
+        doc = {**delta, "mesh": {"nodes": 9}, "num_eigs": 5,
+               "map": {**delta["map"], "potential": {"amplitude": -1e300}}}
+        code = main(["example-delta", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical failure: example-delta: non-finite residuals\n"
+
+    @pytest.mark.parametrize("A, B, says", [
+        (np.diag([1.0, 0.0]), np.zeros((2, 2)), "[A B] has rank 1, not 2E = 2"),
+        (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+         "A B* is not Hermitian (defect 1.00e+00)")],
+        ids=["rank", "hermitian"])
+    def test_invalid_ab_is_one_readable_line(self, tmp_path, capsys, A, B,
+                                             says):
+        doc = dirichlet_square_doc(map={"kind": "lifted", "A": matrix_to_json(A),
+                                        "B": matrix_to_json(B)})
+        code = main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: invalid (A, B): {says}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2

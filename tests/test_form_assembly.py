@@ -10,7 +10,7 @@ from conftest import bump_interaction_map
 from test_loop_reference import assert_same_kernel, loop_nullspace
 from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
-                                assemble_two_particle,
+                                assemble_two_particle, check_finite_scale,
                                 nullspace_from_constraints,
                                 semibound_constant, stiffness_1d, mass_1d)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
@@ -74,6 +74,38 @@ class TestMesh:
     def test_too_coarse_rejected(self, interval):
         with pytest.raises(AssemblyError):
             Mesh.uniform(interval, 2)
+
+    def test_scale_check_matches_the_assembled_matrices(self):
+        """check_finite_scale rejects exactly the meshes whose two-particle
+        K or M, assembled as assemble_two_particle does, has a non-finite
+        entry or a mass entry below the smallest normal number."""
+        def assembled(la, lb):
+            g = build_graph({"edges": [["a", "b", la], ["b", "c", lb]]})
+            mesh = Mesh(g, (5, 4))
+            k1 = [stiffness_1d(e.length, n) for e, n in zip(g.edges, mesh.nodes)]
+            m1 = [mass_1d(e.length, n) for e, n in zip(g.edges, mesh.nodes)]
+            with np.errstate(all="ignore"):
+                K = [sp.kron(k1[a], m1[b]) + sp.kron(m1[a], k1[b])
+                     for a in range(2) for b in range(2)]
+                M = [sp.kron(m1[a], m1[b]).toarray()
+                     for a in range(2) for b in range(2)]
+            return mesh, K, M
+
+        pattern = [X != 0 for X in assembled(1.0, 1.0)[2]]
+        lengths = [1.0, 1e150, 1e154, 1e155, 1e300, 1e-150, 1e-154, 1e-155,
+                   1e-160, 1e-300]
+        for la in lengths:
+            for lb in lengths:
+                mesh, K, M = assembled(la, lb)
+                bad = not (all(np.isfinite(X.data).all() for X in K)
+                           and all(np.isfinite(X).all() for X in M)
+                           and min(np.abs(X[p]).min() for X, p in zip(M, pattern))
+                           >= np.finfo(float).tiny)
+                if bad:
+                    with pytest.raises(AssemblyError, match="overflows"):
+                        check_finite_scale(mesh)
+                else:
+                    check_finite_scale(mesh)
 
     def test_by_spacing(self, two_edges):
         mesh = Mesh.by_spacing(two_edges, 0.1)

@@ -156,14 +156,15 @@ def test_mutated_config_exits_cleanly(tmp_path, capfd, case):
 @pytest.mark.parametrize("case, codes, says", [
     (OVERFLOW_CASES[0], (2, 2), "OverflowError"),
     (OVERFLOW_CASES[1], (2, 2), "OverflowError"),
-    (OVERFLOW_CASES[2], (0, 2), "stiffness or mass overflows"),
-    (OVERFLOW_CASES[3], (0, 2), "stiffness or mass overflows"),
+    (OVERFLOW_CASES[2], (2, 2), "stiffness or mass overflows"),
+    (OVERFLOW_CASES[3], (2, 2), "stiffness or mass overflows"),
     (OVERFLOW_CASES[4], (2, 2), "not an orthogonal projector"),
     (OVERFLOW_CASES[5], (3, 3), "non-finite"),
 ], ids=map(case_id, OVERFLOW_CASES))
 def test_overflow_exit_codes(tmp_path, capfd, case, codes, says):
     """(validate, own command) exit codes of the overflow cases.  A width
-    of 1e300 overflows width**2, a length of 1e300 the element mass, and
+    of 1e300 overflows width**2, a length of 1e300 the element mass (which
+    validate checks from the mesh spacings too), and
     P @ P of a P entry of 1e300 the projector check, whose defect is then
     infinite, not NaN.  An L entry of 1e300 is admissible, but its
     semibound constant is not a JSON number."""
@@ -172,6 +173,8 @@ def test_overflow_exit_codes(tmp_path, capfd, case, codes, says):
                for cmd in ("validate", command)]
     assert tuple(code for code, _, _ in results) == codes
     assert says in results[1][2][0]
+    if says == "stiffness or mass overflows":   # a validate note
+        assert says in strict_json(results[0][1])["notes"][0]
     if "P" in case[1]:   # the report of a map with errors writes null
         report = strict_json(results[0][1])
         assert "not an orthogonal projector" in report["map"]["errors"][0]

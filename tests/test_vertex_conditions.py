@@ -164,9 +164,9 @@ class TestVertexConditions:
         rng = np.random.default_rng(3)
         A, B = random_valid_pair(4, rng)
         vc = VertexConditions.from_ab(A, B)
-        rep = validate_ab(vc.A, vc.B)
+        rep = validate_ab(A, B)
         assert rep.ok
-        P2, L2 = ab_to_pl(vc.A, vc.B)
+        P2, L2 = ab_to_pl(A, B)
         assert np.allclose(P2, vc.P, atol=1e-9)
         assert np.allclose(L2, vc.L, atol=1e-9)
 
