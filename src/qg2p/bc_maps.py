@@ -43,11 +43,10 @@ class BoundaryMap:
             self._cache[key] = hit
         return hit
 
-    def samples(self, ys: Sequence[float] = None):
-        """(P, L) at each of ``ys`` (the 101-point default grid without),
-        each stacked as a (len(ys), dim, dim) array; a sample of another
-        shape or with a NaN or infinite entry is a MapError."""
-        ys = _default_samples(ys)
+    def samples(self, ys: Sequence[float]):
+        """(P, L) at each of ``ys``, each stacked as a (len(ys), dim, dim)
+        array; a sample of another shape or with a NaN or infinite entry is
+        a MapError."""
         pairs = [self(y) for y in ys]
         for y, (P, L) in zip(ys, pairs):
             if P.shape != (self.dim, self.dim) or L.shape != P.shape:
@@ -55,15 +54,6 @@ class BoundaryMap:
             if not (np.isfinite(P).all() and np.isfinite(L).all()):
                 raise MapError(f"sample at y={y} has a NaN or infinite entry")
         return tuple(np.array(X) for X in zip(*pairs))
-
-    def L_max(self, ys: Sequence[float] = None) -> float:
-        return float(np.linalg.norm(self.samples(ys)[1], 2, axis=(1, 2)).max())
-
-
-def _default_samples(ys):
-    if ys is None:
-        return np.linspace(0.0, 1.0, 101)
-    return np.asarray(ys, dtype=float)
 
 
 def constant_map(P, L) -> BoundaryMap:
@@ -101,34 +91,31 @@ class MapValidationReport:
     block_structured: bool
     corner_regular: bool
     max_projector_defect: float
-    max_sa_defect: float
+    max_self_adjointness_defect: float
     max_qlq_defect: float
     errors: tuple
     warnings: tuple
 
 
-def block_structured(m: BoundaryMap, ys: Sequence[float] = None) -> bool:
-    """True iff P(y) and L(y) have identical diagonal half-blocks and zero
-    off-diagonal half-blocks at every sample: then both exchange sectors
-    are invariant under the form.  Compares entries only."""
-    return _block_structured(*m.samples(ys))
-
-
-def _block_structured(P: np.ndarray, L: np.ndarray) -> bool:
+def block_structured(P: np.ndarray, L: np.ndarray) -> bool:
+    """True iff the sample stacks P and L have identical diagonal
+    half-blocks and zero off-diagonal half-blocks at every sample: then
+    both exchange sectors are invariant under the form.  Compares entries
+    only."""
     h = P.shape[-1] // 2
     return not any(np.abs(D).max(initial=0.0) > TOL for M in (P, L)
                    for D in (M[:, :h, h:], M[:, h:, :h],
                              M[:, :h, :h] - M[:, h:, h:]))
 
 
-def validate_map(m: BoundaryMap, ys: Sequence[float] = None) -> MapValidationReport:
-    """Per-sample projector / self-adjointness / QLQ checks plus the
-    block-structure flag and corner regularity at the samples y = 0, 1.
+def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
+    """Per-sample projector / self-adjointness / QLQ checks at ``ys`` plus
+    the block-structure flag and corner regularity at the samples y = 0, 1.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).
     """
-    ys = _default_samples(ys)
+    ys = np.asarray(ys, dtype=float)
     P, L = m.samples(ys)
     Q = np.eye(m.dim) - P
 
@@ -161,8 +148,9 @@ def validate_map(m: BoundaryMap, ys: Sequence[float] = None) -> MapValidationRep
     pd, sa, qlq = (float(d.max(initial=0.0)) for d, _ in defects)
     return MapValidationReport(
         ok=not errors, L_max=float(l_norms.max()),
-        block_structured=_block_structured(P, L), corner_regular=corner,
-        max_projector_defect=pd, max_sa_defect=sa, max_qlq_defect=qlq,
+        block_structured=block_structured(P, L), corner_regular=corner,
+        max_projector_defect=pd, max_self_adjointness_defect=sa,
+        max_qlq_defect=qlq,
         errors=tuple(errors), warnings=warnings,
     )
 
@@ -192,9 +180,10 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
 
 
 def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
-                      ys: Sequence[float] = None) -> bool:
-    """True iff samples are y-constant and block-diagonal with identical
-    blocks w.r.t. the fixed-second-edge decomposition of boundary values."""
+                      ys: Sequence[float]) -> bool:
+    """True iff the samples at ``ys`` are y-constant and block-diagonal
+    with identical blocks w.r.t. the fixed-second-edge decomposition of
+    boundary values."""
     at = _beta_blocks(idx)
     outside = np.ones((m.dim, m.dim), dtype=bool)
     outside[at] = False
@@ -207,10 +196,11 @@ def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
 
 
 def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
-                          ys: Sequence[float] = None) -> bool:
-    """True iff P(y), L(y) vanish outside the vertex-local blocks: entries
-    may couple components only when their boundary edge-ends meet in the
-    same vertex and each component's other edge is connected to its own."""
+                          ys: Sequence[float]) -> bool:
+    """True iff P(y), L(y) at ``ys`` vanish outside the vertex-local
+    blocks: entries may couple components only when their boundary
+    edge-ends meet in the same vertex and each component's other edge is
+    connected to its own."""
     vtx = idx.vertex[idx.end_pos]
     inside = np.array([idx.graph.edges_connected(a, b) for a, b
                        in zip(idx.end_pos % idx.E, idx.running_edge)])

@@ -338,20 +338,12 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
     report["map"] = {
-        "ok": mrep.ok,
-        "L_max": mrep.L_max,
-        "block_structured": mrep.block_structured,
-        "corner_regular": mrep.corner_regular,
-        "max_projector_defect": mrep.max_projector_defect,
-        "max_self_adjointness_defect": mrep.max_sa_defect,
-        "max_qlq_defect": mrep.max_qlq_defect,
-        "errors": list(mrep.errors),
-        "warnings": list(mrep.warnings),
+        **asdict(mrep),
         "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
         "local": bc_maps.is_local_two_particle(m, idx, mesh.y_nodes),
     }
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
-        m, g, mesh.y_nodes)
+        form_assembly.sampled_l_max(m, mesh.y_nodes), min(g.lengths))
     if cfg.map.get("kind") == "delta_example":
         report["notes"].append(
             "non-compact two-half-line configuration truncated to length "
@@ -386,13 +378,12 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig, outdir: str = None,
-                window: tuple = None) -> int:
+def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
     result = solve(form, cfg.num_eigs)
     lam = result.eigenvalues
     toggles = cfg.analysis
-    window = window or toggles.get("window")
+    window = toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}
     d = _outdir(cfg, outdir)
 
@@ -442,8 +433,6 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
         raise ConfigError("the folded example needs equal node counts")
     *_, form = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))
     result = solve(form, cfg.num_eigs)
-    if not np.isfinite(result.residuals).all():   # spectrum.json's rule
-        raise SolveError("example-delta: non-finite residuals")
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]
@@ -489,7 +478,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--sector", choices=("full", "boson", "fermion"),
                        default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--window", default=None)
+        if name == "analyze":
+            p.add_argument("--window", default=None)
     return ap
 
 
@@ -500,14 +490,15 @@ def main(argv=None) -> int:
         mesh = None if args.mesh_h is None else {"h": args.mesh_h}
         cfg = load_config(args.config, mesh=mesh, num_eigs=args.num_eigs,
                           sector=args.sector)
-        window = _window(args.window.split(":")) if args.window else None
+        if getattr(args, "window", None):
+            cfg.analysis["window"] = _window(args.window.split(":"))
 
         if args.command == "validate":
             return cmd_validate(cfg, args.out)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out)
         if args.command == "analyze":
-            return cmd_analyze(cfg, args.out, window=window)
+            return cmd_analyze(cfg, args.out)
         return cmd_example_delta(cfg, args.out)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

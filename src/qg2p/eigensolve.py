@@ -140,15 +140,17 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
     Eigenvectors are prolonged to full coordinates (N u) on first read; the
-    relative residuals ||(K - B) x - lam M x|| / ||M x|| are attached.  ``meta``
-    records the shifts and slices, the largest LU fill, whether inertia
-    counts certified the spectrum (None on the dense path, which computes
-    all of it) and the M-orthonormality defect of the eigenvectors.
+    relative residuals ||(K - B) x - lam M x|| / ||M x|| are attached, and a
+    non-finite one is a SolveError.  ``meta`` records the shifts and slices,
+    the largest LU fill, whether inertia counts certified the spectrum (None
+    on the dense path, which computes all of it) and the M-orthonormality
+    defect of the eigenvectors.
 
-    A full-space two-particle form whose map is block structured is solved
-    as its boson and fermion sector pencils, dense or sliced, whose spectra
-    together are the full one (``meta["sectors"]`` has one record each,
-    else None); ``force_dense=True`` takes the unsplit full pencil.
+    A full-space two-particle form whose map assembly found block
+    structured is solved as its boson and fermion sector pencils, dense or
+    sliced, whose spectra together are the full one (``meta["sectors"]`` has
+    one record each, else None); ``force_dense=True`` takes the unsplit
+    full pencil.
     """
     if k < 1:
         raise SolveError("need k >= 1 eigenvalues")
@@ -194,6 +196,9 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
         res[cols], d = _residuals(*f.reduced(), lam_i[:len(cols)], U)
         defect = max(defect, d)
         blocks.append((f.N, U, cols))
+    if not np.isfinite(res).all():
+        raise SolveError(f"non-finite residuals "
+                         f"({np.count_nonzero(~np.isfinite(res))} of {k})")
     if len(forms) > 1:
         meta["sectors"] = [
             {"sector": f.meta["sector"], "pencil_size": size, "shifts": shifts,

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .bc_maps import BoundaryMap, _default_samples
+from .bc_maps import BoundaryMap, block_structured
 from .graph_core import BoundaryIndexMap, MetricGraph
 from .vertex_conditions import VertexConditions
 
@@ -246,8 +246,7 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
     r, c = np.nonzero(np.abs(P) > NULLSPACE_TOL)
     C = sp.coo_matrix((P[r, c], (r, bdof[c])), shape=(len(P), ndof)).tocsr()
 
-    l_max = float(np.linalg.norm(vc.L, 2))
-    c_inf = _semibound(l_max, min(e.length for e in g.edges))
+    c_inf = semibound_constant(float(np.linalg.norm(vc.L, 2)), min(g.lengths))
     return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
                         meta={"mesh": mesh, "kind": "one_particle"})
 
@@ -309,6 +308,10 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     constraints are enforced nodewise through P(y_j) and eliminated by the
     form's kernel basis ``N``, computed on first use.  Corner nodes collect
     the constraints of both adjacent sides.
+
+    Assembly is the last reader of the map: ``meta`` records the
+    ``sampled_l_max`` at the y-nodes (the L_max of C_infty) and whether the
+    samples are ``block_structured`` (whether the exchange sectors split).
     """
     idx = BoundaryIndexMap(g)
     if m.dim != idx.dim_full:
@@ -370,27 +373,26 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     B = _realify(0.5 * (B + B.conj().T))
     C = coo(c_parts, (n_constraints, ndof))
 
-    c_inf = semibound_constant(m, g, ys)
-    return DiscreteForm(K=K, M=M, B=B, C=C, C_infty=c_inf,
-                        meta={"mesh": mesh, "map": m, "kind": "two_particle"})
+    l_max = sampled_l_max(m, ys)
+    return DiscreteForm(K=K, M=M, B=B, C=C,
+                        C_infty=semibound_constant(l_max, min(g.lengths)),
+                        meta={"mesh": mesh, "kind": "two_particle",
+                              "L_max": l_max,
+                              "block_structured": block_structured(P, L)})
 
 
-def sampled_l_max(m: BoundaryMap, ys: Sequence[float] = None) -> float:
-    """max ||L(y)|| over ``ys`` (a default grid without) and the breakpoints
-    of a piecewise map, where its pieces start."""
-    return m.L_max(np.append(_default_samples(ys), m.meta.get("breakpoints") or []))
+def sampled_l_max(m: BoundaryMap, ys: Sequence[float]) -> float:
+    """max ||L(y)|| over ``ys`` and the breakpoints of a piecewise map,
+    where its pieces start."""
+    ys = np.append(ys, m.meta.get("breakpoints") or [])
+    return float(np.linalg.norm(m.samples(ys)[1], 2, axis=(1, 2)).max())
 
 
-def semibound_constant(m: BoundaryMap, g: MetricGraph,
-                       ys: Sequence[float] = None) -> float:
+def semibound_constant(l_max: float, l_min: float) -> float:
     """Explicit lower-bound constant C = 8 L_max / delta with
-    delta = min(l_min, 1 / (4 L_max)); zero when the boundary term vanishes.
-    L_max is the ``sampled_l_max`` at ``ys``."""
-    l_min = min(e.length for e in g.edges)
-    return _semibound(sampled_l_max(m, ys), l_min)
-
-
-def _semibound(l_max: float, l_min: float) -> float:
+    delta = min(l_min, 1 / (4 L_max)) of the largest boundary-term norm
+    L_max and the shortest edge length l_min; zero when the boundary term
+    vanishes."""
     if l_max <= 0.0:
         return 0.0
     delta = min(l_min, 1.0 / (4.0 * l_max))

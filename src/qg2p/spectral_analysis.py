@@ -189,13 +189,13 @@ def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
 def bracketing_run(form: form_assembly.DiscreteForm, n_max: int,
                    eigenvalues: np.ndarray = None) -> BracketingReport:
     """Check the sandwich of a two-particle ``form`` between the
-    ``comparison_spectra`` on its mesh and in its sector, L_max sampled
-    where assembly sampled its map.  The form's own lowest ``eigenvalues``,
-    when at least n_max are given, replace its solve."""
+    ``comparison_spectra`` on its mesh and in its sector, with the L_max
+    that assembly recorded.  The form's own lowest ``eigenvalues``, when at
+    least n_max are given, replace its solve."""
     mesh = form.meta["mesh"]
     if eigenvalues is None or len(eigenvalues) < n_max:
-        eigenvalues = solve(form, min(n_max, form.nreduced)).eigenvalues
+        eigenvalues = solve(form, n_max).eigenvalues
     robin, dirichlet = comparison_spectra(
-        mesh.graph, form_assembly.sampled_l_max(form.meta["map"], mesh.y_nodes),
-        mesh, n_max, form.meta.get("sector", "full"))
+        mesh.graph, form.meta["L_max"], mesh, n_max,
+        form.meta.get("sector", "full"))
     return bracketing_check(robin, eigenvalues, dirichlet, n_max)

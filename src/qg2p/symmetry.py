@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bc_maps import BoundaryMap, block_structured
 from .form_assembly import DiscreteForm, Mesh, nullspace_from_constraints
 
 
@@ -53,35 +52,28 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     """Restrict an assembled two-particle form to one exchange sector.
 
     The sector is only invariant when the boundary map is block structured
-    (identical diagonal half-blocks, zero off-diagonal half-blocks); that is
-    verified at the mesh's y-nodes, where assembly evaluates the map, and a
-    violation is a hard error.  The sector form's basis is
-    S null(C S), the only nullspace computed for it.
+    (identical diagonal half-blocks, zero off-diagonal half-blocks) at the
+    mesh's y-nodes, as assembly recorded in ``meta["block_structured"]``; a
+    violation is a hard error.  The sector form's basis is S null(C S), the
+    only nullspace computed for it.
     """
     if form.meta.get("kind") != "two_particle":
         raise SymmetryError("sector restriction needs a two-particle form")
-    m: BoundaryMap = form.meta.get("map")
-    if m is not None and not block_structured(m, form.meta["mesh"].y_nodes):
+    if not form.meta.get("block_structured"):
         raise SymmetryError(
             "boundary map is not exchange-symmetric (half blocks differ "
             "or off-diagonal half blocks are nonzero); no sector spectra")
-    return _sector_form(form, sign)
-
-
-def exchange_sectors(form: DiscreteForm):
-    """(boson, fermion) sector forms of a full-space two-particle form whose
-    map is block structured at the mesh's y-nodes, checked once for both;
-    None for every other form.  Their spectra together are the full one."""
-    m: BoundaryMap = form.meta.get("map")
-    if (form.meta.get("kind") != "two_particle" or "sector" in form.meta
-            or m is None or not block_structured(m, form.meta["mesh"].y_nodes)):
-        return None
-    return _sector_form(form, +1), _sector_form(form, -1)
-
-
-def _sector_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     S = sector_basis(form.meta["mesh"], sign)
     Nred = nullspace_from_constraints((form.C @ S).tocsr(), S.shape[1])
     meta = dict(form.meta)
     meta["sector"] = "boson" if sign == +1 else "fermion"
     return replace(form, basis=(S @ Nred).tocsr(), meta=meta)
+
+
+def exchange_sectors(form: DiscreteForm):
+    """(boson, fermion) sector forms of a full-space two-particle form whose
+    map assembly found block structured; None for every other form.  Their
+    spectra together are the full one."""
+    if "sector" in form.meta or not form.meta.get("block_structured"):
+        return None
+    return assemble_symmetric_form(form, +1), assemble_symmetric_form(form, -1)

@@ -4,6 +4,10 @@ import pytest
 from qg2p.bc_maps import BoundaryMap
 from qg2p.graph_core import build_graph
 
+# a 101-point sample grid for the map checks, which take their grid
+# explicitly; the CLI passes the mesh's y-nodes instead
+YS = np.linspace(0.0, 1.0, 101)
+
 
 @pytest.fixture
 def interval():

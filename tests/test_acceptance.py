@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bump_interaction_map, delta_center_ab
+from conftest import YS, bump_interaction_map, delta_center_ab
 from qg2p.bc_maps import (delta_example_map, fold_axis_jumps,
                           lift_one_particle, validate_map)
 from qg2p.eigensolve import counting_function, solve
@@ -198,7 +198,7 @@ def test_09_delta_interaction_example(capsys):
     ok_ab = all(validate_ab(*delta_center_ab(gaussian_well, T, y)).ok
                 for y in np.linspace(0.0, 1.0, 41))
     g, m = delta_example_map(gaussian_well, T)
-    ok_map = validate_map(m).ok
+    ok_map = validate_map(m, YS).ok
 
     mesh = Mesh.uniform(g, 25)
     form = assemble_two_particle(g, m, mesh)
@@ -247,9 +247,9 @@ def test_10_projector_and_map_algebra(interval, two_edges, capsys):
     ]
     worst_map = 0.0
     for m in shipped:
-        rep = validate_map(m)
+        rep = validate_map(m, YS)
         worst_map = max(worst_map, rep.max_projector_defect,
-                        rep.max_sa_defect, rep.max_qlq_defect)
+                        rep.max_self_adjointness_defect, rep.max_qlq_defect)
     ok = worst_proj < 1e-13 and worst_map < 1e-10
     report(capsys, 10, "exchange projectors to 1e-13; P/L invariants to 1e-10",
            ok, f"projector {worst_proj:.1e}, map {worst_map:.1e}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bump_interaction_map, delta_center_ab, smooth_bump
+from conftest import YS, bump_interaction_map, delta_center_ab, smooth_bump
 from qg2p.bc_maps import (MapError, block_structured, constant_map,
                           delta_example_map, fold_axis_jumps, fold_to_plane,
                           is_local_two_particle, is_noninteracting,
@@ -37,13 +37,13 @@ class TestConstruction:
 class TestValidation:
     def test_dirichlet_lift_passes(self, interval):
         m = lift_one_particle(standard_family("dirichlet", interval), interval)
-        rep = validate_map(m)
+        rep = validate_map(m, YS)
         assert rep.ok and rep.block_structured and rep.corner_regular
         assert rep.L_max == 0.0
 
     def test_non_projector_sample_is_hard_error(self):
         bad = constant_map(0.5 * np.eye(4), np.zeros((4, 4)))
-        rep = validate_map(bad)
+        rep = validate_map(bad, YS)
         assert not rep.ok
         assert any("projector" in e for e in rep.errors)
 
@@ -53,14 +53,14 @@ class TestValidation:
 
         from qg2p.bc_maps import BoundaryMap
         m = BoundaryMap(dim=4, eval_fn=lambda y: (np.zeros((4, 4)), L))
-        rep = validate_map(m)
+        rep = validate_map(m, YS)
         assert not rep.ok
         assert any("Hermitian" in e for e in rep.errors)
 
     def test_block_structure_flag(self):
         P = np.zeros((4, 4))
         P[0, 0] = 1.0  # upper half differs from lower half
-        rep = validate_map(constant_map(P, np.zeros((4, 4))))
+        rep = validate_map(constant_map(P, np.zeros((4, 4))), YS)
         assert rep.ok and not rep.block_structured
 
     def test_block_predicate_matches_the_flag(self, interval):
@@ -75,18 +75,18 @@ class TestValidation:
                      standard_family("dirichlet", interval), interval), True)}
         ys = np.linspace(0.0, 1.0, 13)
         for name, (m, want) in cases.items():
-            assert block_structured(m, ys) is want, name
+            assert block_structured(*m.samples(ys)) is want, name
             assert validate_map(m, ys=ys).block_structured is want, name
 
     def test_block_predicate_samples_only_ys(self):
         m = bump_interaction_map()
         seen, ev = [], m.eval_fn
         m.eval_fn = lambda y: seen.append(y) or ev(y)
-        assert block_structured(m, [0.25, 0.5])
+        assert block_structured(*m.samples([0.25, 0.5]))
         assert seen == [0.25, 0.5]
 
     def test_bump_map_regular(self):
-        rep = validate_map(bump_interaction_map())
+        rep = validate_map(bump_interaction_map(), YS)
         assert rep.ok and rep.block_structured and rep.corner_regular
         assert rep.L_max == pytest.approx(
             np.linalg.norm([[2.0, 0.5], [0.5, 1.0]], 2))
@@ -100,12 +100,12 @@ class TestLifts:
             vc = standard_family(fam, two_edges, **kw)
             m = lift_one_particle(vc, two_edges)
             assert m.meta["conditions"] is vc
-            assert is_noninteracting(m, idx)
-            assert validate_map(m).ok
+            assert is_noninteracting(m, idx, YS)
+            assert validate_map(m, YS).ok
 
     def test_bump_map_is_interacting(self, interval):
         idx = BoundaryIndexMap(interval)
-        assert not is_noninteracting(bump_interaction_map(), idx)
+        assert not is_noninteracting(bump_interaction_map(), idx, YS)
 
     def test_robin_lift_values(self, interval):
         vc = standard_family("robin", interval, alpha=2.0)
@@ -117,7 +117,7 @@ class TestLifts:
     def test_lift_locality_matches_one_particle(self, star3):
         vc = standard_family("dirichlet", star3)
         m = lift_one_particle(vc, star3)
-        assert is_local_two_particle(m, BoundaryIndexMap(star3))
+        assert is_local_two_particle(m, BoundaryIndexMap(star3), YS)
 
 
 class TestDeltaExample:
@@ -130,7 +130,7 @@ class TestDeltaExample:
     def test_map_validates_with_corner_warning(self):
         g, m = delta_example_map(gaussian_well, 3.0)
         assert g.E == 2
-        rep = validate_map(m)
+        rep = validate_map(m, YS)
         assert rep.ok and rep.block_structured
         assert not rep.corner_regular  # L(0) != 0 at the center corner
         assert rep.warnings
@@ -148,7 +148,7 @@ class TestDeltaExample:
 
     def test_zero_potential_reduces_to_continuity_conditions(self):
         g, m = delta_example_map(lambda x, y: 0.0, 2.0)
-        rep = validate_map(m)
+        rep = validate_map(m, YS)
         assert rep.ok
         assert rep.L_max == pytest.approx(0.0, abs=1e-12)
 
@@ -207,7 +207,7 @@ class TestDeltaExample:
     def test_non_finite_or_complex_potential_is_a_condition_error(self, v):
         with pytest.raises(ConditionError):
             g, m = delta_example_map(v, 2.0)
-            m.samples()
+            m.samples(YS)
 
 
 class TestFolding:

@@ -307,6 +307,13 @@ class TestAnalyzeCommand:
         report = json.loads((out / "analysis.json").read_text())
         assert report["weyl"]["window"][0] == 50.0
 
+    def test_window_flag_is_analyze_only(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config",
+                  write_config(tmp_path, dirichlet_square_doc()),
+                  "--window", "1:2"])
+        assert exc.value.code == 2
+
     def test_counting_csv_counts_tied_chains_whole(self, tmp_path,
                                                    monkeypatch):
         lam = np.sort([np.pi**2 * (i * i + j * j)
@@ -596,7 +603,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == "numerical failure: example-delta: non-finite residuals\n"
+        assert err == "numerical failure: non-finite residuals (5 of 5)\n"
 
     @pytest.mark.parametrize("A, B, says", [
         (np.diag([1.0, 0.0]), np.zeros((2, 2)), "[A B] has rank 1, not 2E = 2"),

@@ -6,12 +6,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bump_interaction_map
+from conftest import YS, bump_interaction_map
 from test_loop_reference import assert_same_kernel, loop_nullspace
-from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
+from qg2p.bc_maps import (constant_map, lift_one_particle, piecewise_map,
+                          validate_map)
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
                                 assemble_two_particle, check_finite_scale,
-                                nullspace_from_constraints,
+                                nullspace_from_constraints, sampled_l_max,
                                 semibound_constant, stiffness_1d, mass_1d)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.eigensolve import solve
@@ -373,31 +374,37 @@ class TestTwoParticle:
         assemble_two_particle(two_edges, m, Mesh(two_edges, (7, 7)))
 
 
+def map_constant(m, g):
+    """The semiboundedness constant of map ``m`` on graph ``g``, its L_max
+    sampled at the grid YS and the breakpoints."""
+    return semibound_constant(sampled_l_max(m, YS), min(g.lengths))
+
+
 class TestSemiboundConstant:
     def test_zero_for_vanishing_boundary_term(self, interval):
         m = lift_one_particle(standard_family("dirichlet", interval), interval)
-        assert semibound_constant(m, interval) == 0.0
+        assert map_constant(m, interval) == 0.0
 
     def test_delta_capped_by_inverse_L(self, interval):
         # L_max = 1, l_min = 1 -> delta = 1/4, C = 32
         m = constant_map(np.zeros((4, 4)), np.eye(4))
-        assert semibound_constant(m, interval) == pytest.approx(32.0)
+        assert map_constant(m, interval) == pytest.approx(32.0)
 
     def test_delta_capped_by_edge_length(self):
         g = build_graph({"edges": [["a", "b", 0.1]]})
         m = constant_map(np.zeros((4, 4)), 2.0 * np.eye(4))
         # L_max = 2, l_min = 0.1 -> delta = 0.1, C = 160
-        assert semibound_constant(m, g) == pytest.approx(160.0)
+        assert map_constant(m, g) == pytest.approx(160.0)
 
     def test_sampled_at_mesh_nodes_and_breakpoints(self, interval):
-        # the default 101-point grid misses both steps; mesh node 0.5625
-        # sees the first, only its breakpoint 0.813 sees the second
+        # the 101-point grid YS misses both steps; mesh node 0.5625 sees
+        # the first, only its breakpoint 0.813 sees the second
         Z = np.zeros((4, 4))
         m = piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
                           [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
                            (Z, 2e4 * np.eye(4)), (Z, Z)])
-        assert semibound_constant(m, interval) > 0.0      # breakpoints
-        assert m.L_max() == 0.0
+        assert map_constant(m, interval) > 0.0            # breakpoints
+        assert validate_map(m, YS).L_max == 0.0
         form = assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
         # L_max = 2e4, delta = 1 / (4 L_max): C = 32 L_max^2
         assert form.C_infty == pytest.approx(32.0 * 2e4 ** 2)

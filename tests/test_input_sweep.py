@@ -179,3 +179,16 @@ def test_overflow_exit_codes(tmp_path, capfd, case, codes, says):
         report = strict_json(results[0][1])
         assert "not an orthogonal projector" in report["map"]["errors"][0]
         assert report["map"]["max_projector_defect"] is None
+
+
+def test_analyze_with_non_finite_residuals_exits_3(tmp_path, capfd):
+    """An L entry of 1e300 is admissible, but the residuals of the solve
+    overflow; without a Weyl fit nothing else in analysis.json would show
+    it, and the run must not exit 0."""
+    doc = mutated(BASES["bracket-dense"][1], OVERFLOW_CASES[5][1], 1e300)
+    doc.update(num_eigs=10, analysis={"weyl": False})
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run("analyze", str(config), str(tmp_path / "out"), capfd)
+    assert code == 3
+    assert err == ["numerical failure: non-finite residuals (10 of 10)"]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import bump_interaction_map
+from conftest import YS, bump_interaction_map
 from scipy.sparse.csgraph import connected_components
 from test_graph_core import X0, XL, Y0, YL, component, end_vertex, position
 
@@ -305,21 +305,18 @@ def loop_is_noninteracting(m, E, tol=1e-9):
     return True
 
 
-DEFAULT_YS = np.linspace(0.0, 1.0, 101)
-
-
-def loop_l_max(m, ys=DEFAULT_YS):
+def loop_l_max(m, ys=YS):
     return max(float(np.linalg.norm(m(y)[1], 2)) for y in ys)
 
 
-def loop_sampled_l_max(m, ys=DEFAULT_YS):
+def loop_sampled_l_max(m, ys=YS):
     l_max = loop_l_max(m, ys)
     if m.meta.get("breakpoints"):
         l_max = max(l_max, loop_l_max(m, m.meta["breakpoints"]))
     return l_max
 
 
-def loop_block_structured(m, ys=DEFAULT_YS, tol=1e-9):
+def loop_block_structured(m, ys=YS, tol=1e-9):
     """bc_maps.block_structured, one sample per iteration."""
     h = m.dim // 2
     for y in ys:
@@ -331,7 +328,7 @@ def loop_block_structured(m, ys=DEFAULT_YS, tol=1e-9):
     return True
 
 
-def loop_validate_map(m, ys=DEFAULT_YS, tol=1e-9):
+def loop_validate_map(m, ys=YS, tol=1e-9):
     """bc_maps.validate_map, one sample per iteration."""
     ys = np.asarray(ys, dtype=float)
     errors = []
@@ -367,7 +364,8 @@ def loop_validate_map(m, ys=DEFAULT_YS, tol=1e-9):
     return MapValidationReport(
         ok=not errors, L_max=loop_l_max(m, ys),
         block_structured=loop_block_structured(m, ys, tol),
-        corner_regular=corner, max_projector_defect=pd, max_sa_defect=sa,
+        corner_regular=corner, max_projector_defect=pd,
+        max_self_adjointness_defect=sa,
         max_qlq_defect=qlq, errors=tuple(errors), warnings=warnings)
 
 
@@ -569,7 +567,7 @@ def test_is_local_two_particle_matches_loop(name):
         if trial % 2:          # in one piece, so at some samples only
             poke(rng, pieces[trial % 4 // 2][trial % 3 == 0])
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
-        got = is_local_two_particle(m, idx)
+        got = is_local_two_particle(m, idx, YS)
         assert got == loop_is_local_two_particle(m, g)
         seen.add(got)
     assert seen == {True, False}
@@ -588,7 +586,7 @@ def test_is_noninteracting_matches_loop(name):
             poke(rng, P if trial % 2 else L)
         pieces = [(P, L), (P, L if trial % 5 else 2.0 * L)]
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
-        got = is_noninteracting(m, idx)
+        got = is_noninteracting(m, idx, YS)
         assert got == loop_is_noninteracting(m, idx.E)
         seen.add(got)
     assert seen == {True, False}
@@ -665,8 +663,9 @@ VALIDATE_CASES = {
 
 
 def validate_ys():
+    """Sample grids by name; "default" is the 101-point grid YS."""
     two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
-    return {"default": None, "mesh": Mesh(two, (5, 8)).y_nodes,
+    return {"default": YS, "mesh": Mesh(two, (5, 8)).y_nodes,
             "interior": np.linspace(0.05, 0.95, 19)}
 
 
@@ -676,13 +675,13 @@ def test_validate_map_matches_loop(name, grid):
     m = VALIDATE_CASES[name]
     ys = validate_ys()[grid]
     got = validate_map(m, ys=ys)
-    want = loop_validate_map(m, DEFAULT_YS if ys is None else ys)
+    want = loop_validate_map(m, ys)
     assert got == want        # every field, the errors in order
-    assert block_structured(m, ys) == want.block_structured
+    assert block_structured(*m.samples(ys)) == want.block_structured
 
 
 def test_validate_cases_cover_every_outcome():
-    reps = [validate_map(m) for m in VALIDATE_CASES.values()]
+    reps = [validate_map(m, YS) for m in VALIDATE_CASES.values()]
     for field in ("ok", "block_structured", "corner_regular"):
         assert {getattr(r, field) for r in reps} == {True, False}, field
     kinds = {e.split(") ")[1].split(" (")[0] for r in reps for e in r.errors}
@@ -694,8 +693,8 @@ def test_validate_cases_cover_every_outcome():
 def test_l_max_and_clusters_match_loops(name):
     g, m, mesh = CASES[name]
     ys = mesh.y_nodes
-    assert m.L_max() == loop_l_max(m)
-    assert m.L_max(ys) == loop_l_max(m, ys)
+    assert validate_map(m, YS).L_max == loop_l_max(m)
+    assert validate_map(m, ys).L_max == loop_l_max(m, ys)
     assert sampled_l_max(m, ys) == loop_sampled_l_max(m, ys)
     counts = np.array([len(n) for n in loop_component_nodes(mesh)[0]])
     got = _coupling_clusters(*m.samples(ys), counts)
@@ -706,8 +705,8 @@ def test_l_max_and_clusters_match_loops(name):
 
 def test_sampled_l_max_with_breakpoints_matches_loop():
     m = VALIDATE_CASES["hermitian-0.001"]
-    for ys in (None, np.linspace(0.0, 1.0, 7)):
-        want = loop_sampled_l_max(m, DEFAULT_YS if ys is None else ys)
+    for ys in (YS, np.linspace(0.0, 1.0, 7)):
+        want = loop_sampled_l_max(m, ys)
         assert sampled_l_max(m, ys) == want
 
 
@@ -719,4 +718,4 @@ def test_wrong_shaped_sample_is_a_map_error_in_assembly():
     with pytest.raises(MapError, match="y=0.5 has wrong shape"):
         assemble_two_particle(g, bad, mesh)
     with pytest.raises(MapError, match="y=0.5 has wrong shape"):
-        validate_map(bad)
+        validate_map(bad, YS)

@@ -205,6 +205,14 @@ class TestBracketing:
         # the comparison spectrum is lifted, the map's solved: roundoff apart
         assert rep.ok and rep.max_upper_violation <= 1e-11
 
+    def test_resolve_builds_no_full_space_kernel(self, interval):
+        # the split solve restricts to the sectors; ker C of the full
+        # space is never needed
+        m = constant_map(np.eye(4), np.zeros((4, 4)))
+        form = assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
+        assert bracketing_run(form, 10).ok
+        assert form.basis is None
+
     def test_neumann_map_hits_lower_bound(self, interval):
         m = constant_map(np.zeros((4, 4)), np.zeros((4, 4)))
         rep = bracketing_run(

@@ -195,15 +195,24 @@ class TestExchangeSectors:
             assert (sec.N != ref.N).nnz == 0
         assert boson.nreduced + fermion.nreduced == form.nreduced
 
-    def test_one_block_check_for_both(self, interval, monkeypatch):
-        from qg2p import symmetry
+    def test_nothing_samples_the_map_after_assembly(self, interval,
+                                                    monkeypatch):
+        # the form carries L_max and the block flag: sectors, the split
+        # solve and bracketing never call the map again
+        from qg2p.bc_maps import BoundaryMap
+        from qg2p.spectral_analysis import bracketing_run
         form = assemble_two_particle(interval, bump_interaction_map(),
                                      Mesh.uniform(interval, 9))
-        checks, orig = [], symmetry.block_structured
-        monkeypatch.setattr(symmetry, "block_structured",
-                            lambda *a: checks.append(a) or orig(*a))
+        calls, orig = [], BoundaryMap.__call__
+        monkeypatch.setattr(BoundaryMap, "__call__",
+                            lambda m, y: calls.append(y) or orig(m, y))
+        res = solve(form, 10)
+        assert res.meta["sectors"] is not None
+        for sign in (+1, -1):
+            assemble_symmetric_form(form, sign)
         assert exchange_sectors(form) is not None
-        assert len(checks) == 1
+        assert bracketing_run(form, 10, eigenvalues=res.eigenvalues).ok
+        assert calls == []
 
     def test_none_where_the_full_pencil_stays(self, interval):
         from qg2p.form_assembly import assemble_one_particle
