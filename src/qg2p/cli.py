@@ -289,11 +289,15 @@ def _outdir(cfg: RunConfig, override: str = None) -> str:
 
 def _write_csv(path: str, header: str, columns, fmt: str) -> None:
     """The header, then one ``fmt % row`` line per row of the columns: the
-    bytes of ``np.savetxt(fh, rows, fmt=fmt)``, formatted in one pass."""
-    rows = np.column_stack(columns)
+    bytes of ``np.savetxt(fh, rows, fmt=fmt)``.  Each column (as float64)
+    formats each of its distinct values, by bit pattern, once."""
+    cells = []
+    for col, f in zip(columns, fmt.split(",")):
+        bits, at = np.unique(np.asarray(col, float).view(np.int64), return_inverse=True)
+        cells.append(np.array([f % v for v in bits.view(float).tolist()], object)[at])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write(((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
@@ -337,13 +341,14 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["graph"] = {"edges": g.E, "vertices": g.V,
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
+    l_max = form_assembly.sampled_l_max(m, mesh.y_nodes)   # that of C_infty
     report["map"] = {
-        **asdict(mrep),
+        **asdict(mrep), "L_max": l_max,
         "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
         "local": bc_maps.is_local_two_particle(m, idx, mesh.y_nodes),
     }
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
-        form_assembly.sampled_l_max(m, mesh.y_nodes), min(g.lengths))
+        l_max, min(g.lengths))
     if cfg.map.get("kind") == "delta_example":
         report["notes"].append(
             "non-compact two-half-line configuration truncated to length "

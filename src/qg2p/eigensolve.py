@@ -8,6 +8,9 @@ n^2 <= c k (n = sum n_s; dense costs about n^3, the slices k n) and memory
 fits; else by shift-invert Lanczos in slices, one factor per shift, each
 certified by a Sylvester inertia count, one loop over the pencils.  The
 lowest k of the union of their spectra, the full one, are the result.
+The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
+reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
+LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
 """
 from __future__ import annotations
 
@@ -28,8 +31,12 @@ from .form_assembly import DiscreteForm
 # 0.088 s against 0.32 s).  Every pencil with n <= 77 is dense.
 DENSE_COST = 6000
 TIE_TOL = 1e-8
-SLICE = 80          # eigenvalues asked per shift: Lanczos keeps 2 SLICE + 1 vectors
+SLICE = 80          # eigenvalues asked per shift
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
+# weyl-interval's m = 80 slices converge in 180..220 vectors, no restart
+LANCZOS_BASIS = 3 * SLICE + 1
+LANCZOS_RESTARTS = 50   # thick restarts per slice before giving up
+EPS = np.finfo(float).eps / 2   # LAPACK's dlamch("E"), ARPACK's tol = 0
 START_STEPS = 60    # first shifts tried: -1, -16, -256, ... (see _start)
 
 
@@ -281,6 +288,72 @@ def _start(A, M, floor: float):
     raise SolveError(f"no shift below the spectrum found above {sigma:.3e}")
 
 
+def _lanczos(lu, M, m: int, sigma: float, v0):
+    """(lam, Q, Y): the m eigenvalues nearest sigma of the pencil whose
+    factor ``lu`` is of A - sigma M, with M-orthonormal Ritz vectors Q @ Y,
+    by thick-restart Lanczos on OP = (A - sigma M)^-1 M from OP v0.
+
+    OP is M-self-adjoint, so the projected T is real: tridiagonal, and
+    after a restart the kept Ritz values with an arrow to the residual.
+    Each step takes the three-term part off OP q_j, then runs classical
+    Gram-Schmidt against the basis in the M-inner product, twice when the
+    first pass keeps less than 0.717 of the norm (DGKS).  Every
+    max(5, m // 8) steps the m largest |theta| (lam = sigma + 1 / theta)
+    face ARPACK's test at tol = 0, |beta y_last| <= EPS max(EPS^(2/3), |theta|)."""
+    n = M.shape[0]
+    cap = min(LANCZOS_BASIS, n)
+    w = lu.solve(M @ v0)
+    Q = np.zeros((n, cap + 1), dtype=w.dtype, order="F")
+    T = np.zeros((cap, cap))
+    Mw, j, restarts, tridiagonal = M @ w, 0, 0, True
+    while True:
+        unit = np.sqrt(np.vdot(w, Mw).real)
+        Q[:, j], Mq, b = w / unit, Mw / unit, T[j - 1, j]   # j = 0: b, Q[:, -1] zero
+        w = lu.solve(Mq) - b * Q[:, j - 1]
+        alpha = np.vdot(Mq, w).real
+        w -= alpha * Q[:, j]
+        B, Mw = Q[:, :j + 1], M @ w
+        norm = np.sqrt(np.vdot(w, Mw).real)
+        whole = np.sqrt(norm ** 2 + alpha ** 2 + b ** 2)     # of OP q_j
+        for _ in range(2):
+            g = (Mw.conj() @ B).conj()
+            w -= B @ g
+            alpha, Mw = alpha + g[j].real, M @ w
+            beta = np.sqrt(np.vdot(w, Mw).real)
+            if beta >= 0.717 * norm:
+                break
+        T[j, j], j = alpha, j + 1
+        broke = beta <= 1e-13 * whole
+        if broke and j < n:           # invariant: go on from a random vector
+            w = np.random.default_rng(j).standard_normal(n).astype(w.dtype)
+            for _ in range(2):
+                w -= Q[:, :j] @ ((M @ w).conj() @ Q[:, :j]).conj()
+            Mw, beta = M @ w, 0.0
+        if j < cap:
+            T[j - 1, j] = T[j, j - 1] = beta
+        if j < min(m, cap) or (j - m) % max(5, m // 8) and j < cap:
+            continue
+        theta, Y = (sla.eigh_tridiagonal(T.diagonal()[:j], T.diagonal(1)[:j - 1])
+                    if tridiagonal else np.linalg.eigh(T[:j, :j]))
+        order = np.argsort(-np.abs(theta), kind="stable")
+        top = order[:m]
+        if j == n or not broke and np.all(np.abs(beta * Y[-1, top]) <= EPS
+                                          * np.maximum(EPS ** (2 / 3), np.abs(theta[top]))):
+            return sigma + 1.0 / theta[top], Q[:, :j], Y[:, top]
+        if j < cap:
+            continue
+        restarts += 1
+        if restarts > LANCZOS_RESTARTS:
+            raise SolveError(f"shift-invert Lanczos: {m} eigenvalues near {sigma:.6e} "
+                             f"not converged after {LANCZOS_RESTARTS} restarts")
+        keep = order[:min(cap - 1, m + (cap - m) // 2)]
+        j, tridiagonal = len(keep), False
+        Q[:, :j] = Q[:, :cap] @ Y[:, keep]      # the kept Ritz vectors
+        T[:] = 0.0
+        T[range(j), range(j)] = theta[keep]
+        T[:j, j] = T[j, :j] = beta * Y[-1, keep]
+
+
 class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
     eigenvalues below it (the floor of the start shifts until the first
@@ -317,15 +390,10 @@ class _Slices:
                 except RuntimeError as exc:
                     raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
             self.fill = max(self.fill, self.lu.nnz)
-            op = spla.LinearOperator((n, n), matvec=self.lu.solve, dtype=self.dtype)
-            try:
-                lam, U = spla.eigsh(A, m, M=M, sigma=s, which="LM", OPinv=op,
-                                    v0=self.v0, maxiter=5000)
-            except spla.ArpackError as exc:
-                raise SolveError(f"shift-invert Lanczos failed: {exc}") from None
-            self.lu = op = None           # one factor alive at a time
+            lam, Q, Y = _lanczos(self.lu, M, m, sigma=s, v0=self.v0)
+            self.lu = None                # one factor alive at a time
             order = np.argsort(lam)
-            lam, U = lam[order], U[:, order]
+            lam, Y = lam[order], Y[:, order]
             r = np.abs(lam - s).max()
             h = len(lam) // 2             # mean spacing over the top half
             self.spacing = max((lam[-1] - lam[h]) / max(len(lam) - 1 - h, 1),
@@ -334,6 +402,12 @@ class _Slices:
             top = len(new) - 1            # start of the top cluster among new
             while top > 0 and _tied(lam[new[top - 1]], lam[new[top]]):
                 top -= 1
+            # the candidates go straight into the unaccepted columns (a
+            # failed check overwrites them); the basis is freed before the
+            # count's factor is built
+            take = new[:min(top, k - count)]
+            np.matmul(Q, Y[:, take], out=self.U[:, count:count + len(take)])
+            Q = Y = None
             if s - r > tau:               # the window misses (tau, s - r)
                 offset /= 2
                 continue
@@ -346,9 +420,7 @@ class _Slices:
                 offset = offset / 2 if offset > 0 else offset - r / 2
                 continue
             self.counted = self.counted and nu is not None
-            take = new[:min(top, k - count)]
             self.lam[count:count + len(take)] = lam[take]
-            self.U[:, count:count + len(take)] = U[:, take]
             self.count, self.tau = count + top, cut
             self.shifts.append(float(s))
             return
@@ -365,7 +437,7 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     from the rest.  Before its first slice, ``_start`` counts nu at -1, -16,
     -256, ... (clipped once to ``floor``, the paper's C_infty bound) and
     the cut starts at the first shift with nu = 0; that shift's unpivoted
-    factor is the first slice's OPinv.  Near the spectrum, not at the far
+    factor runs the first slice.  Near the spectrum, not at the far
     bound, the start keeps the shift-inverted spectrum spread out, which
     saves Lanczos steps and keeps the residuals small.  A slice asks for
     the m eigenvalues nearest s = tau + offset.  They fill the window
@@ -388,7 +460,7 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     states = [_Slices(A, M, floor, k) for A, M in pencils]
     total = sum(p.n for p in states)
     # the accepted columns of every pencil and one slice's Lanczos basis
-    need = (k + 2 * SLICE + 1) * total * max(p.dtype.itemsize for p in states)
+    need = (k + LANCZOS_BASIS) * total * max(p.dtype.itemsize for p in states)
     _check_memory("sliced", total, need)
     shifts = []
     while True:

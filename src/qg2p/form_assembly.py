@@ -373,7 +373,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     B = _realify(0.5 * (B + B.conj().T))
     C = coo(c_parts, (n_constraints, ndof))
 
-    l_max = sampled_l_max(m, ys)
+    l_max = sampled_l_max(m, ys, L)
     return DiscreteForm(K=K, M=M, B=B, C=C,
                         C_infty=semibound_constant(l_max, min(g.lengths)),
                         meta={"mesh": mesh, "kind": "two_particle",
@@ -381,11 +381,14 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
                               "block_structured": block_structured(P, L)})
 
 
-def sampled_l_max(m: BoundaryMap, ys: Sequence[float]) -> float:
-    """max ||L(y)|| over ``ys`` and the breakpoints of a piecewise map,
-    where its pieces start."""
-    ys = np.append(ys, m.meta.get("breakpoints") or [])
-    return float(np.linalg.norm(m.samples(ys)[1], 2, axis=(1, 2)).max())
+def sampled_l_max(m: BoundaryMap, ys: Sequence[float], L=None) -> float:
+    """max ||L(y)|| over ``ys`` (``L``: the L stack there, if sampled) and
+    the breakpoints of a piecewise map, where its pieces start."""
+    bps = m.meta.get("breakpoints") or []
+    stacks = [m.samples(ys)[1] if L is None else L]
+    if bps:
+        stacks.append(m.samples(bps)[1])
+    return max(float(np.linalg.norm(X, 2, axis=(1, 2)).max()) for X in stacks)
 
 
 def semibound_constant(l_max: float, l_min: float) -> float:

@@ -156,6 +156,24 @@ class TestValidateCommand:
         assert any("L = Q L Q" in e for e in report["map"]["errors"])
         assert report["map"]["max_qlq_defect"] == qlq
 
+    def test_one_l_max_for_the_report_and_the_constant(self, tmp_path, capsys):
+        # the two-step map: mesh node 0.5625 sees the 1e4 step, only the
+        # breakpoint 0.813 sees the 2e4 one
+        Z, I4 = matrix_to_json(np.zeros((4, 4))), np.eye(4)
+        doc = {"graph": {"edges": [["a", "b", 1.0]]},
+               "map": {"kind": "piecewise",
+                       "breakpoints": [0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
+                       "pieces": [{"P": Z, "L": L} for L in (
+                           Z, matrix_to_json(1e4 * I4), Z,
+                           matrix_to_json(2e4 * I4), Z)]},
+               "mesh": {"nodes": 17}}
+        code = main(["validate", "--config", write_config(tmp_path, doc)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["map"]["L_max"] == 2e4
+        # delta = 1 / (4 L_max): C = 32 L_max^2
+        assert report["semiboundedness_constant"] == pytest.approx(32.0 * 2e4 ** 2)
+
     def test_samples_only_the_mesh_y_nodes(self, tmp_path, capsys, monkeypatch):
         # every field of the report, the noninteracting and local flags
         # included, reads the map where assembly does
@@ -718,19 +736,17 @@ class TestExitCodes:
 
     def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,
                                                          monkeypatch, capsys):
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(eigensolve.spla, "eigsh", no_convergence)
+        # a 10-vector basis cannot hold the m = 8 of a slice converged, and
+        # no thick restart is allowed
+        monkeypatch.setattr(eigensolve, "LANCZOS_BASIS", 10)
+        monkeypatch.setattr(eigensolve, "LANCZOS_RESTARTS", 0)
         code = main(["spectrum", "--config",   # 361 dofs, k = 5: Lanczos
                      write_config(tmp_path, dirichlet_square_doc(nodes=21)),
                      "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Lanczos" in err
+        assert "not converged" in err and len(err.strip().splitlines()) == 1
 
 
 def test_sector_solve_runs_one_nullspace(monkeypatch):

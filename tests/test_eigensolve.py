@@ -118,18 +118,18 @@ def dirichlet_lift(interval, nodes):
 
 
 def drop_middle(monkeypatch, times):
-    """Make the first ``times`` eigsh calls lose their middle eigenpair."""
-    orig, calls = eigensolve.spla.eigsh, []
+    """Make the first ``times`` Lanczos runs lose their middle eigenpair."""
+    orig, calls = eigensolve._lanczos, []
 
     def lossy(*args, **kwargs):
-        lam, U = orig(*args, **kwargs)
+        lam, Q, Y = orig(*args, **kwargs)
         calls.append(len(lam))
         if len(calls) > times:
-            return lam, U
+            return lam, Q, Y
         keep = np.arange(len(lam)) != np.argsort(lam)[len(lam) // 2]
-        return lam[keep], U[:, keep]
+        return lam[keep], Q, Y[:, keep]
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", lossy)
+    monkeypatch.setattr(eigensolve, "_lanczos", lossy)
     return calls
 
 
@@ -162,18 +162,18 @@ class TestSlicing:
 
     def test_window_short_of_the_cut_is_recentred(self, interval, monkeypatch):
         form, lam1 = dirichlet_lift(interval, 33)
-        orig, shifts, cuts = eigensolve.spla.eigsh, [], []
+        orig, shifts, cuts = eigensolve._lanczos, [], []
 
         def short(*args, **kwargs):
-            lam, U = orig(*args, **kwargs)
+            lam, Q, Y = orig(*args, **kwargs)
             shifts.append(kwargs["sigma"])
             if len(shifts) == 2:    # second slice: only the half nearest s
                 near = np.argsort(np.abs(lam - shifts[-1]))[:len(lam) // 2]
-                return lam[near], U[:, near]
-            return lam, U
+                return lam[near], Q, Y[:, near]
+            return lam, Q, Y
 
         inertia = eigensolve._inertia
-        monkeypatch.setattr(eigensolve.spla, "eigsh", short)
+        monkeypatch.setattr(eigensolve, "_lanczos", short)
         monkeypatch.setattr(eigensolve, "_inertia",
                             lambda A, M, tau: cuts.append(tau) or inertia(A, M, tau))
         res = solve(form, SLICE + 40, force_dense=False)
@@ -345,14 +345,15 @@ class TestStartShift:
         form = assemble_two_particle(g, m, mesh)
         assert form.C_infty > 0
         dense = solve(form, k, force_dense=True).eigenvalues
-        events, inertia, eigsh = [], eigensolve._inertia, eigensolve.spla.eigsh
+        events, inertia, lanczos = [], eigensolve._inertia, eigensolve._lanczos
         monkeypatch.setattr(eigensolve, "_inertia", lambda A, M, tau:
                             events.append(("count", tau)) or inertia(A, M, tau))
-        monkeypatch.setattr(eigensolve.spla, "eigsh", lambda *a, **kw:
-                            events.append(("eigsh", kw["sigma"])) or eigsh(*a, **kw))
+        monkeypatch.setattr(eigensolve, "_lanczos", lambda *a, **kw:
+                            events.append(("lanczos", kw["sigma"]))
+                            or lanczos(*a, **kw))
         res = solve(form, k, force_dense=False)
         assert [rec["shifts"][0] for rec in res.meta["sectors"]] == [-1.0, -1.0]
-        assert events[:2] == [("count", -1.0), ("eigsh", -1.0)]
+        assert events[:2] == [("count", -1.0), ("lanczos", -1.0)]
         assert res.meta["inertia_certified"] is True
         assert np.abs(res.eigenvalues - dense).max() / np.abs(dense).max() <= 1e-12
 
@@ -385,12 +386,78 @@ class TestStartShift:
         assert len(tried) == eigensolve.START_STEPS
 
 
+def lanczos_run(A, M, sigma, m, v0=None):
+    """The kernel's m eigenvalues nearest sigma, sorted, their Ritz
+    vectors, the basis size, and the dense pencil's m nearest sigma."""
+    A, M = A.tocsc(), M.tocsc()
+    v0 = np.random.default_rng(8231).standard_normal(A.shape[0]) if v0 is None else v0
+    lam, Q, Y = eigensolve._lanczos(eigensolve._factor(A, M, sigma), M, m,
+                                    sigma=sigma, v0=v0)
+    order = np.argsort(lam)
+    dense = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    near = np.sort(dense[np.argsort(np.abs(dense - sigma), kind="stable")[:m]])
+    return lam[order], Q @ Y[:, order], Q.shape[1], near
+
+
+def assert_matches_dense(lam, X, M, near):
+    assert np.abs(lam - near).max() / np.abs(near).max() <= 1e-12
+    G = X.conj().T @ (M @ X)
+    assert np.abs(G - np.eye(len(lam))).max() <= 1e-10
+
+
+class TestLanczosKernel:
+    def test_real_pencil_matches_dense(self):
+        A, M = random_pencil_form(n=120, seed=3).reduced()
+        lam, X, _, near = lanczos_run(A, M, 20.0, 12)
+        assert_matches_dense(lam, X, M, near)
+
+    def test_complex_hermitian_pencil_matches_dense(self):
+        g = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+        form = assemble_two_particle(g, random_projector_map(16, 5, 3),
+                                     Mesh.uniform(g, 12))
+        A, M = form.reduced()
+        assert np.iscomplexobj(A.data)
+        lam, X, _, near = lanczos_run(A, M, 50.0, 20)
+        assert np.iscomplexobj(X)
+        assert_matches_dense(lam, X, M, near)
+
+    def test_thick_restart_keeps_the_eigenvalues(self, interval, monkeypatch):
+        form = dirichlet_lift(interval, 17)[0]
+        A, M = form.reduced()
+        m = 12
+        lam, _, size, near = lanczos_run(A, M, 100.0, m)
+        assert size > 2 * m + 1           # more than the capped basis holds
+        monkeypatch.setattr(eigensolve, "LANCZOS_BASIS", 2 * m + 1)
+        restarted, X, size, _ = lanczos_run(A, M, 100.0, m)
+        assert size <= 2 * m + 1
+        assert_matches_dense(restarted, X, M, near)
+        assert np.abs(restarted - lam).max() / np.abs(lam).max() <= 1e-12
+
+    def test_basis_reaches_the_whole_space(self):
+        A, M = random_pencil_form(n=10, seed=4).reduced()
+        lam, X, size, near = lanczos_run(A, M, 0.0, 8)
+        assert size == 10
+        assert_matches_dense(lam, X, M, near)
+
+    def test_invariant_start_vector_breaks_down_and_goes_on(self, monkeypatch):
+        # a diagonal pencil: OP e_3 is exactly a multiple of e_3
+        A = sp.diags(np.arange(1.0, 41.0))
+        M = sp.diags(np.random.default_rng(6).uniform(0.5, 2.0, 40))
+        v0 = np.eye(40)[3]
+        seeds, rng = [], np.random.default_rng
+        monkeypatch.setattr(eigensolve.np.random, "default_rng",
+                            lambda seed: seeds.append(seed) or rng(seed))
+        lam, X, _, near = lanczos_run(A, M, 10.0, 6, v0=v0)
+        assert seeds[:1] == [1]           # the breakdown after one step
+        assert_matches_dense(lam, X, M, near)
+
+
 class TestMemoryGuard:
     def test_threshold_dense_falls_back_to_lanczos(self, interval, monkeypatch):
         form = dirichlet_lift(interval, 12)[0]          # sparse, n = 100
         oracle = solve(form, 5, force_dense=True)
-        # dense needs 6 n^2 8 = 480 kB, the slices (k + 2 SLICE + 1) n 8 =
-        # 133 kB and their start factor 2 nnz (8 + 4) = 44 kB
+        # dense needs 6 n^2 8 = 480 kB, the slices (k + 3 SLICE + 1) n 8 =
+        # 197 kB and their start factor 2 nnz (8 + 4) = 44 kB
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 3e5)
         res = solve(form, 5)
         assert res.method == "shift-invert"
@@ -453,7 +520,7 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 49)
 
     def test_sliced_solve_over_budget_fails(self, monkeypatch):
-        # the slices need (k + 2 SLICE + 1) n 8 = 66 kB; dense falls back first
+        # the slices need (k + 3 SLICE + 1) n 8 = 98 kB; dense falls back first
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 5e4)
         with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
             solve(random_pencil_form(n=50), 5)
@@ -461,10 +528,10 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 5, force_dense=False)
 
     def test_start_factor_over_budget_fails(self, monkeypatch):
-        # the slices need (k + 2 SLICE + 1) n 8 = 130 kB, with the dense start
+        # the slices need (k + 3 SLICE + 1) n 8 = 194 kB, with the dense start
         # factor kept twice, 2 nnz (8 + 4) = 242 kB, more
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 2e5)
-        monkeypatch.setattr(eigensolve.spla, "eigsh",
+        monkeypatch.setattr(eigensolve, "_lanczos",
                             lambda *a, **kw: pytest.fail("Lanczos ran"))
         with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
             solve(random_pencil_form(n=100), 1)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import YS, bump_interaction_map
 from test_loop_reference import assert_same_kernel, loop_nullspace
-from qg2p.bc_maps import (constant_map, lift_one_particle, piecewise_map,
-                          validate_map)
+from qg2p.bc_maps import (BoundaryMap, constant_map, lift_one_particle,
+                          piecewise_map, validate_map)
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
                                 assemble_two_particle, check_finite_scale,
                                 nullspace_from_constraints, sampled_l_max,
@@ -413,3 +413,17 @@ class TestSemiboundConstant:
         m1.meta.clear()                                   # no breakpoints known
         form = assemble_two_particle(interval, m1, Mesh.uniform(interval, 17))
         assert form.C_infty == pytest.approx(32.0 * 1e4 ** 2)
+
+    def test_assembly_samples_each_y_once(self, interval, monkeypatch):
+        # the y-nodes once for P, L and L_max, then only the breakpoints
+        Z = np.zeros((4, 4))
+        m = piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
+                          [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
+                           (Z, 2e4 * np.eye(4)), (Z, Z)])
+        mesh = Mesh.uniform(interval, 17)
+        calls, orig = [], BoundaryMap.__call__
+        monkeypatch.setattr(BoundaryMap, "__call__",
+                            lambda m, y: calls.append(y) or orig(m, y))
+        form = assemble_two_particle(interval, m, mesh)
+        assert calls == [*mesh.y_nodes, *m.meta["breakpoints"]]
+        assert form.meta["L_max"] == sampled_l_max(m, mesh.y_nodes) == 2e4
