@@ -98,19 +98,21 @@ class MapValidationReport:
 
 
 def block_structured(P: np.ndarray, L: np.ndarray) -> bool:
-    """True iff the sample stacks P and L have identical diagonal
-    half-blocks and zero off-diagonal half-blocks at every sample: then
-    both exchange sectors are invariant under the form.  Compares entries
-    only."""
+    """True iff the sample stacks P and L commute with the particle
+    exchange, which swaps the two halves of the boundary values, at every
+    sample: identical diagonal half-blocks and identical off-diagonal
+    half-blocks.  Then both exchange sectors are invariant under the form.
+    Compares entries only."""
     h = P.shape[-1] // 2
     return not any(np.abs(D).max(initial=0.0) > TOL for M in (P, L)
-                   for D in (M[:, :h, h:], M[:, h:, :h],
+                   for D in (M[:, :h, h:] - M[:, h:, :h],
                              M[:, :h, :h] - M[:, h:, h:]))
 
 
 def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
     """Per-sample projector / self-adjointness / QLQ checks at ``ys`` plus
-    the block-structure flag and corner regularity at the samples y = 0, 1.
+    the exchange-invariance flag ``block_structured`` and corner
+    regularity at the samples y = 0, 1.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).

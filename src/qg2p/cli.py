@@ -16,7 +16,8 @@ import numpy as np
 
 from . import bc_maps, form_assembly, spectral_analysis, symmetry
 from .bc_maps import MapError, validate_map
-from .eigensolve import SolveError, SpectrumResult, chain_counts, solve
+from .eigensolve import (SolveError, SpectrumResult, chain_counts,
+                         check_memory, solve)
 from .form_assembly import AssemblyError, Mesh
 from .graph_core import BoundaryIndexMap, GraphError, MetricGraph, build_graph
 from .symmetry import SymmetryError
@@ -262,7 +263,8 @@ def checked_inputs(cfg: RunConfig, inputs: tuple = None):
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, form) of the config's particles and sector; inputs
     that fail ``checked_inputs``, a map with validate_map errors included,
-    raise before anything is assembled."""
+    raise before anything is assembled, and so does a two-particle mesh
+    whose assembly would not fit in the free memory (a SolveError)."""
     g, m, mesh, report = checked_inputs(cfg, inputs)
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
@@ -270,6 +272,8 @@ def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     if cfg.particles == 1:
         return g, m, mesh, form_assembly.assemble_one_particle(
             g, m.meta["conditions"], mesh)
+    check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
+                 form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
     form = form_assembly.assemble_two_particle(g, m, mesh)
     if cfg.sector != "full":
         sign = +1 if cfg.sector == "boson" else -1
@@ -509,7 +513,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolveError, spectral_analysis.AnalysisError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,13 +1,13 @@
 """Generalized eigenvalue solves for the reduced discrete pencils.
 
-A full-space two-particle form whose map is block structured is solved as
+A full-space two-particle form whose map is exchange invariant is solved as
 its boson and fermion sector pencils (the symmetry-adapted block
 diagonalisation for the exchange group Z_2), any other form as one pencil.
-The pencils are solved dense, one at a time, when k > min(n_s) - 2 or
-n^2 <= c k (n = sum n_s; dense costs about n^3, the slices k n) and memory
-fits; else by shift-invert Lanczos in slices, one factor per shift, each
-certified by a Sylvester inertia count, one loop over the pencils.  The
-lowest k of the union of their spectra, the full one, are the result.
+The pencils are solved dense, one at a time, only when forced or when
+Lanczos cannot give k eigenvalues of each, k > min(n_s) - 2; else by
+shift-invert Lanczos in slices, one factor per shift, each certified by a
+Sylvester inertia count, one loop over the pencils.  The lowest k of the
+union of their spectra, the full one, are the result.
 The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
 reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
 LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
@@ -25,11 +25,6 @@ import scipy.sparse.linalg as spla
 from . import symmetry
 from .form_assembly import DiscreteForm
 
-# c of n^2 <= c k: best of 3, 1 BLAS thread, lifted Dirichlet and piecewise
-# Robin pencils, n = 441..3249, k = 5..300; dense wins below n^2 / k of about
-# 5000..8000 (n = 1681, k = 60: dense 1.14 s, sliced 0.16 s; n = 625, k = 300:
-# 0.088 s against 0.32 s).  Every pencil with n <= 77 is dense.
-DENSE_COST = 6000
 TIE_TOL = 1e-8
 SLICE = 80          # eigenvalues asked per shift
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
@@ -42,11 +37,6 @@ START_STEPS = 60    # first shifts tried: -1, -16, -256, ... (see _start)
 
 class SolveError(RuntimeError):
     """Eigenvalue computation failed or was inconsistently requested."""
-
-
-def dense_preferred(n: int, k: int) -> bool:
-    """Whether dense eigh (about n^3) is cheaper than k of n by slices."""
-    return n * n <= DENSE_COST * k
 
 
 # (limit, usage) files of the root memory cgroup, v2 then v1; the process's
@@ -143,7 +133,7 @@ def _chain_cuts(lam: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~_tied(lam[:-1], lam[1:])) + 1
 
 
-def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResult:
+def solve(form: DiscreteForm, k: int, force_dense: bool = False) -> SpectrumResult:
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
     Eigenvectors are prolonged to full coordinates (N u) on first read; the
@@ -153,11 +143,12 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
     on the dense path, which computes all of it) and the M-orthonormality
     defect of the eigenvectors.
 
-    A full-space two-particle form whose map assembly found block
-    structured is solved as its boson and fermion sector pencils, dense or
-    sliced, whose spectra together are the full one (``meta["sectors"]`` has
-    one record each, else None); ``force_dense=True`` takes the unsplit
-    full pencil.
+    A full-space two-particle form whose map assembly found exchange
+    invariant (``meta["block_structured"]``) is solved as its boson and
+    fermion sector pencils, whose spectra together are the full one
+    (``meta["sectors"]`` has one record each, else None).  The pencils are
+    sliced unless ``force_dense`` or k > n_s - 2 for one of them; dense
+    ``eigh`` with ``force_dense=True`` takes the unsplit full pencil.
     """
     if k < 1:
         raise SolveError("need k >= 1 eigenvalues")
@@ -169,20 +160,12 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
 
     meta = {"C_infty": form.C_infty, "pencil_size": n, "sectors": None,
             "warnings": []}
-    sliceable = k <= min(sizes) - 2    # Lanczos gives at most n_s - 2 of each
-    dense = (force_dense if force_dense is not None
-             else dense_preferred(n, k)) or not sliceable
+    dense = force_dense or k > min(sizes) - 2   # Lanczos gives n_s - 2 at most
     if dense:
         # eigh(A, M) per pencil: A, M, eigh's copies of both, vectors, workspace
-        need = 6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
-                                            for X in f.reduced())
-        if need > available_memory() and sliceable and not force_dense:
-            dense = False
-            meta["warnings"].append(f"{n}-dof pencil solved iteratively: dense "
-                                    f"needs about {need / 1e6:.0f} MB")
-        else:
-            _check_memory("dense", max(sizes), need)
-    if dense:
+        check_memory(f"dense eigensolve of a {max(sizes)}-dof pencil",
+                     6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
+                                                 for X in f.reduced()))
         solved = []             # (lowest k, their vectors, accepted, shifts)
         for f in forms:
             lam, U = sla.eigh(*(X.toarray() for X in f.reduced()))
@@ -217,13 +200,13 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = None) -> SpectrumResul
                           blocks=tuple(blocks))
 
 
-def _check_memory(kind: str, n: int, need: float) -> None:
-    """SolveError when a ``kind`` eigensolve of an n-dof pencil needs
-    ``need`` bytes, more than ``available_memory``."""
+def check_memory(what: str, need: float) -> None:
+    """SolveError when ``what`` needs ``need`` bytes, more than
+    ``available_memory``."""
     avail = available_memory()
     if need > avail:
-        raise SolveError(f"{kind} eigensolve of a {n}-dof pencil needs about "
-                         f"{need / 1e6:.0f} MB, {avail / 1e6:.0f} MB free")
+        raise SolveError(f"{what} needs about {need / 1e6:.0f} MB, "
+                         f"{avail / 1e6:.0f} MB free")
 
 
 def _residuals(A, M, lam, U):
@@ -457,11 +440,15 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     pencil's part of the eigenvalues below the lowest cut, or of the dofs
     before any are known.  One pencil is the plain sliced solve.
     """
+    if not np.isfinite(floor):
+        raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
+                         "shifts have no floor")
     states = [_Slices(A, M, floor, k) for A, M in pencils]
     total = sum(p.n for p in states)
     # the accepted columns of every pencil and one slice's Lanczos basis
     need = (k + LANCZOS_BASIS) * total * max(p.dtype.itemsize for p in states)
-    _check_memory("sliced", total, need)
+    what = f"sliced eigensolve of a {total}-dof pencil"
+    check_memory(what, need)
     shifts = []
     while True:
         low = min(states, key=lambda p: p.cut)
@@ -476,8 +463,7 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
             low.tau, nu, low.lu = _start(low.A, low.M, low.tau)
             low.counted = nu is not None
             # again with the start factor kept twice (its count copied L and U)
-            _check_memory("sliced", total,
-                          need + 2 * low.lu.nnz * (low.dtype.itemsize + 4))
+            check_memory(what, need + 2 * low.lu.nnz * (low.dtype.itemsize + 4))
         low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2))
         shifts.append(low.shifts[-1])
     meta.update(shifts=shifts, slices=len(shifts),

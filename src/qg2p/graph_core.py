@@ -104,7 +104,8 @@ class BoundaryIndexMap:
     ``running_edge`` = b.  ``half``, ``end_pos`` and ``running_edge`` (4E^2
     each) unravel the position over the shape (2, 2, E, E).  The particle
     exchange maps side x = s of D_{ab} to side y = s of D_{ba}: it swaps
-    the halves, so block-structured maps carry identical diagonal blocks.
+    the halves, so a map commutes with it iff its diagonal half-blocks are
+    identical and so are its off-diagonal ones.
     """
 
     def __init__(self, graph: MetricGraph):

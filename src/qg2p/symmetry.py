@@ -51,18 +51,18 @@ def sector_basis(mesh: Mesh, sign: int) -> sp.csr_matrix:
 def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     """Restrict an assembled two-particle form to one exchange sector.
 
-    The sector is only invariant when the boundary map is block structured
-    (identical diagonal half-blocks, zero off-diagonal half-blocks) at the
-    mesh's y-nodes, as assembly recorded in ``meta["block_structured"]``; a
-    violation is a hard error.  The sector form's basis is S null(C S), the
+    The sector is only invariant when the boundary map commutes with the
+    exchange (identical diagonal and identical off-diagonal half-blocks) at
+    the mesh's y-nodes, as assembly recorded in ``meta["block_structured"]``;
+    a violation is a hard error.  The sector form's basis is S null(C S), the
     only nullspace computed for it.
     """
     if form.meta.get("kind") != "two_particle":
         raise SymmetryError("sector restriction needs a two-particle form")
     if not form.meta.get("block_structured"):
         raise SymmetryError(
-            "boundary map is not exchange-symmetric (half blocks differ "
-            "or off-diagonal half blocks are nonzero); no sector spectra")
+            "boundary map is not exchange-symmetric (its diagonal or its "
+            "off-diagonal half blocks differ); no sector spectra")
     S = sector_basis(form.meta["mesh"], sign)
     Nred = nullspace_from_constraints((form.C @ S).tocsr(), S.shape[1])
     meta = dict(form.meta)
@@ -72,7 +72,7 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
 
 def exchange_sectors(form: DiscreteForm):
     """(boson, fermion) sector forms of a full-space two-particle form whose
-    map assembly found block structured; None for every other form.  Their
+    map assembly found exchange invariant; None for every other form.  Their
     spectra together are the full one."""
     if "sector" in form.meta or not form.meta.get("block_structured"):
         return None

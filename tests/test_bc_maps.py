@@ -67,10 +67,14 @@ class TestValidation:
         P = np.zeros((4, 4))
         P[0, 0] = 1.0
         off = np.zeros((4, 4))
-        off[0, 2] = off[2, 0] = 1.0
+        off[0, 2] = off[2, 0] = 1.0      # equal off-diagonal half-blocks
+        one_sided = np.zeros((4, 4))
+        one_sided[0, 3] = one_sided[3, 0] = 1.0   # L[:2, 2:] != L[2:, :2]
         cases = {"bump": (bump_interaction_map(), True),
                  "halves differ": (constant_map(P, np.zeros((4, 4))), False),
-                 "off-diagonal L": (constant_map(np.zeros((4, 4)), off), False),
+                 "off-diagonal L": (constant_map(np.zeros((4, 4)), off), True),
+                 "one-sided off-diagonal L": (
+                     constant_map(np.zeros((4, 4)), one_sided), False),
                  "dirichlet lift": (lift_one_particle(
                      standard_family("dirichlet", interval), interval), True)}
         ys = np.linspace(0.0, 1.0, 13)

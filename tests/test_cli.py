@@ -7,6 +7,9 @@ import pytest
 from qg2p import bc_maps, cli, eigensolve, form_assembly, symmetry
 from qg2p.cli import (ConfigError, built_inputs, load_config, main,
                       matrix_from_json, parse_config)
+from qg2p.graph_core import build_graph
+from qg2p.spectral_analysis import lifted_spectrum
+from qg2p.vertex_conditions import VertexConditions
 
 
 def matrix_to_json(m):
@@ -31,6 +34,18 @@ def piecewise_doc(P, L=None, nodes=9, **extra):
            "mesh": {"nodes": nodes}, "num_eigs": 3}
     doc.update(extra)
     return doc
+
+
+def eigenvalue_column(out):
+    """The eigenvalue column of a run's eigenvalues.csv."""
+    return np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1,
+                      usecols=1, ndmin=1)
+
+
+def lift_of(g, P, L, nodes, k, sector):
+    """The lowest k sums in ``sector`` of the one-particle (P, L) on g."""
+    return lifted_spectrum(g, VertexConditions.from_pl(P, L),
+                           form_assembly.Mesh.uniform(g, nodes), k, sector)
 
 
 def dirichlet_square_doc(nodes=33, num_eigs=5, **extra):
@@ -231,21 +246,16 @@ class TestSpectrumCommand:
             errs[nodes] = abs(lam0 - 2 * np.pi**2)
             meta = json.loads((out / "spectrum.json").read_text())
             assert meta["max_m_orth_defect"] < 1e-10 and meta["warnings"] == []
-            if nodes == 9:      # 49 dofs: dense sectors, nothing to certify
-                assert meta["method"] == "dense" and meta["slices"] == 0
-                assert meta["inertia_certified"] is None
-                assert meta["sectors"] == [
-                    {"sector": name, "pencil_size": size, "shifts": [],
-                     "slices": 0, "accepted": size}
-                    for name, size in (("boson", 28), ("fermion", 21))]
-            else:               # 961 and 3969 dofs: one certified slice at -1
-                assert meta["method"] == "shift-invert"  # in each sector
-                assert meta["inertia_certified"] is True
-                for rec in meta["sectors"]:
-                    assert rec["shifts"] == [-1.0] and rec["slices"] == 1
-                    assert meta["lu_fill_nnz"] > rec["pencil_size"]
-                assert sum(rec["pencil_size"] for rec in meta["sectors"]) \
-                    == meta["pencil_size"] == (nodes - 2) ** 2
+            # 49, 961 and 3969 dofs: one certified slice at -1 per sector
+            assert meta["method"] == "shift-invert"
+            assert meta["inertia_certified"] is True
+            for rec in meta["sectors"]:
+                assert rec["shifts"] == [-1.0] and rec["slices"] == 1
+                assert meta["lu_fill_nnz"] > rec["pencil_size"]
+            assert sum(rec["pencil_size"] for rec in meta["sectors"]) \
+                == meta["pencil_size"] == (nodes - 2) ** 2
+            if nodes == 9:
+                assert [rec["pencil_size"] for rec in meta["sectors"]] == [28, 21]
         assert errs[9] / errs[33] > 3.0 and errs[33] / errs[65] > 3.0
         assert errs[65] / (2 * np.pi**2) < 0.02
 
@@ -279,6 +289,42 @@ class TestSpectrumCommand:
                   "--out", str(out)])
             blobs.append((out / "eigenvalues.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_explicit_lifted_conditions_equal_the_family(self, tmp_path):
+        # the Robin family at alpha = 1.5 is (P, L) = (0, 1.5 I)
+        lams = []
+        for name, entries in (
+                ("family", {"family": "robin", "alpha": 1.5}),
+                ("pl", {"P": matrix_to_json(np.zeros((2, 2))),
+                        "L": matrix_to_json(1.5 * np.eye(2))})):
+            doc = dirichlet_square_doc(nodes=17, map={"kind": "lifted", **entries})
+            out = tmp_path / name
+            assert main(["spectrum", "--config",
+                         write_config(tmp_path, doc, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            lams.append(eigenvalue_column(out))
+        assert np.abs(lams[1] - lams[0]).max() <= 1e-12 * np.abs(lams[0]).max()
+
+    def test_zero_potential_delta_example_is_a_dirichlet_square(self, tmp_path):
+        """With v = 0 the centre of the truncated line is Kirchhoff, so the
+        boson spectrum is the boson lift of the 2-star with Dirichlet
+        leaves, the interval [-T, T], near (pi / 2T)^2 (i^2 + j^2)."""
+        T, nodes, k = 1.3, 33, 12
+        doc = {"map": {"kind": "delta_example", "truncation": T,
+                       "potential": {"kind": "zero"}},
+               "mesh": {"nodes": nodes}, "num_eigs": k, "sector": "boson"}
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        lam = eigenvalue_column(out)
+        g, _ = bc_maps.delta_example_map(lambda x, y: 0.0, T)
+        P = np.eye(4)                      # ends 0, 1 at the centre: continuity
+        P[:2, :2] = [[0.5, -0.5], [-0.5, 0.5]]
+        oracle = lift_of(g, P, np.zeros((4, 4)), nodes, k, "boson")
+        assert np.abs(lam - oracle).max() <= 1e-12 * oracle.max()
+        i, j = np.triu_indices(k)
+        continuum = np.sort((np.pi / (2 * T)) ** 2 * ((i + 1) ** 2 + (j + 1) ** 2))
+        assert np.abs(lam / continuum[:k] - 1.0).max() < 5e-3
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "out"
@@ -315,6 +361,23 @@ class TestAnalyzeCommand:
         lines = (out / "counting.csv").read_text().strip().splitlines()
         assert lines[0] == "lambda,N,weyl_line"
         assert len(lines) == 61
+
+    def test_one_particle_weyl_fit(self, tmp_path):
+        # two Dirichlet intervals of lengths 1 and 0.5: N(k) ~ (1.5 / pi) k
+        doc = {"graph": {"edges": [["a", "b", 1.0], ["b", "c", 0.5]]},
+               "map": {"kind": "lifted", "family": "dirichlet"},
+               "mesh": {"nodes": 257}, "particles": 1, "num_eigs": 90,
+               "analysis": {"weyl": True}}
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        weyl = json.loads((out / "analysis.json").read_text())["weyl"]
+        assert weyl["pass"] and weyl["target"] == pytest.approx(1.5 / np.pi)
+        assert weyl["relative_error"] < 0.05
+        rows = np.loadtxt(out / "counting.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 90
+        assert np.allclose(rows[:, 2], weyl["slope"] * np.sqrt(rows[:, 0]),
+                           rtol=1e-11, atol=0)
 
     def test_window_flag(self, tmp_path):
         doc = dirichlet_square_doc(nodes=41, num_eigs=60)
@@ -512,7 +575,13 @@ def malformed_docs():
         "constant-dim-3": {**square, "map": {
             "kind": "constant", "P": matrix_to_json(np.eye(3)),
             "L": matrix_to_json(np.zeros((3, 3)))}},
+        "lifted-no-conditions": {**square, "map": {"kind": "lifted"}},
+        "mixed-mask-short": with_map(square, family="mixed", mask=["dirichlet"]),
+        "mixed-mask-entry": with_map(square, family="mixed",
+                                     mask=["dirichlet", "robin"]),
         "vertices-number": with_graph(vertices=5, edges=[["a", "b", 1.0]]),
+        "vertices-duplicate": with_graph(vertices=["a", "a", "b"],
+                                         edges=[["a", "b", 1.0]]),
         "endpoint-list": with_graph(edges=[[["a"], "b", 1.0]]),
         "endpoint-object": with_graph(edges=[[{"a": 1}, "b", 1.0]]),
     }
@@ -569,6 +638,9 @@ class TestExitCodes:
          []),
         ("example-delta", TestExampleDeltaCommand.DOC,
          ["--sector", "fermion"]),
+        ("spectrum", [1], []),
+        ("spectrum", dirichlet_square_doc(particles=3), []),
+        ("spectrum", dirichlet_square_doc(mesh={"nodes_per_edge": [9, 9]}), []),
         *[("spectrum", doc, []) for doc in MALFORMED.values()],
     ], ids=["num-eigs-0", "example-delta-num-eigs-0", "mesh-h-negative",
             "two-mesh-nodes", "num-eigs-string", "particles-float",
@@ -583,7 +655,8 @@ class TestExitCodes:
             "one-particle-bracketing", "one-particle-lift-check",
             "one-particle-sector", "analysis-unknown-key", "weyl-string",
             "lift-check-string", "example-delta-fermion",
-            "example-delta-fermion-flag", *MALFORMED])
+            "example-delta-fermion-flag", "config-list", "particles-3",
+            "nodes-per-edge-count", *MALFORMED])
     def test_bad_input_exits_2_before_solving(self, tmp_path, capsys,
                                               monkeypatch, command, doc, flags):
         monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
@@ -612,8 +685,8 @@ class TestExitCodes:
                        "square\n")
 
     def test_amplitude_with_infinite_residuals_exits_3(self, tmp_path, capsys):
-        # L = -v/4 is finite, but C_infty and the residuals of the dense
-        # solve overflow
+        # L = -v/4 is finite, but C_infty overflows, so the slices have no
+        # floor for their start shifts
         delta = TestExampleDeltaCommand.DOC
         doc = {**delta, "mesh": {"nodes": 9}, "num_eigs": 5,
                "map": {**delta["map"], "potential": {"amplitude": -1e300}}}
@@ -621,7 +694,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == "numerical failure: non-finite residuals (5 of 5)\n"
+        assert err == ("numerical failure: non-finite C_infty (inf): the "
+                       "start shifts have no floor\n")
 
     @pytest.mark.parametrize("A, B, says", [
         (np.diag([1.0, 0.0]), np.zeros((2, 2)), "[A B] has rank 1, not 2E = 2"),
@@ -725,7 +799,9 @@ class TestExitCodes:
 
     def test_sliced_solve_over_memory_budget_exits_3(self, tmp_path,
                                                      monkeypatch, capsys):
-        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
+        # the assembly of 441 dofs needs 0.31 MB, the slices of the 361
+        # reduced dofs (k + 3 SLICE + 1) n 8 = 0.71 MB
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 5e5)
         code = main(["spectrum", "--config",   # 361 dofs, k = 5: Lanczos
                      write_config(tmp_path, dirichlet_square_doc(nodes=21)),
                      "--out", str(tmp_path / "out")])
@@ -733,6 +809,41 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical failure: sliced eigensolve")
         assert len(err.strip().splitlines()) == 1
+
+    def test_assembly_over_memory_budget_exits_3(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # 99^2 two-particle dofs on the 3-star at 33 nodes: about 7 MB
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e6)
+        monkeypatch.setattr(form_assembly, "assemble_two_particle",
+                            lambda *a: pytest.fail("assembled"))
+        doc = dirichlet_square_doc(
+            graph={"edges": [["c", f"l{i}", 1.0] for i in (1, 2, 3)]})
+        code = main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: two-particle assembly of 9801 dofs needs "
+            "about 7 MB, 1 MB free\n")
+
+    def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the first slice of each sector runs on its start factor; k = 150 of
+        # 361 dofs takes a second slice, whose own factor fails
+        factor, built = eigensolve._factor, []
+
+        def singular(A, M, sigma, symmetric=False):
+            if not symmetric:
+                built.append(sigma)
+                raise RuntimeError("Factor is exactly singular")
+            return factor(A, M, sigma, symmetric)
+
+        monkeypatch.setattr(eigensolve, "_factor", singular)
+        code = main(["spectrum", "--config", write_config(
+            tmp_path, dirichlet_square_doc(nodes=21, num_eigs=150)),
+            "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and len(built) == 1
+        assert err == (f"numerical failure: factor of A - {built[0]:.6e} M: "
+                       "Factor is exactly singular\n")
 
     def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,
                                                          monkeypatch, capsys):
@@ -751,7 +862,7 @@ class TestExitCodes:
 
 def test_sector_solve_runs_one_nullspace(monkeypatch):
     """A sector run computes only S null(C S), never the full-space basis;
-    a dense full-space run computes one per sector, and no third."""
+    a split full-space run computes one per sector, and no third."""
     calls = []
     orig = form_assembly.nullspace_from_constraints
 
@@ -770,5 +881,51 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     cfg = parse_config(dirichlet_square_doc(nodes=15))    # 169 dofs, k = 5
     _, _, _, form = cli.assemble_from_config(cfg)
     res = eigensolve.solve(form, cfg.num_eigs)
-    assert res.method == "dense" and len(res.meta["sectors"]) == 2
+    assert res.method == "shift-invert" and len(res.meta["sectors"]) == 2
     assert len(calls) == 2 and form.basis is None
+
+
+def exchange_coupled_maps():
+    """name -> (edge length, P, L, boson (P1, L1), fermion (P1, L1)): maps
+    on one edge that commute with the exchange but are no lifts.  The full
+    spectrum is the union of the boson sums of the one-particle pencil of
+    (P1, L1) for the boson sector and the fermion sums of that for the
+    fermion sector.  "robin-coupled" couples psi(0, t) with psi(t, 0)
+    through L, a Robin end of strength 1.5 + 0.7 for bosons and 1.5 - 0.7
+    for fermions; "equal-traces" asks psi(0, t) = psi(t, 0), which bosons
+    meet freely (Neumann) and fermions only at 0 (Dirichlet)."""
+    zero, zero1 = np.zeros((4, 4)), np.zeros((2, 2))
+    ends = np.ix_([0, 2], [0, 2])     # psi(0, t) and psi(t, 0)
+    L, P = zero.copy(), zero.copy()
+    L[ends] = [[1.5, 0.7], [0.7, 1.5]]
+    P[ends] = [[0.5, -0.5], [-0.5, 0.5]]
+    return {"robin-coupled": (1.0, zero, L, (zero1, np.diag([2.2, 0.0])),
+                              (zero1, np.diag([0.8, 0.0]))),
+            "equal-traces": (1.3, P, zero, (zero1, zero1),
+                             (np.diag([1.0, 0.0]), zero1))}
+
+
+@pytest.mark.parametrize("name", sorted(exchange_coupled_maps()))
+def test_exchange_coupled_map_splits_into_one_particle_sums(tmp_path, name):
+    length, P, L, boson, fermion = exchange_coupled_maps()[name]
+    nodes, k = 33, 40
+    doc = {"graph": {"edges": [["a", "b", length]]},
+           "map": {"kind": "constant", "P": matrix_to_json(P),
+                   "L": matrix_to_json(L)},
+           "mesh": {"nodes": nodes}, "num_eigs": k}
+    g = build_graph(doc["graph"])
+    oracle = {sector: lift_of(g, *pl, nodes, k, sector)
+              for sector, pl in (("boson", boson), ("fermion", fermion))}
+    oracle["full"] = np.sort(np.concatenate(list(oracle.values())))[:k]
+    for sector, want in oracle.items():
+        out = tmp_path / sector
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--sector", sector, "--out", str(out)]) == 0
+        meta = json.loads((out / "spectrum.json").read_text())
+        assert meta["method"] == "shift-invert" and meta["inertia_certified"]
+        assert (meta["sectors"] is not None) == (sector == "full")
+        assert np.abs(eigenvalue_column(out) - want).max() <= 1e-12 * want.max()
+        *_, form = cli.assemble_from_config(parse_config({**doc, "sector": sector}))
+        dense = eigensolve.solve(form, k, force_dense=True)
+        assert dense.method == "dense"
+        assert np.abs(dense.eigenvalues - want).max() <= 1e-12 * want.max()

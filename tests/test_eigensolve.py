@@ -10,8 +10,7 @@ from qg2p import eigensolve
 from conftest import bump_interaction_map
 from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
 from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
-                             chain_counts, counting_function,
-                             dense_preferred, solve)
+                             chain_counts, counting_function, solve)
 from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
                                 assemble_two_particle)
 from qg2p.graph_core import build_graph
@@ -183,6 +182,25 @@ class TestSlicing:
         assert len(cuts) == res.meta["slices"] + 1
         exact = lift_spectrum(lam1, SLICE + 40)
         assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
+
+    def test_count_off_the_diagonal_is_unreadable(self):
+        # a zero diagonal makes SuperLU pivot off it: no count, but the
+        # factor still solves
+        A = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           np.diag([2.0, 3.0, 4.0])]).tocsr()
+        nu, lu = eigensolve._inertia(A, sp.identity(5, format="csr"), 0.0)
+        assert nu is None
+        assert np.allclose(lu.solve(np.ones(5)), [1.0, 1.0, 0.5, 1 / 3, 0.25])
+
+    def test_unreadable_counts_leave_the_result_uncertified(self, interval,
+                                                            monkeypatch):
+        form = dirichlet_lift(interval, 12)[0]
+        dense = solve(form, 12, force_dense=True).eigenvalues
+        monkeypatch.setattr(eigensolve, "_negative_pivots", lambda lu: None)
+        res = solve(form, 12)
+        assert res.method == "shift-invert"
+        assert res.meta["inertia_certified"] is False
+        assert np.abs(res.eigenvalues - dense).max() / dense.max() <= 1e-12
 
     def test_complex_hermitian_inertia(self):
         g = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
@@ -376,6 +394,22 @@ class TestStartShift:
         assert it.residuals.max() <= 1e-7    # 3.0e-5 from the C_infty start
         assert it.meta["inertia_certified"] is True
 
+    def test_start_candidate_at_an_eigenvalue_moves_on(self):
+        # A + M is exactly singular: the count at -1 cannot be read, so the
+        # start moves on to -16, below the spectrum
+        n = 20
+        form = DiscreteForm(K=sp.diags(np.arange(-1.0, n - 1.0)).tocsr(),
+                            M=sp.identity(n, format="csr"),
+                            B=sp.csr_matrix((n, n)), C=sp.csr_matrix((0, n)),
+                            C_infty=0.0)
+        A, M = form.reduced()
+        assert eigensolve._inertia(A, M, -1.0) == (None, None)
+        assert eigensolve._start(A, M, -1.0)[:2] == (-16.0, 0)
+        res = solve(form, 3)
+        assert res.meta["shifts"][0] == -16.0
+        assert res.meta["inertia_certified"] is True
+        assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
     def test_start_goes_on_from_the_floor(self, monkeypatch):
         tried = []
         monkeypatch.setattr(eigensolve, "_inertia",
@@ -453,15 +487,16 @@ class TestLanczosKernel:
 
 
 class TestMemoryGuard:
-    def test_threshold_dense_falls_back_to_lanczos(self, interval, monkeypatch):
+    def test_budget_below_dense_is_sliced_without_a_warning(self, interval,
+                                                            monkeypatch):
         form = dirichlet_lift(interval, 12)[0]          # sparse, n = 100
         oracle = solve(form, 5, force_dense=True)
-        # dense needs 6 n^2 8 = 480 kB, the slices (k + 3 SLICE + 1) n 8 =
-        # 197 kB and their start factor 2 nnz (8 + 4) = 44 kB
+        # dense would need 6 n^2 8 = 480 kB; the slices need (k + 3 SLICE + 1)
+        # n 8 = 197 kB and their start factor 2 nnz (8 + 4) = 44 kB
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 3e5)
         res = solve(form, 5)
         assert res.method == "shift-invert"
-        assert "dense needs" in res.meta["warnings"][0]
+        assert res.meta["warnings"] == []
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
 
     def test_cgroup_limit_caps_available_memory(self, monkeypatch):
@@ -520,7 +555,7 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 49)
 
     def test_sliced_solve_over_budget_fails(self, monkeypatch):
-        # the slices need (k + 3 SLICE + 1) n 8 = 98 kB; dense falls back first
+        # the slices need (k + 3 SLICE + 1) n 8 = 98 kB
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 5e4)
         with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
             solve(random_pencil_form(n=50), 5)
@@ -599,14 +634,11 @@ class TestReducedEigenvectors:
 
 
 class TestMethodChoice:
-    def test_cost_rule(self):
-        assert dense_preferred(193, 80)         # a lift check's 1-D solve
-        assert not dense_preferred(1681, 60)    # bracket-dense's pencils
-        assert all(dense_preferred(n, 1) for n in range(1, 78))
-        assert not dense_preferred(78, 1)
-
     def test_solve_follows_the_rule(self):
-        assert solve(random_pencil_form(n=50), 5).method == "dense"
+        # sliced and certified whenever Lanczos can give k, however small n
+        res = solve(random_pencil_form(n=50), 5)
+        assert res.method == "shift-invert"
+        assert res.meta["inertia_certified"] is True
         assert solve(random_pencil_form(n=100), 1).method == "shift-invert"
 
     def test_k_above_n_minus_2_is_dense(self):

@@ -8,7 +8,8 @@ in one stderr line, or ``validate`` in a strict-JSON report; and
 every JSON file of a run that exits 0 is strict, every CSV number finite.
 
 Tier 1 runs a fixed, seeded subset of the cases plus the overflow cases
-below.  ``ALL_CASES`` is the full sweep (about 15 000 runs).
+below.  ``ALL_CASES`` is the full sweep (about 15 000 runs), which
+``python -m pytest tests/sweep_all.py`` runs through the same checks.
 """
 import functools
 import json
@@ -136,8 +137,9 @@ def assert_finite_outputs(out_dir: str):
             assert np.isfinite(rows).all(), entry.name
 
 
-@pytest.mark.parametrize("case", TIER1_CASES, ids=map(case_id, TIER1_CASES))
-def test_mutated_config_exits_cleanly(tmp_path, capfd, case):
+def check_case(tmp_path, capfd, case):
+    """Run ``validate`` and the workload's command on the case's config
+    and check the exit codes, the stderr lines and the output files."""
     command, config = write_case(tmp_path, case)
     for cmd in ("validate", command):
         out_dir = str(tmp_path / cmd)
@@ -151,6 +153,11 @@ def test_mutated_config_exits_cleanly(tmp_path, capfd, case):
             assert len(err) == 1, err
         if code == 0:
             assert_finite_outputs(out_dir)
+
+
+@pytest.mark.parametrize("case", TIER1_CASES, ids=map(case_id, TIER1_CASES))
+def test_mutated_config_exits_cleanly(tmp_path, capfd, case):
+    check_case(tmp_path, capfd, case)
 
 
 @pytest.mark.parametrize("case, codes, says", [
@@ -182,13 +189,14 @@ def test_overflow_exit_codes(tmp_path, capfd, case, codes, says):
 
 
 def test_analyze_with_non_finite_residuals_exits_3(tmp_path, capfd):
-    """An L entry of 1e300 is admissible, but the residuals of the solve
-    overflow; without a Weyl fit nothing else in analysis.json would show
-    it, and the run must not exit 0."""
+    """An L entry of 1e300 is admissible, but its C_infty overflows, so the
+    slices have no floor for their start shifts; without a Weyl fit nothing
+    else in analysis.json would show it, and the run must not exit 0."""
     doc = mutated(BASES["bracket-dense"][1], OVERFLOW_CASES[5][1], 1e300)
     doc.update(num_eigs=10, analysis={"weyl": False})
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     code, _, err = run("analyze", str(config), str(tmp_path / "out"), capfd)
     assert code == 3
-    assert err == ["numerical failure: non-finite residuals (10 of 10)"]
+    assert err == ["numerical failure: non-finite C_infty (inf): the start "
+                   "shifts have no floor"]

@@ -321,8 +321,7 @@ def loop_block_structured(m, ys=YS, tol=1e-9):
     h = m.dim // 2
     for y in ys:
         for M in m(y):
-            if (np.abs(M[:h, h:]).max(initial=0.0) > tol
-                    or np.abs(M[h:, :h]).max(initial=0.0) > tol
+            if (np.abs(M[:h, h:] - M[h:, :h]).max(initial=0.0) > tol
                     or np.abs(M[:h, :h] - M[h:, h:]).max(initial=0.0) > tol):
                 return False
     return True

@@ -62,6 +62,16 @@ class TestLiftSpectrum:
         with pytest.raises(AnalysisError):
             lift_spectrum(dirichlet_interval(3), 100)
 
+    def test_sums_above_the_truncation_ceiling_raise(self):
+        # of the 9 sums of 1, 2, 3, only 2, 3, 3, 4, 4, 4 reach 3 + 1
+        assert np.array_equal(lift_spectrum([1.0, 2.0, 3.0], 6), [2, 3, 3, 4, 4, 4])
+        with pytest.raises(AnalysisError, match="only 6 lifted eigenvalues"):
+            lift_spectrum([1.0, 2.0, 3.0], 7)
+
+    def test_unknown_sector_raises(self):
+        with pytest.raises(AnalysisError, match="unknown sector 'mixed'"):
+            lift_spectrum(dirichlet_interval(3), 1, "mixed")
+
 
 class TestWeylFits:
     def test_two_particle_full_lattice(self, interval):
@@ -190,6 +200,11 @@ class TestBracketing:
         # reversal gets the same slack as the levels
         rep = bracketing_check(m * (1 + 1e-14), m, m + 0.5, 50)
         assert rep.ok and rep.counting_ok
+
+    def test_short_spectrum_raises(self):
+        m = np.arange(1.0, 61.0)
+        with pytest.raises(AnalysisError, match="need 50 eigenvalues"):
+            bracketing_check(m - 0.5, m[:49], m + 0.5, 50)
 
     def test_violation_detected(self):
         m = np.arange(1.0, 61.0)
