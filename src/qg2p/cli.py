@@ -248,32 +248,33 @@ def built_inputs(cfg: RunConfig):
 
 
 def checked_inputs(cfg: RunConfig, inputs: tuple = None):
-    """(graph, map, mesh, validate_map report at the mesh's y-nodes, where
-    assembly evaluates the map) of the config's ``built_inputs``, or of
-    ``inputs`` if the caller has built them; a one-particle run needs a
-    lifted map, a two-particle one finite stiffness and mass."""
+    """(graph, map, mesh) of the config's ``built_inputs``, or ``inputs`` if
+    the caller has built them; a one-particle run needs a lifted map, a
+    two-particle one finite stiffness and mass.  Nothing samples the map."""
     g, m, mesh = built_inputs(cfg) if inputs is None else inputs
     if cfg.particles == 1 and "conditions" not in m.meta:
         raise ConfigError("one-particle runs need a map of kind 'lifted'")
     if cfg.particles == 2:
         form_assembly.check_finite_scale(mesh)
-    return g, m, mesh, validate_map(m, mesh.y_nodes)
+    return g, m, mesh
 
 
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
-    """(graph, map, mesh, form) of the config's particles and sector; inputs
-    that fail ``checked_inputs``, a map with validate_map errors included,
-    raise before anything is assembled, and so does a two-particle mesh
-    whose assembly would not fit in the free memory (a SolveError)."""
-    g, m, mesh, report = checked_inputs(cfg, inputs)
+    """(graph, map, mesh, form) of the config's particles and sector.  Inputs
+    failing ``checked_inputs`` raise first, then a two-particle mesh whose
+    assembly would not fit in the free memory (a SolveError, from node
+    counts alone), then a map with validate_map errors at the y-nodes."""
+    g, m, mesh = checked_inputs(cfg, inputs)
+    if cfg.particles == 2:
+        check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
+                     form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
+    report = validate_map(m, mesh.y_nodes)
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
                        "error(s); see 'qg2p validate')")
     if cfg.particles == 1:
         return g, m, mesh, form_assembly.assemble_one_particle(
             g, m.meta["conditions"], mesh)
-    check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
-                 form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
     form = form_assembly.assemble_two_particle(g, m, mesh)
     if cfg.sector != "full":
         sign = +1 if cfg.sector == "boson" else -1
@@ -336,7 +337,8 @@ def _json_dump(path: str, obj) -> str:
 def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
-        g, m, mesh, mrep = checked_inputs(cfg)
+        g, m, mesh = checked_inputs(cfg)
+        mrep = validate_map(m, mesh.y_nodes)
     except INPUT_ERRORS as exc:
         report["notes"].append(str(exc))
         print(_json_text(report, "validate report"))

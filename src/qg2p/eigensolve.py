@@ -5,9 +5,9 @@ its boson and fermion sector pencils (the symmetry-adapted block
 diagonalisation for the exchange group Z_2), any other form as one pencil.
 The pencils are solved dense, one at a time, only when forced or when
 Lanczos cannot give k eigenvalues of each, k > min(n_s) - 2; else by
-shift-invert Lanczos in slices, one factor per shift, each certified by a
-Sylvester inertia count, one loop over the pencils.  The lowest k of the
-union of their spectra, the full one, are the result.
+shift-invert Lanczos in slices from -1 up, one loop over the pencils, each
+slice certified by the Sylvester inertia count at its cut.  The lowest k
+of the union of their spectra, the full one, are the result.
 The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
 reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
 LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ SLICE_TRIES = 6     # re-centred attempts per slice before giving up
 LANCZOS_BASIS = 3 * SLICE + 1
 LANCZOS_RESTARTS = 50   # thick restarts per slice before giving up
 EPS = np.finfo(float).eps / 2   # LAPACK's dlamch("E"), ARPACK's tol = 0
-START_STEPS = 60    # first shifts tried: -1, -16, -256, ... (see _start)
+START_STEPS = 60    # fallback shifts tried: -1, -16, -256, ... (see _start)
 
 
 class SolveError(RuntimeError):
@@ -45,14 +46,15 @@ CGROUP_MEMORY = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
                  ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
                   "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
 PROC_CGROUP = "/proc/self/cgroup"
+PROC_STATM = "/proc/self/statm"     # field 0: the virtual size in pages
 
 
 def _read_bytes(path: str):
-    """The byte count in a cgroup file; None when unreadable or "max"."""
+    """A file's first number; None when unreadable or "max"."""
     try:
         with open(path) as fh:
-            return int(fh.read().strip())
-    except (OSError, ValueError):
+            return int(fh.read().split()[0])
+    except (OSError, ValueError, IndexError):
         return None
 
 
@@ -72,13 +74,16 @@ def _own_cgroup(v2: bool) -> str:
 
 
 def available_memory() -> float:
-    """Bytes of memory free now: physical memory, and the room left under
-    a readable cgroup limit, the process's own cgroup's or else the root's
-    (unbounded where neither is known)."""
+    """Bytes of memory free now: physical memory, the room left under a
+    soft address-space limit (``ulimit -v``) and under a readable cgroup
+    limit, the process's own cgroup's or else the root's."""
     try:
         free = float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (ValueError, OSError, AttributeError):
         free = float("inf")
+    limit, pages = resource.getrlimit(resource.RLIMIT_AS)[0], _read_bytes(PROC_STATM)
+    if limit != resource.RLIM_INFINITY and pages is not None:
+        free = min(free, float(limit - pages * resource.getpagesize()))
     for root_files in CGROUP_MEMORY:
         own = _own_cgroup(root_files[0].endswith("memory.max"))
         own_files = [os.path.join(os.path.dirname(f), own, os.path.basename(f))
@@ -229,12 +234,13 @@ def _residuals(A, M, lam, U):
 # sliced shift-invert Lanczos
 
 
-def _factor(A, M, sigma: float, symmetric: bool = False):
-    """splu of A - sigma M with a symmetric fill-reducing ordering; with
-    ``symmetric`` also unpivoted, so U = D L^H carries the inertia."""
-    kw = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} \
-        if symmetric else {}
-    return spla.splu((A - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A", **kw)
+def _factor(A, M, sigma: float, count: bool = False):
+    """splu of A - sigma M in symmetric mode: unpivoted with ``count``, so
+    U = D L^H carries the inertia, else with diagonal pivots of at least 0.1
+    (unpivoted loses residual digits; partial pivoting costs 1.5x the fill)."""
+    return spla.splu((A - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0 if count else 0.1,
+                     options={"SymmetricMode": True})
 
 
 def _negative_pivots(lu):
@@ -251,7 +257,7 @@ def _inertia(A, M, tau: float):
     """(nu, lu): nu = number of eigenvalues below tau, or None when it
     cannot be read (lu None after a zero pivot, else usable as a solver)."""
     try:
-        lu = _factor(A, M, tau, symmetric=True)
+        lu = _factor(A, M, tau, count=True)
     except RuntimeError:        # exactly singular: tau is an eigenvalue
         return None, None
     return _negative_pivots(lu), lu
@@ -339,39 +345,44 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
 
 class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
-    eigenvalues below it (the floor of the start shifts until the first
-    slice), the spacing near it, the accepted shifts, the next slice's
-    factor and the lowest k accepted eigenpairs."""
+    eigenvalues below it (-inf and 0 before the first slice), the floor of
+    the start shifts, the spacing near the cut, the accepted shifts, the
+    next slice's factor and the lowest k accepted eigenpairs."""
 
     def __init__(self, A, M, floor: float, k: int):
-        self.A, self.M = A, M
+        self.A, self.M, self.floor = A, M, floor
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
         self.lam = np.empty(k)
         self.U = np.empty((self.n, k), dtype=self.dtype, order="F")  # paged as accepted
-        self.tau = floor
-        self.count, self.spacing, self.shifts, self.fill = 0, None, [], 0
-        self.lu, self.counted = None, True
+        self.tau, self.count, self.spacing = -np.inf, 0, None
+        self.shifts, self.fill, self.lu, self.counted = [], 0, None, True
 
-    @property
-    def cut(self) -> float:
-        """tau once the pencil has run a slice, -inf before."""
-        return self.tau if self.shifts else -np.inf
+    def fall_back(self) -> float:
+        """Cut at ``_start``'s counted shift, whose factor reruns the slice; offset 0."""
+        self.tau, nu, self.lu = _start(self.A, self.M, self.floor)
+        self.counted = nu is not None
+        return 0.0
 
-    def advance(self, m: int) -> None:
-        """Run one slice of m eigenvalues above the cut and move the cut
-        past those it accepts, or raise SolveError."""
-        A, M, n, k = self.A, self.M, self.n, len(self.lam)
-        tau, count = self.tau, self.count
+    def advance(self, m: int, what: str, need: float) -> None:
+        """Run one slice of m eigenvalues above the cut and move the cut past
+        those it accepts, or raise SolveError (``what`` needs ``need`` bytes)."""
+        A, M, n, k, count = self.A, self.M, self.n, len(self.lam), self.count
         offset = 0.0 if self.spacing is None else 0.45 * m * self.spacing
         for _ in range(SLICE_TRIES):
-            s = tau + offset
+            tau = self.tau
+            s = (tau if tau > -np.inf else -1.0) + offset
             if self.lu is None:
                 try:
                     self.lu = _factor(A, M, s)
                 except RuntimeError as exc:
-                    raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
+                    if tau > -np.inf:
+                        raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
+                    offset = self.fall_back()     # s = -1 is an eigenvalue
+                    continue
+            # twice: the cut's count builds a factor of about this fill, copying L, U
+            check_memory(what, need + 2 * self.lu.nnz * (self.dtype.itemsize + 4))
             self.fill = max(self.fill, self.lu.nnz)
             lam, Q, Y = _lanczos(self.lu, M, m, sigma=s, v0=self.v0)
             self.lu = None                # one factor alive at a time
@@ -391,7 +402,7 @@ class _Slices:
             take = new[:min(top, k - count)]
             np.matmul(Q, Y[:, take], out=self.U[:, count:count + len(take)])
             Q = Y = None
-            if s - r > tau:               # the window misses (tau, s - r)
+            if s - r > tau > -np.inf:     # the window misses (tau, s - r)
                 offset /= 2
                 continue
             if top <= 0:                  # nothing below the top cluster
@@ -400,14 +411,15 @@ class _Slices:
             cut = 0.5 * (lam[new[top - 1]] + lam[new[top]])
             nu = _inertia(A, M, cut)[0]
             if nu is not None and nu != count + top:
-                offset = offset / 2 if offset > 0 else offset - r / 2
+                offset = (self.fall_back() if tau == -np.inf else
+                          offset / 2 if offset > 0 else offset - r / 2)
                 continue
             self.counted = self.counted and nu is not None
             self.lam[count:count + len(take)] = lam[take]
             self.count, self.tau = count + top, cut
             self.shifts.append(float(s))
             return
-        raise SolveError(f"shift-invert Lanczos slice above {tau:.6e} "
+        raise SolveError(f"shift-invert Lanczos slice above {self.tau:.6e} "
                          f"failed its checks {SLICE_TRIES} times")
 
 
@@ -417,28 +429,29 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     ``_Slices`` with its accepted eigenpairs.
 
     Each pencil keeps a cut tau separating its accepted eigenvalues (below)
-    from the rest.  Before its first slice, ``_start`` counts nu at -1, -16,
-    -256, ... (clipped once to ``floor``, the paper's C_infty bound) and
-    the cut starts at the first shift with nu = 0; that shift's unpivoted
-    factor runs the first slice.  Near the spectrum, not at the far
-    bound, the start keeps the shift-inverted spectrum spread out, which
-    saves Lanczos steps and keeps the residuals small.  A slice asks for
-    the m eigenvalues nearest s = tau + offset.  They fill the window
-    |lam - s| <= r, so when s - r <= tau every eigenvalue between tau and
-    the slice's top is found; the top cluster may continue past the window
-    and is left for the next slice.  Each accepted slice is checked by
-    nu(new cut) = number accepted; a failed check re-centres the shift
-    lower, a slice without progress asks for more, and after SLICE_TRIES
-    attempts the solve fails.  Every slice adds an eigenvalue to a pencil
-    with fewer than k, so at most k slices run per pencil.
+    from the rest, -inf before its first slice.  A slice asks for the m
+    eigenvalues nearest s = tau + offset (-1 + offset before a cut).
+    They fill the window |lam - s| <= r, so when s - r <= tau every
+    eigenvalue between tau and the slice's top is found; the top cluster
+    may continue past the window and is left for the next slice.  Each
+    slice is checked by nu(new cut) = number accepted, which the forms'
+    lower bound makes a certificate for the first slice too.  A failed
+    check re-centres the shift lower, a slice without progress asks for
+    more, and after SLICE_TRIES attempts the solve fails.  Every slice adds
+    an eigenvalue to a pencil with fewer than k, so at most k slices run
+    per pencil.  When the first slice's check fails, or A + M is exactly
+    singular, ``_start`` counts at -1, -16, -256, ... (clipped once to
+    ``floor``, the paper's C_infty bound), and the slice runs again from
+    the first shift with nu = 0, on its counted factor: near the spectrum,
+    not at the far bound, which saves steps and keeps residuals small.
 
-    The loop always advances the pencil with the lowest cut (a pencil
-    without a slice yet has none) and stops once k accepted eigenvalues lie
-    below that cut, up to which every pencil's count is certified.  A slice
-    asks for its pencil's expected share of the k, less those it has, but
-    at least that share of the eigenvalues still missing; the share is the
-    pencil's part of the eigenvalues below the lowest cut, or of the dofs
-    before any are known.  One pencil is the plain sliced solve.
+    The loop always advances the pencil with the lowest cut and stops once
+    k accepted eigenvalues lie below that cut, up to which every pencil's
+    count is certified.  A slice asks for its pencil's expected share of
+    the k, less those it has, but at least that share of the eigenvalues
+    still missing; the share is the pencil's part of the eigenvalues below
+    the lowest cut, or of the dofs before any are known.  One pencil is
+    the plain sliced solve.
     """
     if not np.isfinite(floor):
         raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
@@ -451,20 +464,15 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     check_memory(what, need)
     shifts = []
     while True:
-        low = min(states, key=lambda p: p.cut)
-        below = [np.count_nonzero(p.lam[:min(p.count, k)] < low.cut) for p in states]
+        low = min(states, key=lambda p: p.tau)
+        below = [np.count_nonzero(p.lam[:min(p.count, k)] < low.tau) for p in states]
         if sum(below) >= k:
             break
         share = (below[states.index(low)] / sum(below) if sum(below)
                  else low.n / total)
         m = max(int(np.ceil(share * k)) - low.count,
                 int(np.ceil(share * (k - sum(below)))))
-        if not low.shifts:            # its first slice runs on the start factor
-            low.tau, nu, low.lu = _start(low.A, low.M, low.tau)
-            low.counted = nu is not None
-            # again with the start factor kept twice (its count copied L and U)
-            check_memory(what, need + 2 * low.lu.nnz * (low.dtype.itemsize + 4))
-        low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2))
+        low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2), what, need)
         shifts.append(low.shifts[-1])
     meta.update(shifts=shifts, slices=len(shifts),
                 lu_fill_nnz=int(max(p.fill for p in states)),

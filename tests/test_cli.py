@@ -825,24 +825,39 @@ class TestExitCodes:
             "numerical failure: two-particle assembly of 9801 dofs needs "
             "about 7 MB, 1 MB free\n")
 
+    def test_assembly_size_is_checked_before_the_map_is_sampled(
+            self, tmp_path, monkeypatch, capsys):
+        # 10^6 + 1 nodes: the size check needs the node counts alone
+        monkeypatch.setattr(cli, "validate_map",
+                            lambda *a: pytest.fail("the map was sampled"))
+        code = main(["spectrum", "--config",
+                     write_config(tmp_path, dirichlet_square_doc()),
+                     "--mesh-h", "1e-6", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: two-particle assembly of "
+                              "1000002000001 dofs needs about ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
-        # the first slice of each sector runs on its start factor; k = 150 of
-        # 361 dofs takes a second slice, whose own factor fails
+        # every Lanczos factor fails: each sector's first slice at -1 falls
+        # back to the counted start factor; k = 150 of 361 dofs takes a
+        # second slice, whose own factor fails
         factor, built = eigensolve._factor, []
 
-        def singular(A, M, sigma, symmetric=False):
-            if not symmetric:
+        def singular(A, M, sigma, count=False):
+            if not count:
                 built.append(sigma)
                 raise RuntimeError("Factor is exactly singular")
-            return factor(A, M, sigma, symmetric)
+            return factor(A, M, sigma, count)
 
         monkeypatch.setattr(eigensolve, "_factor", singular)
         code = main(["spectrum", "--config", write_config(
             tmp_path, dirichlet_square_doc(nodes=21, num_eigs=150)),
             "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 3 and len(built) == 1
-        assert err == (f"numerical failure: factor of A - {built[0]:.6e} M: "
+        assert code == 3 and built[:2] == [-1.0, -1.0] and len(built) == 3
+        assert err == (f"numerical failure: factor of A - {built[2]:.6e} M: "
                        "Factor is exactly singular\n")
 
     def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,9 +178,9 @@ class TestSlicing:
                             lambda A, M, tau: cuts.append(tau) or inertia(A, M, tau))
         res = solve(form, SLICE + 40, force_dense=False)
         assert shifts[2] < shifts[1]            # re-centred lower
-        assert cuts[0] == shifts[0]             # the start's count
+        assert cuts[0] > shifts[0]              # the first slice's cut
         # one count per accepted slice, none on the short window
-        assert len(cuts) == res.meta["slices"] + 1
+        assert len(cuts) == res.meta["slices"]
         exact = lift_spectrum(lam1, SLICE + 40)
         assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
 
@@ -371,20 +372,31 @@ class TestStartShift:
                             or lanczos(*a, **kw))
         res = solve(form, k, force_dense=False)
         assert [rec["shifts"][0] for rec in res.meta["sectors"]] == [-1.0, -1.0]
-        assert events[:2] == [("count", -1.0), ("lanczos", -1.0)]
+        # Lanczos runs first, and only the first slice's cut is counted
+        assert events[0] == ("lanczos", -1.0)
+        assert events[1][0] == "count" and events[1][1] > -1.0
+        assert ("count", -1.0) not in events
         assert res.meta["inertia_certified"] is True
         assert np.abs(res.eigenvalues - dense).max() / np.abs(dense).max() <= 1e-12
 
-    def test_piecewise_map_starts_at_minus_sixteen(self):
+    def test_piecewise_map_below_the_first_shift_needs_no_start(self,
+                                                                monkeypatch):
+        # lam_0 = -3.94 < -1 lies in the first window, so the first cut's
+        # count certifies it without the counted start search
         g, m, mesh, k = SPLIT_CASES["piecewise"]
         form = assemble_two_particle(g, m, mesh)
         dense = solve(form, k, force_dense=True).eigenvalues
+        monkeypatch.setattr(eigensolve, "_start",
+                            lambda *a: pytest.fail("_start ran"))
         res = solve(form, k, force_dense=False)
-        assert res.meta["shifts"][0] == -16.0
+        assert dense[0] == pytest.approx(-3.94, abs=5e-3)
+        assert res.eigenvalues[0] < -1.0 and res.meta["shifts"][0] == -1.0
         assert res.meta["inertia_certified"] is True
         assert np.abs(res.eigenvalues - dense).max() / np.abs(dense).max() <= 1e-12
 
     def test_step_map_start_near_the_spectrum(self, interval):
+        # the first slice at -1 misses every eigenvalue near -2.75e5: its
+        # count disagrees, and each sector falls back to the counted start
         form = step_map_form(interval)
         d = solve(form, 10, force_dense=True)
         it = solve(form, 10, force_dense=False)
@@ -408,6 +420,55 @@ class TestStartShift:
         res = solve(form, 3)
         assert res.meta["shifts"][0] == -16.0
         assert res.meta["inertia_certified"] is True
+        assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
+    def test_start_runs_once_below_the_first_window(self, interval,
+                                                    monkeypatch):
+        form = one_pencil(step_map_form(interval))
+        d = solve(form, 10, force_dense=True)
+        start, lanczos, events = eigensolve._start, eigensolve._lanczos, []
+        monkeypatch.setattr(eigensolve, "_start", lambda *a:
+                            events.append(("start", a[2])) or start(*a))
+        monkeypatch.setattr(eigensolve, "_lanczos", lambda *a, **kw:
+                            events.append(("lanczos", kw["sigma"]))
+                            or lanczos(*a, **kw))
+        it = solve(form, 10, force_dense=False)
+        # the slice at -1 runs first; its count disagrees, so the start
+        # search runs once and the slice runs again from its shift
+        assert events[:3] == [("lanczos", -1.0),
+                              ("start", -1.05 * form.C_infty - 1.0),
+                              ("lanczos", -16.0 ** 5)]
+        assert [e for e in events if e[0] == "start"] == events[1:2]
+        assert it.meta["shifts"][0] == -16.0 ** 5 < d.eigenvalues[0]
+        assert it.meta["inertia_certified"] is True
+        scale = np.abs(d.eigenvalues).max()
+        assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale <= 1e-12
+
+    def test_singular_first_factor_falls_back_to_a_counted_start(self,
+                                                                 monkeypatch):
+        # A + M singular: the first slice's factor at -1 fails, the start
+        # search counts its way to -16, and its count joins the certificate
+        n = 20
+        form = DiscreteForm(K=sp.diags(np.arange(-1.0, n - 1.0)).tocsr(),
+                            M=sp.identity(n, format="csr"),
+                            B=sp.csr_matrix((n, n)), C=sp.csr_matrix((0, n)),
+                            C_infty=0.0)
+        start, factor, events = eigensolve._start, eigensolve._factor, []
+        monkeypatch.setattr(eigensolve, "_start", lambda *a:
+                            events.append("start") or start(*a))
+        monkeypatch.setattr(eigensolve, "_factor", lambda A, M, sigma, count=False:
+                            events.append((sigma, count)) or factor(A, M, sigma, count))
+        res = solve(form, 3)
+        # the Lanczos factor at -1 fails first, then the counted search
+        assert events[:4] == [(-1.0, False), "start", (-1.0, True), (-16.0, True)]
+        assert events.count("start") == 1 and res.meta["shifts"] == [-16.0]
+        assert res.meta["inertia_certified"] is True
+        assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+        # a start whose count cannot be read leaves the result uncertified
+        monkeypatch.setattr(eigensolve, "_start",
+                            lambda *a: (start(*a)[0], None, start(*a)[2]))
+        res = solve(form, 3)
+        assert res.meta["inertia_certified"] is False
         assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
 
     def test_start_goes_on_from_the_floor(self, monkeypatch):
@@ -547,6 +608,24 @@ class TestMemoryGuard:
         proc.unlink()                                  # unreadable: both roots
         assert eigensolve.available_memory() == 100.0
 
+    def test_address_space_limit_caps_available_memory(self, tmp_path,
+                                                       monkeypatch):
+        statm = tmp_path / "statm"
+        statm.write_text("1000 300 20 1 0 50 0\n")    # 1000 pages of virtual size
+        monkeypatch.setattr(eigensolve, "PROC_STATM", str(statm))
+        monkeypatch.setattr(eigensolve, "CGROUP_MEMORY", ())
+        monkeypatch.setattr(eigensolve.os, "sysconf", lambda name: 1 << 20)
+        monkeypatch.setattr(eigensolve.resource, "getpagesize", lambda: 4096)
+        limits = {eigensolve.resource.RLIMIT_AS: (5_000_000, 9_000_000)}
+        monkeypatch.setattr(eigensolve.resource, "getrlimit", limits.get)
+        assert eigensolve.available_memory() == 5_000_000 - 1000 * 4096
+        statm.unlink()                                 # unreadable: no cap
+        assert eigensolve.available_memory() == float(1 << 40)
+        statm.write_text("1000\n")
+        unlimited = eigensolve.resource.RLIM_INFINITY
+        limits[eigensolve.resource.RLIMIT_AS] = (unlimited, unlimited)
+        assert eigensolve.available_memory() == float(1 << 40)
+
     def test_forced_dense_over_budget_fails(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e3)
         with pytest.raises(SolveError, match="MB free"):
@@ -563,13 +642,33 @@ class TestMemoryGuard:
             solve(random_pencil_form(n=50), 5, force_dense=False)
 
     def test_start_factor_over_budget_fails(self, monkeypatch):
-        # the slices need (k + 3 SLICE + 1) n 8 = 194 kB, with the dense start
-        # factor kept twice, 2 nnz (8 + 4) = 242 kB, more
+        # the slices need (k + 3 SLICE + 1) n 8 = 194 kB, with the first
+        # slice's dense factor at -1 kept twice, 2 nnz (8 + 4) = 242 kB, more
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 2e5)
         monkeypatch.setattr(eigensolve, "_lanczos",
                             lambda *a, **kw: pytest.fail("Lanczos ran"))
         with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
             solve(random_pencil_form(n=100), 1)
+
+    def test_later_slice_factor_over_budget_fails(self, interval, monkeypatch):
+        form = dirichlet_lift(interval, 33)[0]
+        factor, lanczos, built, ran = (eigensolve._factor, eigensolve._lanczos,
+                                       [], [])
+
+        def huge_second(A, M, sigma, count=False):
+            lu = factor(A, M, sigma, count)
+            if not count:
+                built.append(sigma)
+            if len(built) == 2 and not count:       # the second slice's
+                return SimpleNamespace(solve=lu.solve, nnz=10 ** 12)
+            return lu
+
+        monkeypatch.setattr(eigensolve, "_factor", huge_second)
+        monkeypatch.setattr(eigensolve, "_lanczos", lambda *a, **kw:
+                            ran.append(kw["sigma"]) or lanczos(*a, **kw))
+        with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
+            solve(form, SLICE + 40)
+        assert len(built) == 2 and ran == built[:1]
 
 
 def dirichlet_square_form(interval, nodes=17):
