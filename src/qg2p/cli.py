@@ -249,13 +249,12 @@ def built_inputs(cfg: RunConfig):
 
 def checked_inputs(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh) of the config's ``built_inputs``, or ``inputs`` if
-    the caller has built them; a one-particle run needs a lifted map, a
-    two-particle one finite stiffness and mass.  Nothing samples the map."""
+    the caller has built them; a one-particle run needs a lifted map, and
+    every run finite stiffness and mass.  Nothing samples the map."""
     g, m, mesh = built_inputs(cfg) if inputs is None else inputs
     if cfg.particles == 1 and "conditions" not in m.meta:
         raise ConfigError("one-particle runs need a map of kind 'lifted'")
-    if cfg.particles == 2:
-        form_assembly.check_finite_scale(mesh)
+    form_assembly.check_finite_scale(mesh, cfg.particles)
     return g, m, mesh
 
 
@@ -391,8 +390,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 
 def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
-    result = solve(form, cfg.num_eigs)
-    lam = result.eigenvalues
+    lam = solve(form, cfg.num_eigs, vectors=False).eigenvalues
     toggles = cfg.analysis
     window = toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}

@@ -99,7 +99,8 @@ def available_memory() -> float:
 @dataclass
 class SpectrumResult:
     """Sorted eigenvalues, with the eigenvectors kept reduced as ``blocks``,
-    one ``(N, U, cols)`` per pencil with N @ U the columns ``cols``."""
+    one ``(N, U, cols)`` per pencil with N @ U the columns ``cols``, or
+    none after a values-only solve."""
 
     eigenvalues: np.ndarray
     method: str = "dense"
@@ -120,6 +121,8 @@ class SpectrumResult:
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
         """The eigenvectors in full dofs, prolonged on the first read."""
+        if not self.blocks:
+            raise SolveError("solved without eigenvectors")
         X = np.empty((self.blocks[0][0].shape[0], self.k), dtype=np.result_type(
             *[a.dtype for N, U, _ in self.blocks for a in (N, U)]))
         for N, U, cols in self.blocks:
@@ -138,7 +141,8 @@ def _chain_cuts(lam: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~_tied(lam[:-1], lam[1:])) + 1
 
 
-def solve(form: DiscreteForm, k: int, force_dense: bool = False) -> SpectrumResult:
+def solve(form: DiscreteForm, k: int, force_dense: bool = False,
+          vectors: bool = True) -> SpectrumResult:
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
     Eigenvectors are prolonged to full coordinates (N u) on first read; the
@@ -146,7 +150,9 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False) -> SpectrumResu
     non-finite one is a SolveError.  ``meta`` records the shifts and slices,
     the largest LU fill, whether inertia counts certified the spectrum (None
     on the dense path, which computes all of it) and the M-orthonormality
-    defect of the eigenvectors.
+    defect of the eigenvectors.  ``vectors=False`` (LAPACK's jobz = "N")
+    keeps no eigenvectors: each slice's residuals are taken before its
+    basis is freed, and the defect across slices is None, never measured.
 
     A full-space two-particle form whose map assembly found exchange
     invariant (``meta["block_structured"]``) is solved as its boson and
@@ -171,22 +177,26 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False) -> SpectrumResu
         check_memory(f"dense eigensolve of a {max(sizes)}-dof pencil",
                      6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
                                                  for X in f.reduced()))
-        solved = []             # (lowest k, their vectors, accepted, shifts)
+        solved = []     # (lowest k, their vectors, residuals, accepted, shifts)
         for f in forms:
             lam, U = sla.eigh(*(X.toarray() for X in f.reduced()))
-            solved.append((lam[:k], U[:, :k].copy(), len(lam), []))
+            solved.append((lam[:k], U[:, :k].copy(), None, len(lam), []))
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
     else:
-        solved = [(p.lam[:min(p.count, k)], p.U, p.count, p.shifts)
+        solved = [(p.lam[:min(p.count, k)], p.U, p.res, p.count, p.shifts)
                   for p in _sliced_lanczos([f.reduced() for f in forms], k,
-                                           -1.05 * form.C_infty - 1.0, meta)]
+                                           -1.05 * form.C_infty - 1.0, meta,
+                                           vectors)]
     # the lowest k of the union take a prefix of each pencil's eigenvalues
     lam = np.concatenate([s[0] for s in solved])
     order = np.argsort(lam, kind="stable")[:k]
     owner = np.repeat(np.arange(len(forms)), [len(s[0]) for s in solved])[order]
     res, defect, blocks = np.empty(k), 0.0, []
-    for i, (f, (lam_i, U, _, _)) in enumerate(zip(forms, solved)):
+    for i, (f, (lam_i, U, r, _, _)) in enumerate(zip(forms, solved)):
         cols = np.flatnonzero(owner == i)
+        if U is None:           # values only: taken slice by slice
+            res[cols] = r[:len(cols)]
+            continue
         U = U[:, :len(cols)]
         res[cols], d = _residuals(*f.reduced(), lam_i[:len(cols)], U)
         defect = max(defect, d)
@@ -198,11 +208,11 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False) -> SpectrumResu
         meta["sectors"] = [
             {"sector": f.meta["sector"], "pencil_size": size, "shifts": shifts,
              "slices": len(shifts), "accepted": count}
-            for f, size, (_, _, count, shifts) in zip(forms, sizes, solved)]
-    meta["max_m_orth_defect"] = defect
+            for f, size, (*_, count, shifts) in zip(forms, sizes, solved)]
+    meta["max_m_orth_defect"] = defect if vectors else None
     return SpectrumResult(eigenvalues=lam[order], residuals=res, meta=meta,
                           method="dense" if dense else "shift-invert",
-                          blocks=tuple(blocks))
+                          blocks=tuple(blocks) if vectors else ())
 
 
 def check_memory(what: str, need: float) -> None:
@@ -347,15 +357,18 @@ class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
     eigenvalues below it (-inf and 0 before the first slice), the floor of
     the start shifts, the spacing near the cut, the accepted shifts, the
-    next slice's factor and the lowest k accepted eigenpairs."""
+    next slice's factor and the lowest k accepted eigenvalues, with their
+    vectors ``U`` or, values only, their residuals ``res``."""
 
-    def __init__(self, A, M, floor: float, k: int):
+    def __init__(self, A, M, floor: float, k: int, vectors: bool = True):
         self.A, self.M, self.floor = A, M, floor
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
         self.lam = np.empty(k)
-        self.U = np.empty((self.n, k), dtype=self.dtype, order="F")  # paged as accepted
+        # paged as accepted: the eigenvectors, or values only their residuals
+        self.U = np.empty((self.n, k), self.dtype, order="F") if vectors else None
+        self.res = None if vectors else np.empty(k)
         self.tau, self.count, self.spacing = -np.inf, 0, None
         self.shifts, self.fill, self.lu, self.counted = [], 0, None, True
 
@@ -397,11 +410,17 @@ class _Slices:
             while top > 0 and _tied(lam[new[top - 1]], lam[new[top]]):
                 top -= 1
             # the candidates go straight into the unaccepted columns (a
-            # failed check overwrites them); the basis is freed before the
-            # count's factor is built
+            # failed check overwrites them), values only into one block
+            # that leaves its residuals there; the basis and the block are
+            # freed before the count's factor is built
             take = new[:min(top, k - count)]
-            np.matmul(Q, Y[:, take], out=self.U[:, count:count + len(take)])
+            X = (np.empty((n, len(take)), self.dtype, order="F") if self.U is None
+                 else self.U[:, count:count + len(take)])
+            np.matmul(Q, Y[:, take], out=X)
             Q = Y = None
+            if self.U is None:
+                self.res[count:count + len(take)] = _residuals(A, M, lam[take], X)[0]
+            X = None
             if s - r > tau > -np.inf:     # the window misses (tau, s - r)
                 offset /= 2
                 continue
@@ -423,7 +442,7 @@ class _Slices:
                          f"failed its checks {SLICE_TRIES} times")
 
 
-def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
+def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
     """Lowest k eigenpairs of the union of the pencils' spectra by
     shift-invert Lanczos in certified slices; returns each pencil's
     ``_Slices`` with its accepted eigenpairs.
@@ -456,10 +475,12 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict):
     if not np.isfinite(floor):
         raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
                          "shifts have no floor")
-    states = [_Slices(A, M, floor, k) for A, M in pencils]
+    states = [_Slices(A, M, floor, k, vectors) for A, M in pencils]
     total = sum(p.n for p in states)
-    # the accepted columns of every pencil and one slice's Lanczos basis
-    need = (k + LANCZOS_BASIS) * total * max(p.dtype.itemsize for p in states)
+    # one slice's Lanczos basis and every pencil's accepted columns, or
+    # values only one slice's candidate block
+    need = (LANCZOS_BASIS + (k if vectors else SLICE)) * total * max(
+        p.dtype.itemsize for p in states)
     what = f"sliced eigensolve of a {total}-dof pencil"
     check_memory(what, need)
     shifts = []

@@ -284,16 +284,19 @@ def _coupling_clusters(P: np.ndarray, L: np.ndarray, counts: np.ndarray):
     return clusters
 
 
-def check_finite_scale(mesh: Mesh) -> None:
-    """AssemblyError unless the two-particle stiffness and mass are
-    representable.  With the 1-D diagonals k = 2/h and m = 4h/6, their
-    largest entries, k_a m_b + m_a k_b and m_a m_b, must be finite, and the
-    smallest mass entry, (h_a/6)(h_b/6), must be a normal number."""
+def check_finite_scale(mesh: Mesh, particles: int = 2) -> None:
+    """AssemblyError unless the stiffness and mass are representable.  With
+    the 1-D diagonals k = 2/h and m = 4h/6, the largest two-particle
+    entries, k_a m_b + m_a k_b and m_a m_b, must be finite, and the smallest
+    mass entry, (h_a/6)(h_b/6), must be a normal number.  One particle needs
+    k and m finite, and h/6 and the eigenvalue scale 3/h^2 normal."""
     h = np.array([mesh.spacing(e) for e in range(mesh.graph.E)])
     with np.errstate(all="ignore"):
         k, m = 2.0 / h, 4.0 * h / 6.0
         big = [np.outer(k, m) + np.outer(m, k), np.outer(m, m)]
         small = np.outer(h / 6.0, h / 6.0)
+        if particles == 1:
+            big, small = [k, m, 3.0 / h ** 2], np.array([h / 6.0, 3.0 / h ** 2])
     if not (np.isfinite(big).all() and small.min() >= np.finfo(float).tiny):
         raise AssemblyError("stiffness or mass overflows or underflows: an "
                             "edge length is too large or too small")

@@ -171,8 +171,8 @@ def lifted_spectrum(g: MetricGraph, vc: VertexConditions, mesh, n: int,
     one-particle conditions ``vc`` on ``mesh``: sums of the whole
     one-particle spectrum, all of it solved at once."""
     one = form_assembly.assemble_one_particle(g, vc, mesh)
-    return lift_spectrum(solve(one, one.nreduced).eigenvalues, n, sector,
-                         complete=True)
+    return lift_spectrum(solve(one, one.nreduced, vectors=False).eigenvalues,
+                         n, sector, complete=True)
 
 
 def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
@@ -194,7 +194,7 @@ def bracketing_run(form: form_assembly.DiscreteForm, n_max: int,
     least n_max are given, replace its solve."""
     mesh = form.meta["mesh"]
     if eigenvalues is None or len(eigenvalues) < n_max:
-        eigenvalues = solve(form, n_max).eigenvalues
+        eigenvalues = solve(form, n_max, vectors=False).eigenvalues
     robin, dirichlet = comparison_spectra(
         mesh.graph, form.meta["L_max"], mesh, n_max,
         form.meta.get("sector", "full"))

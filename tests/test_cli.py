@@ -900,6 +900,48 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     assert len(calls) == 2 and form.basis is None
 
 
+def recorded_solves(monkeypatch):
+    """(k, vectors) of every solve the CLI and the analyses make."""
+    from qg2p import spectral_analysis
+    calls = []
+
+    def recorded(form, k, **kwargs):
+        calls.append((k, kwargs.get("vectors", True)))
+        return eigensolve.solve(form, k, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recorded)
+    monkeypatch.setattr(spectral_analysis, "solve", recorded)
+    return calls
+
+
+def test_only_spectrum_and_example_delta_solve_for_eigenvectors(
+        tmp_path, capsys, monkeypatch):
+    """analyze reads eigenvalues only, its bracketing (n above num_eigs, so
+    bracketing_run solves the form again) and lift check too; spectrum
+    reports the eigenvectors' M-orthogonality and example-delta folds the
+    ground state, so both keep their vectors."""
+    calls = recorded_solves(monkeypatch)
+    doc = dirichlet_square_doc(nodes=17, num_eigs=20, analysis={
+        "weyl": False, "bracketing": {"n": 30}, "lift_check": True})
+    assert main(["analyze", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "analyze")]) == 0
+    # the form, its bracketing target, the two comparison spectra (17 and
+    # 15 one-particle dofs) and the lift check's Dirichlet spectrum
+    assert calls == [(20, False), (30, False), (17, False), (15, False),
+                     (15, False)]
+    calls.clear()
+    assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "spectrum")]) == 0
+    assert calls == [(20, True)]
+    report = json.loads((tmp_path / "spectrum" / "spectrum.json").read_text())
+    assert report["max_m_orth_defect"] <= 1e-10
+    calls.clear()
+    assert main(["example-delta", "--config", write_config(
+        tmp_path, TestExampleDeltaCommand.DOC), "--out",
+        str(tmp_path / "delta")]) == 0
+    assert calls == [(1, True)]
+
+
 def exchange_coupled_maps():
     """name -> (edge length, P, L, boson (P1, L1), fermion (P1, L1)): maps
     on one edge that commute with the exchange but are no lifts.  The full

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from qg2p import eigensolve
 from conftest import bump_interaction_map
-from qg2p.bc_maps import constant_map, lift_one_particle, piecewise_map
+from qg2p.bc_maps import (constant_map, delta_example_map, lift_one_particle,
+                          piecewise_map)
 from qg2p.eigensolve import (SLICE, SolveError, SpectrumResult,
                              chain_counts, counting_function, solve)
 from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
@@ -730,6 +731,83 @@ class TestReducedEigenvectors:
         assert eigensolve._Slices(A, M, -1.0, 5).U.flags.f_contiguous
         res = solve(dirichlet_square_form(interval), 8)
         assert all(U.flags.f_contiguous for _, U, _ in res.blocks)
+
+
+def values_only_case(name, interval):
+    """(form, k, method) of a values-only comparison case."""
+    if name == "one-pencil":        # several slices of one pencil
+        return dirichlet_lift(interval, 17)[0], SLICE + 40, "shift-invert"
+    if name == "split":             # boson and fermion pencils
+        return dirichlet_square_form(interval), 8, "shift-invert"
+    if name == "dense":             # k > n - 2
+        return random_pencil_form(n=50), 49, "dense"
+    if name == "complex":           # complex Hermitian sector pencils
+        g, m, mesh, k = SPLIT_CASES["complex"]
+        return assemble_two_particle(g, m, mesh), k, "shift-invert"
+    g, m = delta_example_map(       # the delta example's (real) sectors
+        lambda x, y: -2.0 * np.exp(-(x * x + y * y) / 0.5), 2.0)
+    return assemble_two_particle(g, m, Mesh.uniform(g, 9)), 12, "shift-invert"
+
+
+class TestValuesOnly:
+    @pytest.mark.parametrize("name", ["one-pencil", "split", "dense", "complex",
+                                      "delta"])
+    def test_same_values_and_residuals_without_vectors(self, interval, name):
+        form, k, method = values_only_case(name, interval)
+        full, values = solve(form, k), solve(form, k, vectors=False)
+        assert values.method == full.method == method
+        if name == "complex":
+            assert np.iscomplexobj(full.blocks[0][1])
+        if name in ("split", "complex", "delta"):
+            assert values.meta["sectors"] is not None
+        for key in ("eigenvalues", "residuals"):
+            assert np.array_equal(getattr(values, key), getattr(full, key))
+        for key in ("shifts", "slices", "inertia_certified", "sectors",
+                    "lu_fill_nnz"):
+            assert values.meta[key] == full.meta[key]
+        assert values.blocks == () and values.meta["max_m_orth_defect"] is None
+        assert full.meta["max_m_orth_defect"] <= 1e-10
+        with pytest.raises(SolveError, match="solved without eigenvectors"):
+            values.eigenvectors
+
+    @pytest.mark.parametrize("k", [10, 49])         # sliced, dense
+    def test_non_finite_residual_fails(self, monkeypatch, k):
+        residuals = eigensolve._residuals
+        monkeypatch.setattr(eigensolve, "_residuals", lambda A, M, lam, U: (
+            np.full(len(lam), np.nan), residuals(A, M, lam, U)[1]))
+        with pytest.raises(SolveError, match="non-finite residuals"):
+            solve(random_pencil_form(n=50), k, vectors=False)
+
+    def test_solve_holds_no_eigenvector_columns(self, interval):
+        form, k = dirichlet_lift(interval, 17)[0], SLICE + 40
+        columns = form.nreduced * k * np.dtype(float).itemsize
+        for vectors in (True, False):
+            tracemalloc.start()
+            try:
+                res = solve(form, k, vectors=vectors)
+                largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+            finally:
+                tracemalloc.stop()
+            assert res.meta["slices"] > 1
+            assert (largest >= columns) is vectors
+
+    def test_memory_guard_counts_one_candidate_block(self, interval,
+                                                     monkeypatch):
+        # values only: one slice's basis, one candidate block and the
+        # factor kept twice; with vectors the basis and all k columns
+        form = assemble_one_particle(interval, standard_family(
+            "dirichlet", interval), Mesh.uniform(interval, 1002))
+        k = 300
+        fill = solve(form, k, vectors=False).meta["lu_fill_nnz"]
+        n, basis = form.nreduced, eigensolve.LANCZOS_BASIS
+        values = (basis + SLICE) * n * 8 + 2 * fill * (8 + 4)
+        vectors = (basis + k) * n * 8
+        assert values < vectors
+        monkeypatch.setattr(eigensolve, "available_memory",
+                            lambda: (values + vectors) / 2)
+        assert solve(form, k, vectors=False).k == k
+        with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
+            solve(form, k)
 
 
 class TestMethodChoice:

@@ -108,6 +108,32 @@ class TestMesh:
                 else:
                     check_finite_scale(mesh)
 
+    def test_one_particle_scale_check_matches_the_1d_matrices(self):
+        """check_finite_scale(mesh, 1) rejects exactly the meshes whose 1-D
+        K or M has a non-finite entry or a mass entry below the smallest
+        normal number, or whose eigenvalue scale 3/h^2 is not normal (at
+        1e300 only that scale, which underflows)."""
+        tiny = np.finfo(float).tiny
+        lengths = [1.0, 1e150, 1e300, 1e-150, 1e-154, 1e-160, 1e-300]
+        for la in lengths:
+            for lb in lengths:
+                g = build_graph({"edges": [["a", "b", la], ["b", "c", lb]]})
+                mesh = Mesh(g, (5, 4))
+                with np.errstate(all="ignore"):
+                    K = [stiffness_1d(e.length, n).data
+                         for e, n in zip(g.edges, mesh.nodes)]
+                    M = [mass_1d(e.length, n).data
+                         for e, n in zip(g.edges, mesh.nodes)]
+                    scale = 3.0 / np.array([mesh.spacing(e) for e in (0, 1)]) ** 2
+                bad = not (all(np.isfinite(X).all() for X in K + M)
+                           and min(np.abs(X).min() for X in M) >= tiny
+                           and np.isfinite(scale).all() and scale.min() >= tiny)
+                if bad:
+                    with pytest.raises(AssemblyError, match="overflows"):
+                        check_finite_scale(mesh, 1)
+                else:
+                    check_finite_scale(mesh, 1)
+
     def test_by_spacing(self, two_edges):
         mesh = Mesh.by_spacing(two_edges, 0.1)
         assert mesh.nodes == (11, 16)

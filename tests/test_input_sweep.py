@@ -188,6 +188,25 @@ def test_overflow_exit_codes(tmp_path, capfd, case, codes, says):
         assert report["map"]["max_projector_defect"] is None
 
 
+ONE_PARTICLE_SCALE_CASES = [("one-particle", ("graph", "edges", e, 2), 1e300)
+                            for e in (0, 1)]
+
+
+@pytest.mark.parametrize("case", ONE_PARTICLE_SCALE_CASES,
+                         ids=map(case_id, ONE_PARTICLE_SCALE_CASES))
+def test_one_particle_scale_exits_2(tmp_path, capfd, case):
+    """A one-particle edge of 1e300 keeps K and M finite, but its
+    eigenvalue scale 3/h^2 underflows: validate and analyze both say so
+    (exit 2), before any solve."""
+    command, config = write_case(tmp_path, case)
+    results = [run(cmd, config, str(tmp_path / cmd), capfd)
+               for cmd in ("validate", command)]
+    assert [code for code, _, _ in results] == [2, 2]
+    assert "stiffness or mass overflows" in strict_json(results[0][1])["notes"][0]
+    assert len(results[1][2]) == 1
+    assert "stiffness or mass overflows" in results[1][2][0]
+
+
 def test_analyze_with_non_finite_residuals_exits_3(tmp_path, capfd):
     """An L entry of 1e300 is admissible, but its C_infty overflows, so the
     slices have no floor for their start shifts; without a Weyl fit nothing
