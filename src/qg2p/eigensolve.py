@@ -264,25 +264,22 @@ def _negative_pivots(lu):
 
 
 def _inertia(A, M, tau: float):
-    """(nu, lu): nu = number of eigenvalues below tau, or None when it
-    cannot be read (lu None after a zero pivot, else usable as a solver)."""
+    """Number of eigenvalues below tau, or None when it cannot be read: tau
+    is an eigenvalue (a zero pivot) or SuperLU left the diagonal."""
     try:
-        lu = _factor(A, M, tau, count=True)
+        return _negative_pivots(_factor(A, M, tau, count=True))
     except RuntimeError:        # exactly singular: tau is an eigenvalue
-        return None, None
-    return _negative_pivots(lu), lu
+        return None
 
 
-def _start(A, M, floor: float):
-    """(sigma, nu, lu) for the first of -1, -16, -256, ... with no
-    eigenvalue below it (or no count but a usable factor); the first
-    candidate below ``floor`` is floor itself, and the rest go on from it."""
+def _start(A, M, floor: float) -> float:
+    """The first of -1, -16, -256, ... whose count reads 0, no eigenvalue
+    below it; an unreadable count moves on.  The first candidate below
+    ``floor`` is floor itself, and the rest go on from it."""
     sigma = -1.0
     for _ in range(START_STEPS):
-        nu, lu = _inertia(A, M, sigma)
-        if not nu and lu is not None:
-            return sigma, nu, lu
-        lu = None                         # one factor alive at a time
+        if _inertia(A, M, sigma) == 0:
+            return sigma
         sigma = floor if sigma > floor > 16.0 * sigma else 16.0 * sigma
     raise SolveError(f"no shift below the spectrum found above {sigma:.3e}")
 
@@ -307,6 +304,9 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
     Mw, j, restarts, tridiagonal = M @ w, 0, 0, True
     while True:
         unit = np.sqrt(np.vdot(w, Mw).real)
+        if not 0.0 < unit < np.inf:     # under- or overflowed: so would T
+            raise SolveError(f"shift-invert Lanczos near {sigma:.6e}: "
+                             f"a vector's M-norm is {unit:.1e}")
         Q[:, j], Mq, b = w / unit, Mw / unit, T[j - 1, j]   # j = 0: b, Q[:, -1] zero
         w = lu.solve(Mq) - b * Q[:, j - 1]
         alpha = np.vdot(Mq, w).real
@@ -356,9 +356,9 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
 class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
     eigenvalues below it (-inf and 0 before the first slice), the floor of
-    the start shifts, the spacing near the cut, the accepted shifts, the
-    next slice's factor and the lowest k accepted eigenvalues, with their
-    vectors ``U`` or, values only, their residuals ``res``."""
+    the start shifts, the spacing near the cut, the accepted shifts and the
+    lowest k accepted eigenvalues, with their vectors ``U`` or, values
+    only, their residuals ``res``."""
 
     def __init__(self, A, M, floor: float, k: int, vectors: bool = True):
         self.A, self.M, self.floor = A, M, floor
@@ -370,13 +370,7 @@ class _Slices:
         self.U = np.empty((self.n, k), self.dtype, order="F") if vectors else None
         self.res = None if vectors else np.empty(k)
         self.tau, self.count, self.spacing = -np.inf, 0, None
-        self.shifts, self.fill, self.lu, self.counted = [], 0, None, True
-
-    def fall_back(self) -> float:
-        """Cut at ``_start``'s counted shift, whose factor reruns the slice; offset 0."""
-        self.tau, nu, self.lu = _start(self.A, self.M, self.floor)
-        self.counted = nu is not None
-        return 0.0
+        self.shifts, self.fill, self.counted = [], 0, True
 
     def advance(self, m: int, what: str, need: float) -> None:
         """Run one slice of m eigenvalues above the cut and move the cut past
@@ -386,19 +380,18 @@ class _Slices:
         for _ in range(SLICE_TRIES):
             tau = self.tau
             s = (tau if tau > -np.inf else -1.0) + offset
-            if self.lu is None:
-                try:
-                    self.lu = _factor(A, M, s)
-                except RuntimeError as exc:
-                    if tau > -np.inf:
-                        raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
-                    offset = self.fall_back()     # s = -1 is an eigenvalue
-                    continue
+            try:
+                lu = _factor(A, M, s)
+            except RuntimeError as exc:
+                if tau > -np.inf:
+                    raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
+                self.tau, offset = _start(A, M, self.floor), 0.0   # -1 is an eigenvalue
+                continue
             # twice: the cut's count builds a factor of about this fill, copying L, U
-            check_memory(what, need + 2 * self.lu.nnz * (self.dtype.itemsize + 4))
-            self.fill = max(self.fill, self.lu.nnz)
-            lam, Q, Y = _lanczos(self.lu, M, m, sigma=s, v0=self.v0)
-            self.lu = None                # one factor alive at a time
+            check_memory(what, need + 2 * lu.nnz * (self.dtype.itemsize + 4))
+            self.fill = max(self.fill, lu.nnz)
+            lam, Q, Y = _lanczos(lu, M, m, sigma=s, v0=self.v0)
+            lu = None                     # one factor alive at a time
             order = np.argsort(lam)
             lam, Y = lam[order], Y[:, order]
             r = np.abs(lam - s).max()
@@ -428,10 +421,12 @@ class _Slices:
                 m, offset = min(2 * m, n - 2), 2 * offset
                 continue
             cut = 0.5 * (lam[new[top - 1]] + lam[new[top]])
-            nu = _inertia(A, M, cut)[0]
+            nu = _inertia(A, M, cut)
             if nu is not None and nu != count + top:
-                offset = (self.fall_back() if tau == -np.inf else
-                          offset / 2 if offset > 0 else offset - r / 2)
+                if tau == -np.inf:        # the first slice: rerun from a counted start
+                    self.tau, offset = _start(A, M, self.floor), 0.0
+                else:
+                    offset = offset / 2 if offset > 0 else offset - r / 2
                 continue
             self.counted = self.counted and nu is not None
             self.lam[count:count + len(take)] = lam[take]
@@ -460,9 +455,9 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
     an eigenvalue to a pencil with fewer than k, so at most k slices run
     per pencil.  When the first slice's check fails, or A + M is exactly
     singular, ``_start`` counts at -1, -16, -256, ... (clipped once to
-    ``floor``, the paper's C_infty bound), and the slice runs again from
-    the first shift with nu = 0, on its counted factor: near the spectrum,
-    not at the far bound, which saves steps and keeps residuals small.
+    ``floor``, the paper's C_infty bound) until one reads 0, and the slice
+    reruns from there on its own factor: near the spectrum, not at the far
+    bound, which saves steps and keeps residuals small.
 
     The loop always advances the pencil with the lowest cut and stops once
     k accepted eigenvalues lie below that cut, up to which every pencil's

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,18 @@ from qg2p.graph_core import build_graph
 # a 101-point sample grid for the map checks, which take their grid
 # explicitly; the CLI passes the mesh's y-nodes instead
 YS = np.linspace(0.0, 1.0, 101)
+
+# (validate, command) exit codes of each case of the full input sweep,
+# tallied by tests/sweep_all.py
+EXIT_PAIRS = Counter()
+
+
+def pytest_terminal_summary(terminalreporter):
+    """One line of the full input sweep's exit pairs, when it ran."""
+    if EXIT_PAIRS:
+        terminalreporter.write_line(
+            "input sweep exit pairs (validate, command): "
+            + ", ".join(f"{pair} {n}" for pair, n in EXIT_PAIRS.most_common()))
 
 
 @pytest.fixture

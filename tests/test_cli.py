@@ -840,9 +840,8 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
-        # every Lanczos factor fails: each sector's first slice at -1 falls
-        # back to the counted start factor; k = 150 of 361 dofs takes a
-        # second slice, whose own factor fails
+        # every Lanczos factor fails: the first sector's first slice at -1
+        # falls back to the counted start, -1 again, whose own factor fails
         factor, built = eigensolve._factor, []
 
         def singular(A, M, sigma, count=False):
@@ -853,12 +852,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(eigensolve, "_factor", singular)
         code = main(["spectrum", "--config", write_config(
-            tmp_path, dirichlet_square_doc(nodes=21, num_eigs=150)),
+            tmp_path, dirichlet_square_doc(nodes=21)),
             "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 3 and built[:2] == [-1.0, -1.0] and len(built) == 3
-        assert err == (f"numerical failure: factor of A - {built[2]:.6e} M: "
+        assert code == 3 and built == [-1.0, -1.0]
+        assert err == ("numerical failure: factor of A - -1.000000e+00 M: "
                        "Factor is exactly singular\n")
+
+    def test_underflowing_lanczos_vector_exits_3(self, tmp_path, capsys):
+        # an edge of 1e-150 keeps the eigenvalue scale 3/h^2 finite, but
+        # at the shift -1 the first Lanczos vector's M-norm underflows
+        doc = dirichlet_square_doc(nodes=9, particles=1,
+                                   graph={"edges": [["a", "b", 1e-150]]})
+        code = main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: shift-invert Lanczos near -1.000000e+00: "
+            "a vector's M-norm is 0.0e+00\n")
 
     def test_lanczos_no_convergence_is_numerical_failure(self, tmp_path,
                                                          monkeypatch, capsys):

@@ -118,6 +118,14 @@ def dirichlet_lift(interval, nodes):
         interval, lift_one_particle(vc, interval), mesh)), lam1
 
 
+def singular_at_minus_one(n=20):
+    """A diagonal pencil with eigenvalues -1, 0, ..., n - 2 and C_infty = 0:
+    A + M is exactly singular."""
+    return DiscreteForm(K=sp.diags(np.arange(-1.0, n - 1.0)).tocsr(),
+                        M=sp.identity(n, format="csr"), B=sp.csr_matrix((n, n)),
+                        C=sp.csr_matrix((0, n)), C_infty=0.0)
+
+
 def drop_middle(monkeypatch, times):
     """Make the first ``times`` Lanczos runs lose their middle eigenpair."""
     orig, calls = eigensolve._lanczos, []
@@ -186,13 +194,10 @@ class TestSlicing:
         assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
 
     def test_count_off_the_diagonal_is_unreadable(self):
-        # a zero diagonal makes SuperLU pivot off it: no count, but the
-        # factor still solves
+        # a zero diagonal makes SuperLU pivot off it: no count
         A = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]]),
                            np.diag([2.0, 3.0, 4.0])]).tocsr()
-        nu, lu = eigensolve._inertia(A, sp.identity(5, format="csr"), 0.0)
-        assert nu is None
-        assert np.allclose(lu.solve(np.ones(5)), [1.0, 1.0, 0.5, 1 / 3, 0.25])
+        assert eigensolve._inertia(A, sp.identity(5, format="csr"), 0.0) is None
 
     def test_unreadable_counts_leave_the_result_uncertified(self, interval,
                                                             monkeypatch):
@@ -213,7 +218,7 @@ class TestSlicing:
         dense = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
         for tau in (dense[0] - 1.0, 0.5 * (dense[9] + dense[10]),
                     0.5 * (dense[40] + dense[41])):
-            nu, _ = eigensolve._inertia(A.tocsc(), M.tocsc(), tau)
+            nu = eigensolve._inertia(A.tocsc(), M.tocsc(), tau)
             assert nu == np.count_nonzero(dense < tau)
         res = solve(form, 30, force_dense=False)
         assert res.meta["inertia_certified"] is True
@@ -410,14 +415,10 @@ class TestStartShift:
     def test_start_candidate_at_an_eigenvalue_moves_on(self):
         # A + M is exactly singular: the count at -1 cannot be read, so the
         # start moves on to -16, below the spectrum
-        n = 20
-        form = DiscreteForm(K=sp.diags(np.arange(-1.0, n - 1.0)).tocsr(),
-                            M=sp.identity(n, format="csr"),
-                            B=sp.csr_matrix((n, n)), C=sp.csr_matrix((0, n)),
-                            C_infty=0.0)
+        form = singular_at_minus_one()
         A, M = form.reduced()
-        assert eigensolve._inertia(A, M, -1.0) == (None, None)
-        assert eigensolve._start(A, M, -1.0)[:2] == (-16.0, 0)
+        assert eigensolve._inertia(A, M, -1.0) is None
+        assert eigensolve._start(A, M, -1.0) == -16.0
         res = solve(form, 3)
         assert res.meta["shifts"][0] == -16.0
         assert res.meta["inertia_certified"] is True
@@ -448,12 +449,9 @@ class TestStartShift:
     def test_singular_first_factor_falls_back_to_a_counted_start(self,
                                                                  monkeypatch):
         # A + M singular: the first slice's factor at -1 fails, the start
-        # search counts its way to -16, and its count joins the certificate
-        n = 20
-        form = DiscreteForm(K=sp.diags(np.arange(-1.0, n - 1.0)).tocsr(),
-                            M=sp.identity(n, format="csr"),
-                            B=sp.csr_matrix((n, n)), C=sp.csr_matrix((0, n)),
-                            C_infty=0.0)
+        # search counts its way to -16, and the slice reruns there on its
+        # own factor
+        form = singular_at_minus_one()
         start, factor, events = eigensolve._start, eigensolve._factor, []
         monkeypatch.setattr(eigensolve, "_start", lambda *a:
                             events.append("start") or start(*a))
@@ -461,21 +459,64 @@ class TestStartShift:
                             events.append((sigma, count)) or factor(A, M, sigma, count))
         res = solve(form, 3)
         # the Lanczos factor at -1 fails first, then the counted search
-        assert events[:4] == [(-1.0, False), "start", (-1.0, True), (-16.0, True)]
+        assert events[:5] == [(-1.0, False), "start", (-1.0, True), (-16.0, True),
+                              (-16.0, False)]
         assert events.count("start") == 1 and res.meta["shifts"] == [-16.0]
         assert res.meta["inertia_certified"] is True
         assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
-        # a start whose count cannot be read leaves the result uncertified
-        monkeypatch.setattr(eigensolve, "_start",
-                            lambda *a: (start(*a)[0], None, start(*a)[2]))
+        # a start candidate whose count cannot be read is skipped
+        inertia = eigensolve._inertia
+        monkeypatch.setattr(eigensolve, "_inertia", lambda A, M, tau:
+                            None if tau == -16.0 else inertia(A, M, tau))
         res = solve(form, 3)
-        assert res.meta["inertia_certified"] is False
+        assert res.meta["shifts"] == [-256.0]
+        assert res.meta["inertia_certified"] is True
         assert np.allclose(res.eigenvalues, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["singular", "step-map"])
+    def test_lanczos_runs_only_on_its_own_factor(self, interval, monkeypatch,
+                                                 case):
+        # after either fallback (a singular factor at -1, or a first count
+        # that disagrees) every Lanczos run follows a factor of its own
+        # shift with diagonal pivoting, never a count's unpivoted factor
+        form = (singular_at_minus_one() if case == "singular"
+                else one_pencil(step_map_form(interval)))
+        factor, lanczos, events = eigensolve._factor, eigensolve._lanczos, []
+        monkeypatch.setattr(eigensolve, "_factor", lambda A, M, sigma, count=False:
+                            events.append(("factor", sigma, count))
+                            or factor(A, M, sigma, count))
+        monkeypatch.setattr(eigensolve, "_lanczos", lambda *a, **kw:
+                            events.append(("lanczos", kw["sigma"]))
+                            or lanczos(*a, **kw))
+        res = solve(form, 3)
+        runs = [i for i, e in enumerate(events) if e[0] == "lanczos"]
+        assert res.meta["shifts"][0] == (-16.0 if case == "singular" else -16.0 ** 5)
+        assert runs and all(events[i - 1] == ("factor", events[i][1], False)
+                            for i in runs)
+
+    def test_unreadable_start_candidate_moves_on(self, interval, monkeypatch):
+        # the count at -16^5, the first below the step map's spectrum,
+        # cannot be read: the start moves on to -16^6, and its count of 0
+        # certifies the first slice
+        form = one_pencil(step_map_form(interval))
+        d = solve(form, 10, force_dense=True)
+        factor, pivots, counted = eigensolve._factor, eigensolve._negative_pivots, []
+        monkeypatch.setattr(eigensolve, "_factor", lambda A, M, sigma, count=False:
+                            (counted.append(sigma) if count else None)
+                            or factor(A, M, sigma, count))
+        monkeypatch.setattr(eigensolve, "_negative_pivots", lambda lu:
+                            None if counted[-1] == -16.0 ** 5 else pivots(lu))
+        it = solve(form, 10, force_dense=False)
+        assert -16.0 ** 5 in counted
+        assert it.meta["shifts"][0] == -16.0 ** 6
+        assert it.meta["inertia_certified"] is True
+        scale = np.abs(d.eigenvalues).max()
+        assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale <= 1e-12
 
     def test_start_goes_on_from_the_floor(self, monkeypatch):
         tried = []
         monkeypatch.setattr(eigensolve, "_inertia",
-                            lambda A, M, tau: tried.append(tau) or (1, None))
+                            lambda A, M, tau: tried.append(tau) or 1)
         with pytest.raises(SolveError, match="no shift below the spectrum"):
             eigensolve._start(None, None, -100.0)
         assert tried[:5] == [-1.0, -16.0, -100.0, -1600.0, -25600.0]

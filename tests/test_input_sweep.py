@@ -138,9 +138,11 @@ def assert_finite_outputs(out_dir: str):
 
 
 def check_case(tmp_path, capfd, case):
-    """Run ``validate`` and the workload's command on the case's config
-    and check the exit codes, the stderr lines and the output files."""
+    """Run ``validate`` and the workload's command on the case's config,
+    check the exit codes, the stderr lines and the output files, and return
+    the two exit codes."""
     command, config = write_case(tmp_path, case)
+    codes = []
     for cmd in ("validate", command):
         out_dir = str(tmp_path / cmd)
         code, out, err = run(cmd, config, out_dir, capfd)
@@ -153,6 +155,8 @@ def check_case(tmp_path, capfd, case):
             assert len(err) == 1, err
         if code == 0:
             assert_finite_outputs(out_dir)
+        codes.append(code)
+    return tuple(codes)
 
 
 @pytest.mark.parametrize("case", TIER1_CASES, ids=map(case_id, TIER1_CASES))
