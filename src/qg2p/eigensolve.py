@@ -28,6 +28,8 @@ from .form_assembly import DiscreteForm
 
 TIE_TOL = 1e-8
 SLICE = 80          # eigenvalues asked per shift
+BLOCK = 16          # columns per residual and defect block
+COMPACT_ROWS = 64   # basis rows per block of a thick restart's compaction
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
 # weyl-interval's m = 80 slices converge in 180..220 vectors, no restart
 LANCZOS_BASIS = 3 * SLICE + 1
@@ -145,14 +147,15 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
           vectors: bool = True) -> SpectrumResult:
     """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
 
-    Eigenvectors are prolonged to full coordinates (N u) on first read; the
-    relative residuals ||(K - B) x - lam M x|| / ||M x|| are attached, and a
-    non-finite one is a SolveError.  ``meta`` records the shifts and slices,
-    the largest LU fill, whether inertia counts certified the spectrum (None
-    on the dense path, which computes all of it) and the M-orthonormality
-    defect of the eigenvectors.  ``vectors=False`` (LAPACK's jobz = "N")
-    keeps no eigenvectors: each slice's residuals are taken before its
-    basis is freed, and the defect across slices is None, never measured.
+    Eigenvectors are prolonged to full coordinates (N u) on first read.
+    The relative residuals ||A_r u - lam M_r u|| / ||M_r u|| on this
+    reduced pencil A_r u = lam M_r u are attached; a non-finite one is a
+    SolveError.  ``meta`` records the shifts and slices, the largest LU
+    fill, whether inertia counts certified the spectrum (None on the dense
+    path, which computes all of it) and the M-orthonormality defect of the
+    eigenvectors.  ``vectors=False`` (LAPACK's jobz = "N") keeps no
+    eigenvectors: each slice takes its candidates' residuals once its
+    Lanczos basis is freed, and the defect is None, never measured.
 
     A full-space two-particle form whose map assembly found exchange
     invariant (``meta["block_structured"]``) is solved as its boson and
@@ -198,9 +201,10 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
             res[cols] = r[:len(cols)]
             continue
         U = U[:, :len(cols)]
-        res[cols], d = _residuals(*f.reduced(), lam_i[:len(cols)], U)
-        defect = max(defect, d)
-        blocks.append((f.N, U, cols))
+        res[cols], measure = _residuals(*f.reduced(), lam_i[:len(cols)], U)
+        if vectors:
+            defect = max(defect, measure())
+            blocks.append((f.N, U, cols))
     if not np.isfinite(res).all():
         raise SolveError(f"non-finite residuals "
                          f"({np.count_nonzero(~np.isfinite(res))} of {k})")
@@ -212,7 +216,7 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
     meta["max_m_orth_defect"] = defect if vectors else None
     return SpectrumResult(eigenvalues=lam[order], residuals=res, meta=meta,
                           method="dense" if dense else "shift-invert",
-                          blocks=tuple(blocks) if vectors else ())
+                          blocks=tuple(blocks))
 
 
 def check_memory(what: str, need: float) -> None:
@@ -225,19 +229,30 @@ def check_memory(what: str, need: float) -> None:
 
 
 def _residuals(A, M, lam, U):
-    """Relative residuals ||A u - lam M u|| / ||M u|| and the defect
-    ||U^H M U - I||_max, SLICE columns at a time to bound the memory."""
-    res, defect = np.empty(len(lam)), 0.0
-    for j in range(0, len(lam), SLICE):
-        b = slice(j, j + SLICE)
-        MU = M @ U[:, b]
-        G = MU.conj().T @ U                 # these rows of U^H M U
-        G[:, b] -= np.eye(len(G))
-        defect = max(defect, float(np.abs(G).max()))
+    """Relative residuals ||A u - lam M u|| / ||M u|| of U's columns, BLOCK
+    at a time, and a call that measures U's M-orthonormality defect.
+    NumPy sums each column of a column-major block pairwise, so a column's
+    residual does not depend on the width of the block it is taken in."""
+    res = np.empty(len(lam))
+    for j in range(0, len(lam), BLOCK):
+        b = slice(j, j + BLOCK)
+        MU = np.asfortranarray(M @ U[:, b])
         mnorm = np.maximum(np.linalg.norm(MU, axis=0), 1e-300)
         MU *= lam[b]
-        res[b] = np.linalg.norm(A @ U[:, b] - MU, axis=0) / mnorm
-    return res, defect
+        R = np.asfortranarray(A @ U[:, b])
+        R -= MU
+        res[b] = np.linalg.norm(R, axis=0) / mnorm
+    return res, functools.partial(_m_defect, M, U)
+
+
+def _m_defect(M, U):
+    """||U^H M U - I||_max, BLOCK rows of U^H M U at a time."""
+    defect = 0.0
+    for j in range(0, U.shape[1], BLOCK):
+        G = (M @ U[:, j:j + BLOCK]).conj().T @ U
+        G[:, j:j + BLOCK] -= np.eye(len(G))
+        defect = max(defect, float(np.abs(G).max()))
+    return defect
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +361,12 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
             raise SolveError(f"shift-invert Lanczos: {m} eigenvalues near {sigma:.6e} "
                              f"not converged after {LANCZOS_RESTARTS} restarts")
         keep = order[:min(cap - 1, m + (cap - m) // 2)]
-        j, tridiagonal = len(keep), False
-        Q[:, :j] = Q[:, :cap] @ Y[:, keep]      # the kept Ritz vectors
+        j, tridiagonal, Y = len(keep), False, Y[:, keep]
+        for i in range(0, n, COMPACT_ROWS):     # the kept Ritz vectors, in place
+            Q[i:i + COMPACT_ROWS, :j] = Q[i:i + COMPACT_ROWS, :cap] @ Y
         T[:] = 0.0
         T[range(j), range(j)] = theta[keep]
-        T[:j, j] = T[j, :j] = beta * Y[-1, keep]
+        T[:j, j] = T[j, :j] = beta * Y[-1]
 
 
 class _Slices:

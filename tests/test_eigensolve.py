@@ -536,6 +536,20 @@ def lanczos_run(A, M, sigma, m, v0=None):
     return lam[order], Q @ Y[:, order], Q.shape[1], near
 
 
+def kernel_peak(A, M, sigma, m):
+    """The tracemalloc peak of the kernel's m eigenvalues nearest sigma,
+    its factor built beforehand, and the size of the basis it returns."""
+    A, M = A.tocsc(), M.tocsc()
+    lu = eigensolve._factor(A, M, sigma)
+    v0 = np.random.default_rng(8231).standard_normal(A.shape[0])
+    tracemalloc.start()
+    try:
+        Q = eigensolve._lanczos(lu, M, m, sigma=sigma, v0=v0)[1]
+        return tracemalloc.get_traced_memory()[1], Q.shape[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_matches_dense(lam, X, M, near):
     assert np.abs(lam - near).max() / np.abs(near).max() <= 1e-12
     G = X.conj().T @ (M @ X)
@@ -569,6 +583,13 @@ class TestLanczosKernel:
         assert size <= 2 * m + 1
         assert_matches_dense(restarted, X, M, near)
         assert np.abs(restarted - lam).max() / np.abs(lam).max() <= 1e-12
+        # the restart compacts the basis in place: it holds no more than a
+        # run that converges on the same basis, plus one block of columns
+        converging, size = kernel_peak(A, M, 100.0, 2)
+        assert size < 2 * m + 1
+        restarting, _ = kernel_peak(A, M, 100.0, m)
+        block = A.shape[0] * eigensolve.BLOCK * np.dtype(float).itemsize
+        assert restarting <= converging + block
 
     def test_basis_reaches_the_whole_space(self):
         A, M = random_pencil_form(n=10, seed=4).reduced()
@@ -849,6 +870,64 @@ class TestValuesOnly:
         assert solve(form, k, vectors=False).k == k
         with pytest.raises(SolveError, match="sliced eigensolve .* MB free"):
             solve(form, k)
+
+
+def ritz_block(name, interval):
+    """(A, M, lam, U) of the lowest SLICE eigenpairs of a real or a complex
+    Hermitian pencil, U column-major as the slices page it."""
+    if name == "real":
+        form = dirichlet_lift(interval, 33)[0]
+    else:
+        form = one_pencil(assemble_two_particle(*SPLIT_CASES["complex"][:3]))
+    res = solve(form, SLICE)
+    (_, U, _), = res.blocks
+    return (*form.reduced(), res.eigenvalues, U)
+
+
+class TestResidualBlocks:
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_partitions_give_the_whole_blocks_residuals(self, interval,
+                                                        monkeypatch, name):
+        A, M, lam, U = ritz_block(name, interval)
+        whole, measure = eigensolve._residuals(A, M, lam, U)
+        defect = measure()
+        assert U.flags.f_contiguous and defect <= 1e-10
+        for width in (1, 2, 16, SLICE):
+            parts = [eigensolve._residuals(A, M, lam[j:j + width], U[:, j:j + width])
+                     for j in range(0, SLICE, width)]
+            assert np.array_equal(np.concatenate([r for r, _ in parts]), whole)
+            # the Gram rows of one column are a matrix-vector product,
+            # whose sums may round apart from a matrix product's
+            monkeypatch.setattr(eigensolve, "BLOCK", width)
+            res, measure = eigensolve._residuals(A, M, lam, U)
+            assert np.array_equal(res, whole)
+            assert abs(measure() - defect) <= 1e-15
+            monkeypatch.undo()
+
+    def test_memory_stays_within_a_few_blocks(self, interval):
+        A, M, lam, U = ritz_block("real", interval)
+        block = U.shape[0] * eigensolve.BLOCK * U.itemsize
+        for step in (lambda: eigensolve._residuals(A, M, lam, U)[1],
+                     lambda: eigensolve._m_defect(M, U)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * block           # not three n x SLICE arrays
+
+    def test_slice_of_one_candidate_without_vectors(self, interval):
+        # the second slice accepts one candidate, whose residual the
+        # vector solve takes in a block beside the first slice's columns
+        form = values_only_case("one-pencil", interval)[0]
+        first = eigensolve._Slices(*form.reduced(), -1.0, SLICE)
+        first.advance(SLICE, "the first slice", 0.0)
+        k = first.count + 1
+        full, values = solve(form, k), solve(form, k, vectors=False)
+        assert values.meta["slices"] == full.meta["slices"] == 2
+        assert np.array_equal(values.eigenvalues, full.eigenvalues)
+        assert np.array_equal(values.residuals, full.residuals)
 
 
 class TestMethodChoice:
