@@ -390,8 +390,10 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 
 def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
-    lam = solve(form, cfg.num_eigs, vectors=False).eigenvalues
-    toggles = cfg.analysis
+    toggles = cfg.analysis      # one solve, for the bracketing's n too
+    solved = solve(form, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
+                   vectors=False).eigenvalues
+    lam = solved[:cfg.num_eigs]
     window = toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}
     d = _outdir(cfg, outdir)
@@ -416,7 +418,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
 
     if "bracketing" in toggles:
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            form, toggles["bracketing"]["n"], eigenvalues=lam))
+            form, toggles["bracketing"]["n"], solved))
 
     if toggles.get("lift_check") and "conditions" in m.meta:
         oracle = spectral_analysis.lifted_spectrum(

@@ -133,14 +133,11 @@ class SpectrumResult:
         return X
 
 
-def _tied(a, b):
-    """Whether b - a is within the relative tie tolerance (elementwise)."""
-    return np.abs(b - a) <= TIE_TOL * np.maximum(1.0, np.abs(b))
-
-
 def _chain_cuts(lam: np.ndarray) -> np.ndarray:
-    """Start of every chain of consecutive tied eigenvalues but the first."""
-    return np.flatnonzero(~_tied(lam[:-1], lam[1:])) + 1
+    """Start of every chain of consecutive tied eigenvalues but the first:
+    b follows a in a chain when b - a is within the relative tie tolerance."""
+    a, b = lam[:-1], lam[1:]
+    return np.flatnonzero(~(np.abs(b - a) <= TIE_TOL * np.maximum(1.0, np.abs(b)))) + 1
 
 
 def solve(form: DiscreteForm, k: int, force_dense: bool = False,
@@ -150,12 +147,14 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
     Eigenvectors are prolonged to full coordinates (N u) on first read.
     The relative residuals ||A_r u - lam M_r u|| / ||M_r u|| on this
     reduced pencil A_r u = lam M_r u are attached; a non-finite one is a
-    SolveError.  ``meta`` records the shifts and slices, the largest LU
-    fill, whether inertia counts certified the spectrum (None on the dense
-    path, which computes all of it) and the M-orthonormality defect of the
-    eigenvectors.  ``vectors=False`` (LAPACK's jobz = "N") keeps no
-    eigenvectors: each slice takes its candidates' residuals once its
-    Lanczos basis is freed, and the defect is None, never measured.
+    SolveError.  Each slice takes its candidates' residuals once its
+    Lanczos basis is freed, the dense path those of each pencil's lowest
+    k, and the merge only places them.  ``meta`` records the shifts and
+    slices, the largest LU fill, whether inertia counts certified the
+    spectrum (None on the dense path, which computes all of it) and the
+    M-orthonormality defect of the eigenvectors.  ``vectors=False``
+    (LAPACK's jobz = "N") keeps no eigenvectors, and the defect is None,
+    never measured.
 
     A full-space two-particle form whose map assembly found exchange
     invariant (``meta["block_structured"]``) is solved as its boson and
@@ -181,9 +180,10 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
                      6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
                                                  for X in f.reduced()))
         solved = []     # (lowest k, their vectors, residuals, accepted, shifts)
-        for f in forms:
-            lam, U = sla.eigh(*(X.toarray() for X in f.reduced()))
-            solved.append((lam[:k], U[:, :k].copy(), None, len(lam), []))
+        for A, M in (f.reduced() for f in forms):
+            lam, U = sla.eigh(A.toarray(), M.toarray())
+            U = U[:, :k].copy()
+            solved.append((lam[:k], U, _residuals(A, M, lam[:k], U), len(lam), []))
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
     else:
         solved = [(p.lam[:min(p.count, k)], p.U, p.res, p.count, p.shifts)
@@ -195,15 +195,12 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
     order = np.argsort(lam, kind="stable")[:k]
     owner = np.repeat(np.arange(len(forms)), [len(s[0]) for s in solved])[order]
     res, defect, blocks = np.empty(k), 0.0, []
-    for i, (f, (lam_i, U, r, _, _)) in enumerate(zip(forms, solved)):
+    for i, (f, (_, U, r, _, _)) in enumerate(zip(forms, solved)):
         cols = np.flatnonzero(owner == i)
-        if U is None:           # values only: taken slice by slice
-            res[cols] = r[:len(cols)]
-            continue
-        U = U[:, :len(cols)]
-        res[cols], measure = _residuals(*f.reduced(), lam_i[:len(cols)], U)
+        res[cols] = r[:len(cols)]
         if vectors:
-            defect = max(defect, measure())
+            U = U[:, :len(cols)]
+            defect = max(defect, _m_defect(f.reduced()[1], U))
             blocks.append((f.N, U, cols))
     if not np.isfinite(res).all():
         raise SolveError(f"non-finite residuals "
@@ -230,9 +227,9 @@ def check_memory(what: str, need: float) -> None:
 
 def _residuals(A, M, lam, U):
     """Relative residuals ||A u - lam M u|| / ||M u|| of U's columns, BLOCK
-    at a time, and a call that measures U's M-orthonormality defect.
-    NumPy sums each column of a column-major block pairwise, so a column's
-    residual does not depend on the width of the block it is taken in."""
+    at a time.  NumPy sums each column of a column-major block pairwise, so
+    a column's residual does not depend on the width of the block it is
+    taken in."""
     res = np.empty(len(lam))
     for j in range(0, len(lam), BLOCK):
         b = slice(j, j + BLOCK)
@@ -242,7 +239,7 @@ def _residuals(A, M, lam, U):
         R = np.asfortranarray(A @ U[:, b])
         R -= MU
         res[b] = np.linalg.norm(R, axis=0) / mnorm
-    return res, functools.partial(_m_defect, M, U)
+    return res
 
 
 def _m_defect(M, U):
@@ -373,18 +370,17 @@ class _Slices:
     """One pencil's state in the slicing loop: the cut tau with ``count``
     eigenvalues below it (-inf and 0 before the first slice), the floor of
     the start shifts, the spacing near the cut, the accepted shifts and the
-    lowest k accepted eigenvalues, with their vectors ``U`` or, values
-    only, their residuals ``res``."""
+    lowest k accepted eigenvalues with their residuals ``res`` and, unless
+    values only, their vectors ``U``."""
 
     def __init__(self, A, M, floor: float, k: int, vectors: bool = True):
         self.A, self.M, self.floor = A, M, floor
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
-        self.lam = np.empty(k)
-        # paged as accepted: the eigenvectors, or values only their residuals
+        # paged as accepted: the values, residuals and, with vectors, vectors
+        self.lam, self.res = np.empty(k), np.empty(k)
         self.U = np.empty((self.n, k), self.dtype, order="F") if vectors else None
-        self.res = None if vectors else np.empty(k)
         self.tau, self.count, self.spacing = -np.inf, 0, None
         self.shifts, self.fill, self.counted = [], 0, True
 
@@ -415,20 +411,17 @@ class _Slices:
             self.spacing = max((lam[-1] - lam[h]) / max(len(lam) - 1 - h, 1),
                                TIE_TOL * max(1.0, abs(lam[-1])))
             new = np.flatnonzero(lam > tau)
-            top = len(new) - 1            # start of the top cluster among new
-            while top > 0 and _tied(lam[new[top - 1]], lam[new[top]]):
-                top -= 1
+            top = [0, *_chain_cuts(lam[new]).tolist()][-1]  # the top chain's start
             # the candidates go straight into the unaccepted columns (a
-            # failed check overwrites them), values only into one block
-            # that leaves its residuals there; the basis and the block are
-            # freed before the count's factor is built
+            # failed check overwrites them), values only into one block;
+            # their residuals are taken once the basis is freed, and the
+            # block before the count's factor is built
             take = new[:min(top, k - count)]
             X = (np.empty((n, len(take)), self.dtype, order="F") if self.U is None
                  else self.U[:, count:count + len(take)])
             np.matmul(Q, Y[:, take], out=X)
             Q = Y = None
-            if self.U is None:
-                self.res[count:count + len(take)] = _residuals(A, M, lam[take], X)[0]
+            self.res[count:count + len(take)] = _residuals(A, M, lam[take], X)
             X = None
             if s - r > tau > -np.inf:     # the window misses (tau, s - r)
                 offset /= 2

@@ -187,14 +187,11 @@ def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
 
 
 def bracketing_run(form: form_assembly.DiscreteForm, n_max: int,
-                   eigenvalues: np.ndarray = None) -> BracketingReport:
-    """Check the sandwich of a two-particle ``form`` between the
-    ``comparison_spectra`` on its mesh and in its sector, with the L_max
-    that assembly recorded.  The form's own lowest ``eigenvalues``, when at
-    least n_max are given, replace its solve."""
+                   eigenvalues: np.ndarray) -> BracketingReport:
+    """Check the sandwich of a two-particle ``form``'s lowest n_max
+    ``eigenvalues`` (solved by the caller) between the ``comparison_spectra``
+    on its mesh and in its sector, with the L_max that assembly recorded."""
     mesh = form.meta["mesh"]
-    if eigenvalues is None or len(eigenvalues) < n_max:
-        eigenvalues = solve(form, n_max, vectors=False).eigenvalues
     robin, dirichlet = comparison_spectra(
         mesh.graph, form.meta["L_max"], mesh, n_max,
         form.meta.get("sector", "full"))

@@ -112,8 +112,10 @@ def test_04_dirichlet_robin_bracketing(interval, capsys):
     mesh = Mesh.uniform(interval, 41)
     robin_lift = lift_one_particle(
         standard_family("robin", interval, alpha=1.0), interval)
-    reps = [bracketing_run(assemble_two_particle(interval, m, mesh), 50)
-            for m in (robin_lift, bump_interaction_map())]
+    forms = [assemble_two_particle(interval, m, mesh)
+             for m in (robin_lift, bump_interaction_map())]
+    reps = [bracketing_run(f, 50, solve(f, 50, vectors=False).eigenvalues)
+            for f in forms]
     ok = all(r.ok and r.counting_ok for r in reps)
     detail = "; ".join(f"viol {max(r.max_lower_violation, r.max_upper_violation):.1e}"
                        for r in reps)

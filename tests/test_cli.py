@@ -945,8 +945,8 @@ def recorded_solves(monkeypatch):
 
 def test_only_spectrum_and_example_delta_solve_for_eigenvectors(
         tmp_path, capsys, monkeypatch):
-    """analyze reads eigenvalues only, its bracketing (n above num_eigs, so
-    bracketing_run solves the form again) and lift check too; spectrum
+    """analyze reads eigenvalues only, its bracketing and lift check too,
+    from one solve for the larger of num_eigs and bracketing's n; spectrum
     reports the eigenvectors' M-orthogonality and example-delta folds the
     ground state, so both keep their vectors."""
     calls = recorded_solves(monkeypatch)
@@ -954,10 +954,9 @@ def test_only_spectrum_and_example_delta_solve_for_eigenvectors(
         "weyl": False, "bracketing": {"n": 30}, "lift_check": True})
     assert main(["analyze", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "analyze")]) == 0
-    # the form, its bracketing target, the two comparison spectra (17 and
-    # 15 one-particle dofs) and the lift check's Dirichlet spectrum
-    assert calls == [(20, False), (30, False), (17, False), (15, False),
-                     (15, False)]
+    # the form, for its bracketing's n = 30 too, the two comparison spectra
+    # (17 and 15 one-particle dofs) and the lift check's Dirichlet spectrum
+    assert calls == [(30, False), (17, False), (15, False), (15, False)]
     calls.clear()
     assert main(["spectrum", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "spectrum")]) == 0

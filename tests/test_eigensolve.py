@@ -834,9 +834,8 @@ class TestValuesOnly:
 
     @pytest.mark.parametrize("k", [10, 49])         # sliced, dense
     def test_non_finite_residual_fails(self, monkeypatch, k):
-        residuals = eigensolve._residuals
-        monkeypatch.setattr(eigensolve, "_residuals", lambda A, M, lam, U: (
-            np.full(len(lam), np.nan), residuals(A, M, lam, U)[1]))
+        monkeypatch.setattr(eigensolve, "_residuals",
+                            lambda A, M, lam, U: np.full(len(lam), np.nan))
         with pytest.raises(SolveError, match="non-finite residuals"):
             solve(random_pencil_form(n=50), k, vectors=False)
 
@@ -889,25 +888,24 @@ class TestResidualBlocks:
     def test_partitions_give_the_whole_blocks_residuals(self, interval,
                                                         monkeypatch, name):
         A, M, lam, U = ritz_block(name, interval)
-        whole, measure = eigensolve._residuals(A, M, lam, U)
-        defect = measure()
+        whole = eigensolve._residuals(A, M, lam, U)
+        defect = eigensolve._m_defect(M, U)
         assert U.flags.f_contiguous and defect <= 1e-10
         for width in (1, 2, 16, SLICE):
             parts = [eigensolve._residuals(A, M, lam[j:j + width], U[:, j:j + width])
                      for j in range(0, SLICE, width)]
-            assert np.array_equal(np.concatenate([r for r, _ in parts]), whole)
+            assert np.array_equal(np.concatenate(parts), whole)
             # the Gram rows of one column are a matrix-vector product,
             # whose sums may round apart from a matrix product's
             monkeypatch.setattr(eigensolve, "BLOCK", width)
-            res, measure = eigensolve._residuals(A, M, lam, U)
-            assert np.array_equal(res, whole)
-            assert abs(measure() - defect) <= 1e-15
+            assert np.array_equal(eigensolve._residuals(A, M, lam, U), whole)
+            assert abs(eigensolve._m_defect(M, U) - defect) <= 1e-15
             monkeypatch.undo()
 
     def test_memory_stays_within_a_few_blocks(self, interval):
         A, M, lam, U = ritz_block("real", interval)
         block = U.shape[0] * eigensolve.BLOCK * U.itemsize
-        for step in (lambda: eigensolve._residuals(A, M, lam, U)[1],
+        for step in (lambda: eigensolve._residuals(A, M, lam, U),
                      lambda: eigensolve._m_defect(M, U)):
             tracemalloc.start()
             try:
@@ -918,8 +916,8 @@ class TestResidualBlocks:
             assert peak <= 5 * block           # not three n x SLICE arrays
 
     def test_slice_of_one_candidate_without_vectors(self, interval):
-        # the second slice accepts one candidate, whose residual the
-        # vector solve takes in a block beside the first slice's columns
+        # the second slice accepts one candidate, whose residual both
+        # solves take in a one-column block
         form = values_only_case("one-pencil", interval)[0]
         first = eigensolve._Slices(*form.reduced(), -1.0, SLICE)
         first.advance(SLICE, "the first slice", 0.0)

@@ -23,6 +23,11 @@ def sector_form(g, m, mesh, sector="full"):
     return assemble_symmetric_form(form, +1 if sector == "boson" else -1)
 
 
+def bracketed(form, n):
+    """``bracketing_run`` of ``form`` on its own lowest n eigenvalues."""
+    return bracketing_run(form, n, solve(form, n, vectors=False).eigenvalues)
+
+
 def dirichlet_interval(n):
     return (np.pi * np.arange(1, n + 1)) ** 2
 
@@ -215,7 +220,7 @@ class TestBracketing:
 
     def test_dirichlet_map_hits_upper_bound(self, interval):
         m = constant_map(np.eye(4), np.zeros((4, 4)))
-        rep = bracketing_run(
+        rep = bracketed(
             assemble_two_particle(interval, m, Mesh.uniform(interval, 17)), 10)
         # the comparison spectrum is lifted, the map's solved: roundoff apart
         assert rep.ok and rep.max_upper_violation <= 1e-11
@@ -225,31 +230,31 @@ class TestBracketing:
         # space is never needed
         m = constant_map(np.eye(4), np.zeros((4, 4)))
         form = assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
-        assert bracketing_run(form, 10).ok
+        assert bracketed(form, 10).ok
         assert form.basis is None
 
     def test_neumann_map_hits_lower_bound(self, interval):
         m = constant_map(np.zeros((4, 4)), np.zeros((4, 4)))
-        rep = bracketing_run(
+        rep = bracketed(
             assemble_two_particle(interval, m, Mesh.uniform(interval, 17)), 10)
         assert rep.ok and rep.max_lower_violation <= 1e-11
 
     def test_robin_lift_strict_sandwich(self, interval):
         m = lift_one_particle(
             standard_family("robin", interval, alpha=1.0), interval)
-        rep = bracketing_run(
+        rep = bracketed(
             assemble_two_particle(interval, m, Mesh.uniform(interval, 25)), 20)
         assert rep.ok and rep.counting_ok
 
     def test_bump_map_sandwich(self, interval):
-        rep = bracketing_run(assemble_two_particle(
+        rep = bracketed(assemble_two_particle(
             interval, bump_interaction_map(), Mesh.uniform(interval, 25)), 20)
         assert rep.ok and rep.counting_ok
 
     def test_lower_operator_samples_the_mesh(self, interval):
         # L_max on the default grid is 0 (a Neumann "lower" operator); at
         # the mesh's y-nodes it is 1e4
-        rep = bracketing_run(
+        rep = bracketed(
             assemble_two_particle(interval, step_map(), Mesh.uniform(interval, 17)),
             10)
         assert rep.ok and rep.counting_ok
@@ -262,15 +267,13 @@ class TestBracketing:
         form = assemble_two_particle(interval, bump_interaction_map(),
                                      Mesh.uniform(interval, 25))
         lam = spectral_analysis.solve(form, 25).eigenvalues
-        ref = bracketing_run(form, 20)
         calls, orig = [], spectral_analysis.solve
         monkeypatch.setattr(spectral_analysis, "solve",
                             lambda *a, **kw: calls.append(a[1]) or orig(*a, **kw))
-        assert bracketing_run(form, 20, eigenvalues=lam) == ref
-        assert len(calls) == 2                  # the two comparison operators
-        calls.clear()
-        assert bracketing_run(form, 20, eigenvalues=lam[:19]) == ref
-        assert len(calls) == 3                  # 19 < 20: solved again
+        assert bracketing_run(form, 20, lam) == bracketing_run(form, 20, lam[:20])
+        assert len(calls) == 4                  # two comparison operators each
+        with pytest.raises(AnalysisError, match="need 20 eigenvalues"):
+            bracketing_run(form, 20, lam[:19])
 
 
 def two_particle_comparison(g, l_max, mesh, n, sector):
@@ -305,11 +308,11 @@ class TestComparisonSpectra:
                                            (3, "fermion")])
     def test_whole_one_particle_spectrum_is_lifted(self, interval, n, sector):
         # 5 nodes: 3 Dirichlet one-particle levels give exactly n sums
-        rep = bracketing_run(sector_form(interval, bump_interaction_map(),
-                                         Mesh.uniform(interval, 5), sector), n)
+        rep = bracketed(sector_form(interval, bump_interaction_map(),
+                                    Mesh.uniform(interval, 5), sector), n)
         assert rep.ok and rep.counting_ok and rep.n_checked == n
 
     def test_more_levels_than_sums_raise(self, interval):
         with pytest.raises(AnalysisError):
-            bracketing_run(assemble_two_particle(
+            bracketed(assemble_two_particle(
                 interval, bump_interaction_map(), Mesh.uniform(interval, 5)), 20)
