@@ -16,8 +16,7 @@ import numpy as np
 
 from . import bc_maps, form_assembly, spectral_analysis, symmetry
 from .bc_maps import MapError, validate_map
-from .eigensolve import (SolveError, SpectrumResult, chain_counts,
-                         check_memory, solve)
+from .eigensolve import SolveError, SpectrumResult, check_memory, solve
 from .form_assembly import AssemblyError, Mesh
 from .graph_core import BoundaryIndexMap, GraphError, MetricGraph, build_graph
 from .symmetry import SymmetryError
@@ -305,10 +304,11 @@ def _write_csv(path: str, header: str, columns, fmt: str) -> None:
 
 
 def write_eigenvalue_csv(path: str, result: SpectrumResult) -> None:
-    sizes = [size for _, size in result.multiplicities()]
+    counts = result.counts      # a chain's size: its count less its start
     _write_csv(path, "index,eigenvalue,multiplicity,residual",
                (np.arange(result.k), result.eigenvalues,
-                np.repeat(sizes, sizes), result.residuals), "%d,%.12e,%d,%.6e")
+                counts - np.searchsorted(counts, counts), result.residuals),
+               "%d,%.12e,%d,%.6e")
 
 
 def _json_text(obj, name: str) -> str:
@@ -391,9 +391,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, form = assemble_from_config(cfg)
     toggles = cfg.analysis      # one solve, for the bracketing's n too
-    solved = solve(form, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
-                   vectors=False).eigenvalues
-    lam = solved[:cfg.num_eigs]
+    result = solve(form, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
+                   vectors=False)
+    lam, counts = result.eigenvalues[:cfg.num_eigs], result.counts[:cfg.num_eigs]
     window = toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}
     d = _outdir(cfg, outdir)
@@ -402,15 +402,16 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
         if cfg.particles == 1:
             x = spectral_analysis.wave_number(lam)
             rep = spectral_analysis.weyl_fit_one_particle(
-                lam, g, window=window, h_max=mesh.h_max)
+                lam, g, window=window, h_max=mesh.h_max, counts=counts)
         else:
             x = lam
             rep = spectral_analysis.weyl_fit_two_particle(
-                lam, g, sector=cfg.sector, window=window, h_max=mesh.h_max)
+                lam, g, sector=cfg.sector, window=window, h_max=mesh.h_max,
+                counts=counts)
         tol = toggles.get("weyl_tol", 0.15)
         analysis["weyl"] = {**asdict(rep), "pass": rep.relative_error < tol}
         _write_csv(os.path.join(d, "counting.csv"), "lambda,N,weyl_line",
-                   (lam, chain_counts(lam), rep.slope * x), "%.12e,%d,%.12e")
+                   (lam, counts, rep.slope * x), "%.12e,%d,%.12e")
 
     if "heat" in toggles:
         analysis["heat_trace"] = spectral_analysis.heat_trace(
@@ -418,7 +419,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
 
     if "bracketing" in toggles:
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            form, toggles["bracketing"]["n"], solved))
+            form, toggles["bracketing"]["n"], result.eigenvalues))
 
     if toggles.get("lift_check") and "conditions" in m.meta:
         oracle = spectral_analysis.lifted_spectrum(

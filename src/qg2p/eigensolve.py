@@ -102,23 +102,32 @@ def available_memory() -> float:
 class SpectrumResult:
     """Sorted eigenvalues, with the eigenvectors kept reduced as ``blocks``,
     one ``(N, U, cols)`` per pencil with N @ U the columns ``cols``, or
-    none after a values-only solve."""
+    none after a values-only solve; ``beyond`` more accepted eigenvalues
+    continue the last one's chain of ties."""
 
     eigenvalues: np.ndarray
     method: str = "dense"
     residuals: np.ndarray = None
     meta: dict = field(default_factory=dict)
     blocks: tuple = field(default=(), repr=False)
+    beyond: int = 0
 
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """N at each eigenvalue, every chain of ties counted whole, the last
+        with its ``beyond`` members (``chain_counts``)."""
+        return chain_counts(self.eigenvalues, self.beyond)
+
     def multiplicities(self):
-        """(mean, size) of each chain of consecutive tied eigenvalues."""
-        lam = self.eigenvalues
-        return [(float(np.mean(c)), len(c))
-                for c in np.split(lam, _chain_cuts(lam)) if len(c)]
+        """(mean, size) of each chain of consecutive tied eigenvalues, the
+        last one's size counting its ``beyond`` members too."""
+        lam, sizes = self.eigenvalues, np.diff(np.unique(self.counts), prepend=0)
+        return [(float(np.mean(c)), n)
+                for c, n in zip(np.split(lam, _chain_cuts(lam)), sizes.tolist())]
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -179,23 +188,25 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
         check_memory(f"dense eigensolve of a {max(sizes)}-dof pencil",
                      6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
                                                  for X in f.reduced()))
-        solved = []     # (lowest k, their vectors, residuals, accepted, shifts)
+        solved = []     # (accepted values, lowest k's vectors, residuals, shifts)
         for A, M in (f.reduced() for f in forms):
             lam, U = sla.eigh(A.toarray(), M.toarray())
             U = U[:, :k].copy()
-            solved.append((lam[:k], U, _residuals(A, M, lam[:k], U), len(lam), []))
+            solved.append((lam, U, _residuals(A, M, lam[:k], U), []))
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
     else:
-        solved = [(p.lam[:min(p.count, k)], p.U, p.res, p.count, p.shifts)
+        solved = [(p.lam, p.U, p.res, p.shifts)
                   for p in _sliced_lanczos([f.reduced() for f in forms], k,
                                            -1.05 * form.C_infty - 1.0, meta,
                                            vectors)]
-    # the lowest k of the union take a prefix of each pencil's eigenvalues
+    # the lowest k of the union take a prefix of each pencil's eigenvalues;
+    # the rest accepted may continue the k-th's chain
     lam = np.concatenate([s[0] for s in solved])
     order = np.argsort(lam, kind="stable")[:k]
+    beyond = int(chain_counts(lam)[k - 1]) - k
     owner = np.repeat(np.arange(len(forms)), [len(s[0]) for s in solved])[order]
     res, defect, blocks = np.empty(k), 0.0, []
-    for i, (f, (_, U, r, _, _)) in enumerate(zip(forms, solved)):
+    for i, (f, (_, U, r, _)) in enumerate(zip(forms, solved)):
         cols = np.flatnonzero(owner == i)
         res[cols] = r[:len(cols)]
         if vectors:
@@ -208,12 +219,12 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
     if len(forms) > 1:
         meta["sectors"] = [
             {"sector": f.meta["sector"], "pencil_size": size, "shifts": shifts,
-             "slices": len(shifts), "accepted": count}
-            for f, size, (*_, count, shifts) in zip(forms, sizes, solved)]
+             "slices": len(shifts), "accepted": len(values)}
+            for f, size, (values, *_, shifts) in zip(forms, sizes, solved)]
     meta["max_m_orth_defect"] = defect if vectors else None
     return SpectrumResult(eigenvalues=lam[order], residuals=res, meta=meta,
                           method="dense" if dense else "shift-invert",
-                          blocks=tuple(blocks))
+                          blocks=tuple(blocks), beyond=beyond)
 
 
 def check_memory(what: str, need: float) -> None:
@@ -367,27 +378,27 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
 
 
 class _Slices:
-    """One pencil's state in the slicing loop: the cut tau with ``count``
-    eigenvalues below it (-inf and 0 before the first slice), the floor of
-    the start shifts, the spacing near the cut, the accepted shifts and the
-    lowest k accepted eigenvalues with their residuals ``res`` and, unless
-    values only, their vectors ``U``."""
+    """One pencil's state in the slicing loop: the cut tau (-inf before the
+    first slice) with the accepted eigenvalues ``lam`` below it, the floor
+    of the start shifts, the spacing near the cut, the accepted shifts and
+    the lowest k accepted eigenvalues' residuals ``res`` and, unless values
+    only, their vectors ``U``."""
 
     def __init__(self, A, M, floor: float, k: int, vectors: bool = True):
         self.A, self.M, self.floor = A, M, floor
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
-        # paged as accepted: the values, residuals and, with vectors, vectors
-        self.lam, self.res = np.empty(k), np.empty(k)
+        # paged as accepted, the lowest k only: residuals and, with vectors, vectors
+        self.lam, self.res = np.empty(0), np.empty(k)
         self.U = np.empty((self.n, k), self.dtype, order="F") if vectors else None
-        self.tau, self.count, self.spacing = -np.inf, 0, None
+        self.tau, self.spacing = -np.inf, None
         self.shifts, self.fill, self.counted = [], 0, True
 
     def advance(self, m: int, what: str, need: float) -> None:
         """Run one slice of m eigenvalues above the cut and move the cut past
         those it accepts, or raise SolveError (``what`` needs ``need`` bytes)."""
-        A, M, n, k, count = self.A, self.M, self.n, len(self.lam), self.count
+        A, M, n, k, count = self.A, self.M, self.n, len(self.res), len(self.lam)
         offset = 0.0 if self.spacing is None else 0.45 * m * self.spacing
         for _ in range(SLICE_TRIES):
             tau = self.tau
@@ -438,8 +449,7 @@ class _Slices:
                     offset = offset / 2 if offset > 0 else offset - r / 2
                 continue
             self.counted = self.counted and nu is not None
-            self.lam[count:count + len(take)] = lam[take]
-            self.count, self.tau = count + top, cut
+            self.lam, self.tau = np.append(self.lam, lam[new[:top]]), cut
             self.shifts.append(float(s))
             return
         raise SolveError(f"shift-invert Lanczos slice above {self.tau:.6e} "
@@ -490,12 +500,12 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
     shifts = []
     while True:
         low = min(states, key=lambda p: p.tau)
-        below = [np.count_nonzero(p.lam[:min(p.count, k)] < low.tau) for p in states]
+        below = [np.count_nonzero(p.lam < low.tau) for p in states]
         if sum(below) >= k:
             break
         share = (below[states.index(low)] / sum(below) if sum(below)
                  else low.n / total)
-        m = max(int(np.ceil(share * k)) - low.count,
+        m = max(int(np.ceil(share * k)) - len(low.lam),
                 int(np.ceil(share * (k - sum(below)))))
         low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2), what, need)
         shifts.append(low.shifts[-1])
@@ -512,10 +522,13 @@ def counting_function(eigenvalues: np.ndarray, lam):
     return int(n) if np.ndim(n) == 0 else n
 
 
-def chain_counts(eigenvalues: np.ndarray) -> np.ndarray:
+def chain_counts(eigenvalues: np.ndarray, beyond: int = 0) -> np.ndarray:
     """N at each sorted eigenvalue with every chain of consecutive tied
     eigenvalues (as in ``multiplicities``) counted whole: each member gets
-    the index of the chain's last member plus one."""
+    the index of the chain's last member plus one, plus ``beyond`` for the
+    last chain, whose members past the given eigenvalues it counts."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     ends = np.append(_chain_cuts(lam), len(lam))
-    return np.repeat(ends, np.diff(ends, prepend=0))
+    sizes = np.diff(ends, prepend=0)
+    ends[-1] += beyond
+    return np.repeat(ends, sizes)

@@ -63,20 +63,20 @@ class WeylReport:
 
 
 def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
-              cap: float) -> WeylReport:
+              cap: float, counts) -> WeylReport:
     """Fit N ~ slope * x + c, x = variable(lam), over the window (its top
     capped at ``cap``, the mesh-resolved end, when given); each chain of
-    tied eigenvalues counts whole (``chain_counts``), and so do equal x
-    (every lam <= 0 has k = 0).  A chain enters the fit whole or not at
-    all, by the x of its smallest member, which no roundoff in the other
-    members can move."""
+    tied eigenvalues counts whole (``counts``, N at each sorted eigenvalue,
+    by default ``chain_counts``), and so do equal x (every lam <= 0 has
+    k = 0).  A chain enters the fit whole or not at all, by the x of its
+    smallest member, which no roundoff in the other members can move."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     x = variable(lam)
     lo = window[0] if window else max(x[0], 0.0)
     hi = window[1] if window else x[-1]
     if cap is not None:
         hi = min(hi, cap)
-    counts = chain_counts(lam)
+    counts = chain_counts(lam) if counts is None else np.asarray(counts)
     first = x[np.searchsorted(counts, counts)]     # x of each chain's start
     used = (first >= lo) & (first <= hi)
     xs = x[used]
@@ -94,21 +94,22 @@ def _weyl_fit(eigenvalues, variable, target: float, window: tuple,
 
 def weyl_fit_two_particle(eigenvalues: np.ndarray, g: MetricGraph,
                           sector: str = "full", window: tuple = None,
-                          h_max: float = None) -> WeylReport:
+                          h_max: float = None, counts=None) -> WeylReport:
     """Fit N(lam) ~ slope * lam over a window and compare the slope against
     the area term: L^2 / 4pi for the full operator, L^2 / 8pi per sector."""
     c = 4.0 if sector == "full" else 8.0
     cap = None if h_max is None else (np.pi / (4.0 * h_max)) ** 2
     return _weyl_fit(eigenvalues, lambda lam: lam,
-                     g.total_length**2 / (c * np.pi), window, cap)
+                     g.total_length**2 / (c * np.pi), window, cap, counts)
 
 
 def weyl_fit_one_particle(eigenvalues: np.ndarray, g: MetricGraph,
-                          window: tuple = None,
-                          h_max: float = None) -> WeylReport:
+                          window: tuple = None, h_max: float = None,
+                          counts=None) -> WeylReport:
     """Fit N(k) ~ slope * k with k = sqrt(lam) against L / pi."""
     cap = None if h_max is None else np.pi / (4.0 * h_max)
-    return _weyl_fit(eigenvalues, wave_number, g.total_length / np.pi, window, cap)
+    return _weyl_fit(eigenvalues, wave_number, g.total_length / np.pi, window,
+                     cap, counts)
 
 
 def wave_number(lam: np.ndarray) -> np.ndarray:

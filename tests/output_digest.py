@@ -45,7 +45,7 @@ def digest(tree: str, work: str) -> list:
             config = os.path.join(work, f"{workload}-{seed}.json")
             with open(config, "w") as fh:
                 json.dump(make_config(workload, seed), fh)
-            for cmd in dict.fromkeys((command, "spectrum")):
+            for cmd in (command, "spectrum"):
                 out = os.path.join(work, "out")
                 run = subprocess.run(
                     [sys.executable, "-m", "qg2p.cli", cmd, "--config", config,

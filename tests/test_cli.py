@@ -380,6 +380,20 @@ class TestAnalyzeCommand:
         assert lines[0] == "lambda,N,weyl_line"
         assert len(lines) == 61
 
+    def test_a_pair_cut_at_k_counts_whole(self, tmp_path):
+        # the Kirchhoff 3-star's eigenvalues 35 and 36 are a pair: the last
+        # row of each output counts both, in 35 rows
+        doc = {"graph": {"edges": [["c", f"l{i}", 1.0] for i in (1, 2, 3)]},
+               "map": {"kind": "lifted", "delta_strength": 0.0},
+               "mesh": {"nodes": 65}, "particles": 1, "num_eigs": 35}
+        cfg = write_config(tmp_path, doc)
+        for cmd in ("spectrum", "analyze"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path / cmd)]) == 0
+        rows = (tmp_path / "spectrum" / "eigenvalues.csv").read_text().splitlines()
+        assert len(rows) == 36 and rows[-1].split(",")[2] == "2"
+        rows = (tmp_path / "analyze" / "counting.csv").read_text().splitlines()
+        assert len(rows) == 36 and rows[-1].split(",")[1] == "36"
+
     def test_one_particle_weyl_fit(self, tmp_path):
         # two Dirichlet intervals of lengths 1 and 0.5: N(k) ~ (1.5 / pi) k
         doc = {"graph": {"edges": [["a", "b", 1.0], ["b", "c", 0.5]]},

@@ -921,7 +921,7 @@ class TestResidualBlocks:
         form = values_only_case("one-pencil", interval)[0]
         first = eigensolve._Slices(*form.reduced(), -1.0, SLICE)
         first.advance(SLICE, "the first slice", 0.0)
-        k = first.count + 1
+        k = len(first.lam) + 1
         full, values = solve(form, k), solve(form, k, vectors=False)
         assert values.meta["slices"] == full.meta["slices"] == 2
         assert np.array_equal(values.eigenvalues, full.eigenvalues)
@@ -983,6 +983,42 @@ class TestMultiplicities:
         groups = res.multiplicities()
         # 2pi^2 simple, 5pi^2 double, 8pi^2 simple
         assert [m for _, m in groups] == [1, 2, 1]
+
+
+def kirchhoff_star(star3, nodes=33):
+    """The one-particle pencil of the unit 3-star with Kirchhoff conditions
+    (delta strength 0): its eigenvalues alternate simple and double."""
+    return assemble_one_particle(star3, delta_family(star3, 0.0),
+                                 Mesh.uniform(star3, nodes))
+
+
+class TestLastChain:
+    @pytest.mark.parametrize("name, ks", [("one-pencil", (2, 5, 8, 11)),
+                                          ("split", (2, 5, 7))])
+    def test_a_pair_cut_at_k_counts_whole(self, interval, star3, name, ks):
+        form = (kirchhoff_star(star3) if name == "one-pencil"
+                else dirichlet_square_form(interval))
+        whole = chain_counts(solve(form, form.nreduced, force_dense=True)
+                             .eigenvalues)
+        for k in ks:
+            assert whole[k - 1] == k + 1        # lam_k and lam_k+1 are a pair
+            for vectors in (True, False):
+                res = solve(form, k, vectors=vectors)
+                assert res.method == "shift-invert" and res.k == k
+                assert (res.meta["sectors"] is None) == (name == "one-pencil")
+                assert res.counts.tolist() == whole[:k].tolist()
+                assert res.multiplicities()[-1][1] == 2
+                assert res.beyond == 1 and type(res.beyond) is int
+
+    def test_dense_counts_the_whole_spectrum(self, star3):
+        res = solve(kirchhoff_star(star3), 5, force_dense=True)
+        assert res.k == 5 and res.counts.tolist() == [1, 3, 3, 4, 6]
+
+    def test_chain_counts_beyond_the_last_value(self):
+        lam = np.array([1.0, 2.0, 2.0, 5.0, 5.0])
+        assert chain_counts(lam, 2).tolist() == [1, 3, 3, 7, 7]
+        res = SpectrumResult(lam, beyond=2)
+        assert res.multiplicities() == [(1.0, 1), (2.0, 2), (5.0, 4)]
 
 
 class TestCounting:
