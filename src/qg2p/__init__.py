@@ -13,7 +13,7 @@ from .form_assembly import (AssemblyError, DiscreteForm, Mesh,
                             assemble_one_particle, assemble_two_particle,
                             semibound_constant)
 from .symmetry import (SymmetryError, assemble_symmetric_form,
-                       exchange_permutation, sector_basis)
+                       exchange_permutation, sector_basis, sector_pencils)
 from .eigensolve import SolveError, SpectrumResult, counting_function, solve
 from .spectral_analysis import (AnalysisError, bracketing_check, heat_trace,
                                 lift_spectrum, weyl_fit_one_particle,

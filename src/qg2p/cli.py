@@ -258,10 +258,11 @@ def checked_inputs(cfg: RunConfig, inputs: tuple = None):
 
 
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
-    """(graph, map, mesh, form) of the config's particles and sector.  Inputs
-    failing ``checked_inputs`` raise first, then a two-particle mesh whose
-    assembly would not fit in the free memory (a SolveError, from node
-    counts alone), then a map with validate_map errors at the y-nodes."""
+    """(graph, map, mesh, pencils): the ``symmetry.sector_pencils`` of the
+    config's particles and sector; the assembled form is freed on return.
+    Inputs failing ``checked_inputs`` raise first, then a two-particle mesh
+    whose assembly would not fit in the free memory (a SolveError, from
+    node counts alone), then a map with validate_map errors at the y-nodes."""
     g, m, mesh = checked_inputs(cfg, inputs)
     if cfg.particles == 2:
         check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
@@ -270,14 +271,10 @@ def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
                        "error(s); see 'qg2p validate')")
-    if cfg.particles == 1:
-        return g, m, mesh, form_assembly.assemble_one_particle(
-            g, m.meta["conditions"], mesh)
-    form = form_assembly.assemble_two_particle(g, m, mesh)
-    if cfg.sector != "full":
-        sign = +1 if cfg.sector == "boson" else -1
-        form = symmetry.assemble_symmetric_form(form, sign)
-    return g, m, mesh, form
+    form = (form_assembly.assemble_one_particle(g, m.meta["conditions"], mesh)
+            if cfg.particles == 1 else
+            form_assembly.assemble_two_particle(g, m, mesh))
+    return g, m, mesh, symmetry.sector_pencils(form, cfg.sector)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +365,15 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
-    g, m, mesh, form = assemble_from_config(cfg)
-    result = solve(form, cfg.num_eigs)
+    g, m, mesh, pencils = assemble_from_config(cfg)
+    result = solve(pencils, cfg.num_eigs)
     d = _outdir(cfg, outdir)   # JSON first: a non-finite residual stops the CSV
     _json_dump(os.path.join(d, "spectrum.json"), {
         "sector": cfg.sector,
         "num_eigs": cfg.num_eigs,
         "method": result.method,
         "pencil_size": result.meta["pencil_size"],
-        "C_infty": form.C_infty,
+        "C_infty": result.meta["C_infty"],
         "h_max": mesh.h_max,
         "max_residual": float(result.residuals.max()),
         **{key: result.meta[key] for key in (
@@ -389,9 +386,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
-    g, m, mesh, form = assemble_from_config(cfg)
+    g, m, mesh, pencils = assemble_from_config(cfg)
     toggles = cfg.analysis      # one solve, for the bracketing's n too
-    result = solve(form, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
+    result = solve(pencils, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
                    vectors=False)
     lam, counts = result.eigenvalues[:cfg.num_eigs], result.counts[:cfg.num_eigs]
     window = toggles.get("window")
@@ -419,7 +416,8 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
 
     if "bracketing" in toggles:
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            form, toggles["bracketing"]["n"], result.eigenvalues))
+            mesh, pencils[0].meta["L_max"], cfg.sector,
+            toggles["bracketing"]["n"], result.eigenvalues))
 
     if toggles.get("lift_check") and "conditions" in m.meta:
         oracle = spectral_analysis.lifted_spectrum(
@@ -443,8 +441,8 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh = built_inputs(cfg)   # samples nothing: checked before assembly
     if len(set(mesh.nodes)) > 1:
         raise ConfigError("the folded example needs equal node counts")
-    *_, form = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))
-    result = solve(form, cfg.num_eigs)
+    *_, pencils = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))
+    result = solve(pencils, cfg.num_eigs)
 
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]

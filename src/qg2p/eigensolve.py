@@ -1,7 +1,7 @@
 """Generalized eigenvalue solves for the reduced discrete pencils.
 
 A full-space two-particle form whose map is exchange invariant is solved as
-its boson and fermion sector pencils (the symmetry-adapted block
+its boson and fermion ``symmetry.sector_pencils`` (the symmetry-adapted block
 diagonalisation for the exchange group Z_2), any other form as one pencil.
 The pencils are solved dense, one at a time, only when forced or when
 Lanczos cannot give k eigenvalues of each, k > min(n_s) - 2; else by
@@ -149,9 +149,11 @@ def _chain_cuts(lam: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.abs(b - a) <= TIE_TOL * np.maximum(1.0, np.abs(b)))) + 1
 
 
-def solve(form: DiscreteForm, k: int, force_dense: bool = False,
+def solve(pencils, k: int, force_dense: bool = False,
           vectors: bool = True) -> SpectrumResult:
-    """Lowest k eigenpairs of the reduced pencil N^H (K - B) N u = lam N^H M N u.
+    """Lowest k eigenpairs of the union of the reduced pencils
+    N^H (K - B) N u = lam N^H M N u of ``symmetry.sector_pencils``; a
+    ``DiscreteForm`` goes through ``sector_pencils`` in its own sector first.
 
     Eigenvectors are prolonged to full coordinates (N u) on first read.
     The relative residuals ||A_r u - lam M_r u|| / ||M_r u|| on this
@@ -165,62 +167,61 @@ def solve(form: DiscreteForm, k: int, force_dense: bool = False,
     (LAPACK's jobz = "N") keeps no eigenvectors, and the defect is None,
     never measured.
 
-    A full-space two-particle form whose map assembly found exchange
-    invariant (``meta["block_structured"]``) is solved as its boson and
-    fermion sector pencils, whose spectra together are the full one
-    (``meta["sectors"]`` has one record each, else None).  The pencils are
-    sliced unless ``force_dense`` or k > n_s - 2 for one of them; dense
-    ``eigh`` with ``force_dense=True`` takes the unsplit full pencil.
+    ``meta["sectors"]`` has one record per pencil when there are several,
+    else None.  The pencils are sliced unless ``force_dense`` or
+    k > n_s - 2 for one of them; dense ``eigh`` of a form with
+    ``force_dense=True`` takes its unsplit full pencil.
     """
     if k < 1:
         raise SolveError("need k >= 1 eigenvalues")
-    forms = (None if force_dense else symmetry.exchange_sectors(form)) or (form,)
-    sizes = [f.nreduced for f in forms]
+    if isinstance(pencils, DiscreteForm):
+        pencils = symmetry.sector_pencils(pencils, split=not force_dense)
+    sizes = [p.A.shape[0] for p in pencils]
     n = sum(sizes)
     if k > n:
         raise SolveError(f"requested {k} eigenvalues from a pencil of size {n}")
 
-    meta = {"C_infty": form.C_infty, "pencil_size": n, "sectors": None,
+    meta = {"C_infty": pencils[0].C_infty, "pencil_size": n, "sectors": None,
             "warnings": []}
     dense = force_dense or k > min(sizes) - 2   # Lanczos gives n_s - 2 at most
     if dense:
         # eigh(A, M) per pencil: A, M, eigh's copies of both, vectors, workspace
         check_memory(f"dense eigensolve of a {max(sizes)}-dof pencil",
-                     6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for f in forms
-                                                 for X in f.reduced()))
+                     6.0 * max(sizes) ** 2 * max(X.dtype.itemsize for p in pencils
+                                                 for X in (p.A, p.M)))
         solved = []     # (accepted values, lowest k's vectors, residuals, shifts)
-        for A, M in (f.reduced() for f in forms):
+        for A, M in ((p.A, p.M) for p in pencils):
             lam, U = sla.eigh(A.toarray(), M.toarray())
             U = U[:, :k].copy()
             solved.append((lam, U, _residuals(A, M, lam[:k], U), []))
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
     else:
         solved = [(p.lam, p.U, p.res, p.shifts)
-                  for p in _sliced_lanczos([f.reduced() for f in forms], k,
-                                           -1.05 * form.C_infty - 1.0, meta,
+                  for p in _sliced_lanczos([(p.A, p.M) for p in pencils], k,
+                                           -1.05 * meta["C_infty"] - 1.0, meta,
                                            vectors)]
     # the lowest k of the union take a prefix of each pencil's eigenvalues;
     # the rest accepted may continue the k-th's chain
     lam = np.concatenate([s[0] for s in solved])
     order = np.argsort(lam, kind="stable")[:k]
     beyond = int(chain_counts(lam)[k - 1]) - k
-    owner = np.repeat(np.arange(len(forms)), [len(s[0]) for s in solved])[order]
+    owner = np.repeat(np.arange(len(pencils)), [len(s[0]) for s in solved])[order]
     res, defect, blocks = np.empty(k), 0.0, []
-    for i, (f, (_, U, r, _)) in enumerate(zip(forms, solved)):
+    for i, (p, (_, U, r, _)) in enumerate(zip(pencils, solved)):
         cols = np.flatnonzero(owner == i)
         res[cols] = r[:len(cols)]
         if vectors:
             U = U[:, :len(cols)]
-            defect = max(defect, _m_defect(f.reduced()[1], U))
-            blocks.append((f.N, U, cols))
+            defect = max(defect, _m_defect(p.M, U))
+            blocks.append((p.N, U, cols))
     if not np.isfinite(res).all():
         raise SolveError(f"non-finite residuals "
                          f"({np.count_nonzero(~np.isfinite(res))} of {k})")
-    if len(forms) > 1:
+    if len(pencils) > 1:
         meta["sectors"] = [
-            {"sector": f.meta["sector"], "pencil_size": size, "shifts": shifts,
+            {"sector": p.sector, "pencil_size": size, "shifts": shifts,
              "slices": len(shifts), "accepted": len(values)}
-            for f, size, (values, *_, shifts) in zip(forms, sizes, solved)]
+            for p, size, (values, *_, shifts) in zip(pencils, sizes, solved)]
     meta["max_m_orth_defect"] = defect if vectors else None
     return SpectrumResult(eigenvalues=lam[order], residuals=res, meta=meta,
                           method="dense" if dense else "shift-invert",

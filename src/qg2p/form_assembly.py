@@ -133,7 +133,8 @@ class DiscreteForm:
     semi-boundedness constant of the continuum form.  ``N`` is the form's
     one orthonormal basis: ``basis`` when given (a sector form passes
     S null(C S)), else ker C by one small SVD per connected block of the
-    constraint rows, computed on first use and kept.
+    constraint rows, computed on first use and kept.  The solver holds
+    only the form's ``symmetry.sector_pencils``, never the form.
     """
 
     K: sp.spmatrix

@@ -187,13 +187,10 @@ def comparison_spectra(g: MetricGraph, l_max: float, mesh, n: int,
                  for P, L in ((0.0 * one, l_max * one), (one, 0.0 * one)))
 
 
-def bracketing_run(form: form_assembly.DiscreteForm, n_max: int,
+def bracketing_run(mesh, l_max: float, sector: str, n_max: int,
                    eigenvalues: np.ndarray) -> BracketingReport:
-    """Check the sandwich of a two-particle ``form``'s lowest n_max
+    """Check the sandwich of a two-particle run's lowest n_max
     ``eigenvalues`` (solved by the caller) between the ``comparison_spectra``
     on its mesh and in its sector, with the L_max that assembly recorded."""
-    mesh = form.meta["mesh"]
-    robin, dirichlet = comparison_spectra(
-        mesh.graph, form.meta["L_max"], mesh, n_max,
-        form.meta.get("sector", "full"))
+    robin, dirichlet = comparison_spectra(mesh.graph, l_max, mesh, n_max, sector)
     return bracketing_check(robin, eigenvalues, dirichlet, n_max)

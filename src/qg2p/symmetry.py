@@ -6,6 +6,7 @@ antisymmetric sectors are spanned by explicit orbit combinations.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -70,10 +71,21 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
     return replace(form, basis=(S @ Nred).tocsr(), meta=meta)
 
 
-def exchange_sectors(form: DiscreteForm):
-    """(boson, fermion) sector forms of a full-space two-particle form whose
-    map assembly found exchange invariant; None for every other form.  Their
-    spectra together are the full one."""
-    if "sector" in form.meta or not form.meta.get("block_structured"):
-        return None
-    return assemble_symmetric_form(form, +1), assemble_symmetric_form(form, -1)
+# what the solver runs on: one sector's reduced pencil A u = lam M u
+# (DiscreteForm.reduced), the basis N that prolongs u to full dofs, the
+# sector's name, the form's C_infty and meta, and no K, M, B or C
+Pencil = namedtuple("Pencil", "A M N sector C_infty meta")
+
+
+def sector_pencils(form: DiscreteForm, sector: str = "full",
+                   split: bool = True) -> list:
+    """The pencils of ``form`` in ``sector``, the one path from an assembled
+    form to the solver.  "full" splits a full-space two-particle form whose
+    map assembly found exchange invariant (``meta["block_structured"]``)
+    into its boson and fermion pencils, unless not ``split``; any other
+    form is its own pencil, the trivial sector."""
+    split = split and "sector" not in form.meta and form.meta.get("block_structured")
+    signs = {"boson": (+1,), "fermion": (-1,)}.get(sector, (+1, -1) if split else ())
+    forms = [assemble_symmetric_form(form, sign) for sign in signs] or [form]
+    return [Pencil(*f.reduced(), f.N, f.meta.get("sector", "full"), f.C_infty,
+                   f.meta) for f in forms]

@@ -114,7 +114,8 @@ def test_04_dirichlet_robin_bracketing(interval, capsys):
         standard_family("robin", interval, alpha=1.0), interval)
     forms = [assemble_two_particle(interval, m, mesh)
              for m in (robin_lift, bump_interaction_map())]
-    reps = [bracketing_run(f, 50, solve(f, 50, vectors=False).eigenvalues)
+    reps = [bracketing_run(f.meta["mesh"], f.meta["L_max"], "full", 50,
+                           solve(f, 50, vectors=False).eigenvalues)
             for f in forms]
     ok = all(r.ok and r.counting_ok for r in reps)
     detail = "; ".join(f"viol {max(r.max_lower_violation, r.max_upper_violation):.1e}"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -931,16 +932,16 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     monkeypatch.setattr(form_assembly, "nullspace_from_constraints", counted)
     monkeypatch.setattr(symmetry, "nullspace_from_constraints", counted)
     cfg = parse_config(dirichlet_square_doc(nodes=15, sector="boson"))
-    _, _, _, form = cli.assemble_from_config(cfg)
-    eigensolve.solve(form, cfg.num_eigs)
+    *_, pencils = cli.assemble_from_config(cfg)
+    eigensolve.solve(pencils, cfg.num_eigs)
     assert len(calls) == 1
 
     calls.clear()
     cfg = parse_config(dirichlet_square_doc(nodes=15))    # 169 dofs, k = 5
-    _, _, _, form = cli.assemble_from_config(cfg)
-    res = eigensolve.solve(form, cfg.num_eigs)
+    *_, pencils = cli.assemble_from_config(cfg)
+    res = eigensolve.solve(pencils, cfg.num_eigs)
     assert res.method == "shift-invert" and len(res.meta["sectors"]) == 2
-    assert len(calls) == 2 and form.basis is None
+    assert len(calls) == 2 and all(cols < 15 ** 2 for _, cols in calls)
 
 
 def recorded_solves(monkeypatch):
@@ -1024,7 +1025,90 @@ def test_exchange_coupled_map_splits_into_one_particle_sums(tmp_path, name):
         assert meta["method"] == "shift-invert" and meta["inertia_certified"]
         assert (meta["sectors"] is not None) == (sector == "full")
         assert np.abs(eigenvalue_column(out) - want).max() <= 1e-12 * want.max()
-        *_, form = cli.assemble_from_config(parse_config({**doc, "sector": sector}))
-        dense = eigensolve.solve(form, k, force_dense=True)
+        form = form_assembly.assemble_two_particle(*built_inputs(parse_config(doc)))
+        dense = eigensolve.solve(symmetry.sector_pencils(form, sector, split=False),
+                                 k, force_dense=True)
         assert dense.method == "dense"
         assert np.abs(dense.eigenvalues - want).max() <= 1e-12 * want.max()
+
+
+def star3_delta_doc(nodes=17, **extra):
+    """A 3-star delta lift with unequal legs: its map is exchange invariant,
+    so the full space splits into the boson and fermion pencils."""
+    doc = {"graph": {"edges": [["c", "l1", 1.07], ["c", "l2", 0.93],
+                               ["c", "l3", 1.02]]},
+           "map": {"kind": "lifted", "delta_strength": 2.0},
+           "mesh": {"nodes": nodes}, "num_eigs": 10}
+    doc.update(extra)
+    return doc
+
+
+def one_sided_doc():
+    """Dirichlet on psi(0, t) alone: not exchange invariant, the trivial
+    sector."""
+    P = np.zeros((4, 4))
+    P[0, 0] = 1.0
+    return piecewise_doc(P, nodes=17, num_eigs=10)
+
+
+LIFETIME_RUNS = {
+    "analyze-split": ("analyze", star3_delta_doc(33, analysis={
+        "weyl": False, "bracketing": {"n": 10}, "lift_check": True}), []),
+    "spectrum-split": ("spectrum", star3_delta_doc(), []),
+    "spectrum-fermion": ("spectrum", star3_delta_doc(), ["--sector", "fermion"]),
+    "example-delta": ("example-delta", TestExampleDeltaCommand.DOC, []),
+    "analyze-trivial": ("analyze", {**one_sided_doc(),
+                                    "analysis": {"weyl": False}}, []),
+}
+
+
+@pytest.mark.parametrize("run", sorted(LIFETIME_RUNS))
+def test_no_assembled_matrix_lives_at_the_first_factor(tmp_path, monkeypatch,
+                                                       run):
+    """The commands hold only the pencils across the solve: by the first
+    factor, the K, M and B of every two-particle assembly are freed."""
+    command, doc, flags = LIFETIME_RUNS[run]
+    refs, shifts = [], []
+    assemble, factor = form_assembly.assemble_two_particle, eigensolve._factor
+
+    def recorded(*args):
+        form = assemble(*args)
+        refs.extend(weakref.ref(X) for X in (form.K, form.M, form.B))
+        return form
+
+    def checked(*args, **kwargs):
+        if not shifts:
+            assert refs and [r() for r in refs] == [None] * len(refs)
+        shifts.append(args[2])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(form_assembly, "assemble_two_particle", recorded)
+    monkeypatch.setattr(eigensolve, "_factor", checked)
+    assert main([command, "--config", write_config(tmp_path, doc), *flags,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert shifts
+
+
+ONE_PATH_CASES = {"split": (star3_delta_doc(), "full"),
+                  "trivial": (one_sided_doc(), "full"),
+                  "fermion": (star3_delta_doc(), "fermion")}
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("case", sorted(ONE_PATH_CASES))
+def test_a_form_and_the_cli_pencils_solve_bit_for_bit_alike(case, vectors):
+    """``solve(form, k)`` takes the path of the CLI's pencils."""
+    doc, sector = ONE_PATH_CASES[case]
+    cfg = parse_config({**doc, "sector": sector})
+    form = form_assembly.assemble_two_particle(*built_inputs(cfg))
+    if sector != "full":
+        form = symmetry.assemble_symmetric_form(form, -1)
+    *_, pencils = cli.assemble_from_config(cfg)
+    a, b = (eigensolve.solve(x, cfg.num_eigs, vectors=vectors)
+            for x in (form, pencils))
+    assert (a.meta["sectors"] is not None) == (case == "split")
+    for x, y in ((a.eigenvalues, b.eigenvalues), (a.residuals, b.residuals)):
+        assert x.tobytes() == y.tobytes()
+    assert (a.beyond, a.meta) == (b.beyond, b.meta)
+    if vectors:
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()

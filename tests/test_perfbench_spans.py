@@ -10,8 +10,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "perfbench"))
 
 import spans  # noqa: E402
+from run import COUNTS  # noqa: E402
 
-from qg2p import cli  # noqa: E402
+from qg2p import cli, form_assembly, symmetry  # noqa: E402
 
 
 def test_tracer_spans_a_spectrum_request_and_uninstalls(tmp_path):
@@ -40,6 +41,8 @@ def test_tracer_spans_a_spectrum_request_and_uninstalls(tmp_path):
 
 
 def test_tracer_spans_an_analyze_request_with_strict_json_metrics(tmp_path):
+    """On a map that splits into sectors, the traced sizes are those of the
+    config's own form and pencils, and every count repeats exactly."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "graph": {"edges": [["a", "b", 1.0]]},
@@ -49,16 +52,33 @@ def test_tracer_spans_an_analyze_request_with_strict_json_metrics(tmp_path):
                      "bracketing": {"n": 10}, "lift_check": True}}))
     tracer = spans.Tracer()
     tracer.install()
+    metrics = []
     try:
-        code = tracer.request(cli.main, ["analyze", "--config", str(config),
-                                         "--out", str(tmp_path / "out")])
+        for _ in range(2):
+            code = tracer.request(cli.main, ["analyze", "--config", str(config),
+                                             "--out", str(tmp_path / "out")])
+            assert code == 0
+            metrics.append(tracer.request_metrics())
     finally:
         tracer.uninstall()
-    assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"spectral_analysis.bracketing",
             "spectral_analysis.lift_spectrum"} <= names
-    json.dumps(tracer.request_metrics(), allow_nan=False)
+    json.dumps(metrics[0], allow_nan=False)
+    counts = [{key: m[key] for key in COUNTS if key in m} for m in metrics]
+    assert counts[0] == counts[1]
+
+    g, m, mesh = cli.built_inputs(cli.load_config(str(config)))
+    form = form_assembly.assemble_two_particle(g, m, mesh)
+    boson = symmetry.assemble_symmetric_form(form, +1)
+    assert {key: counts[0][key] for key in (
+        "form_assembly.ndof", "form_assembly.nreduced", "form_assembly.nnz_A_r",
+        "symmetry.sector_dim", "eigensolve.pencil_size")} == {
+        "form_assembly.ndof": 41 ** 2, "form_assembly.nreduced": 39 ** 2,
+        "form_assembly.nnz_A_r": boson.reduced()[0].nnz,
+        "symmetry.sector_dim": 41 * 42 // 2, "eigensolve.pencil_size": 39 ** 2}
+    assert (form.ndof, form.nreduced) == (41 ** 2, 39 ** 2)
+    assert symmetry.sector_basis(mesh, +1).shape[1] == 41 * 42 // 2
 
 
 def test_tracer_spans_an_example_delta_request_with_strict_json_metrics(

@@ -25,7 +25,9 @@ def sector_form(g, m, mesh, sector="full"):
 
 def bracketed(form, n):
     """``bracketing_run`` of ``form`` on its own lowest n eigenvalues."""
-    return bracketing_run(form, n, solve(form, n, vectors=False).eigenvalues)
+    return bracketing_run(form.meta["mesh"], form.meta["L_max"],
+                          form.meta.get("sector", "full"), n,
+                          solve(form, n, vectors=False).eigenvalues)
 
 
 def dirichlet_interval(n):
@@ -270,10 +272,12 @@ class TestBracketing:
         calls, orig = [], spectral_analysis.solve
         monkeypatch.setattr(spectral_analysis, "solve",
                             lambda *a, **kw: calls.append(a[1]) or orig(*a, **kw))
-        assert bracketing_run(form, 20, lam) == bracketing_run(form, 20, lam[:20])
+        run = lambda eigs: bracketing_run(form.meta["mesh"], form.meta["L_max"],
+                                          "full", 20, eigs)
+        assert run(lam) == run(lam[:20])
         assert len(calls) == 4                  # two comparison operators each
         with pytest.raises(AnalysisError, match="need 20 eigenvalues"):
-            bracketing_run(form, 20, lam[:19])
+            run(lam[:19])
 
 
 def two_particle_comparison(g, l_max, mesh, n, sector):

@@ -7,8 +7,8 @@ from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.spectral_analysis import lift_spectrum
 from qg2p.symmetry import (SymmetryError, assemble_symmetric_form,
-                           exchange_permutation, exchange_sectors,
-                           sector_basis)
+                           exchange_permutation, sector_basis,
+                           sector_pencils)
 from qg2p.vertex_conditions import standard_family
 
 
@@ -188,12 +188,14 @@ class TestExchangeSectors:
     def test_both_sectors_of_a_block_map(self, interval):
         form = assemble_two_particle(interval, bump_interaction_map(),
                                      Mesh.uniform(interval, 9))
-        boson, fermion = exchange_sectors(form)
+        boson, fermion = sector_pencils(form)
         for sec, sign in ((boson, +1), (fermion, -1)):
             ref = assemble_symmetric_form(form, sign)
-            assert sec.meta["sector"] == ref.meta["sector"]
+            assert sec.sector == ref.meta["sector"]
             assert (sec.N != ref.N).nnz == 0
-        assert boson.nreduced + fermion.nreduced == form.nreduced
+            assert all((X != Y).nnz == 0 for X, Y in zip((sec.A, sec.M),
+                                                          ref.reduced()))
+        assert boson.A.shape[0] + fermion.A.shape[0] == form.nreduced
 
     def test_nothing_samples_the_map_after_assembly(self, interval,
                                                     monkeypatch):
@@ -210,8 +212,9 @@ class TestExchangeSectors:
         assert res.meta["sectors"] is not None
         for sign in (+1, -1):
             assemble_symmetric_form(form, sign)
-        assert exchange_sectors(form) is not None
-        assert bracketing_run(form, 10, eigenvalues=res.eigenvalues).ok
+        assert len(sector_pencils(form)) == 2
+        assert bracketing_run(form.meta["mesh"], form.meta["L_max"], "full", 10,
+                              eigenvalues=res.eigenvalues).ok
         assert calls == []
 
     def test_none_where_the_full_pencil_stays(self, interval):
@@ -224,6 +227,8 @@ class TestExchangeSectors:
         block = assemble_two_particle(interval, bump_interaction_map(), mesh)
         one = assemble_one_particle(
             interval, standard_family("dirichlet", interval), mesh)
-        assert exchange_sectors(non_block) is None
-        assert exchange_sectors(assemble_symmetric_form(block, +1)) is None
-        assert exchange_sectors(one) is None
+        for form in (non_block, assemble_symmetric_form(block, +1), one):
+            pencil, = sector_pencils(form)
+            assert pencil.sector == form.meta.get("sector", "full")
+            assert pencil.A is form.reduced()[0] and pencil.N is form.N
+        assert len(sector_pencils(block, split=False)) == 1
