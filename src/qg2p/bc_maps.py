@@ -111,8 +111,8 @@ def block_structured(P: np.ndarray, L: np.ndarray) -> bool:
 
 def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
     """Per-sample projector / self-adjointness / QLQ checks at ``ys`` plus
-    the exchange-invariance flag ``block_structured`` and corner
-    regularity at the samples y = 0, 1.
+    the exchange-invariance flag ``block_structured``, corner regularity at
+    the samples y = 0, 1 and the ``sampled_l_max`` of the samples.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).
@@ -135,13 +135,12 @@ def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
     # messages in the per-sample order: every defect of y_0, then of y_1, ...
     errors = [msg.format(y, d[i]) for i, y in enumerate(ys)
               for d, msg in defects if d[i] > TOL]
-    l_norms = norm(L)
 
     near = (ys <= 1e-12) | (ys >= 1.0 - 1e-12)
     h = m.dim // 2
     tl = P[near, :h, :h]
     diag = np.diagonal(tl, axis1=1, axis2=2)
-    corner = not ((l_norms[near] > TOL).any()
+    corner = not ((norm(L[near]) > TOL).any()
                   or (np.abs(np.where(np.eye(h, dtype=bool), 0.0, tl)) > TOL).any()
                   or (np.minimum(np.abs(diag), np.abs(diag - 1.0)) > TOL).any())
     warnings = () if corner else (
@@ -149,12 +148,20 @@ def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
         "(L != 0 or non-diagonal half-block near y = 0, 1)",)
     pd, sa, qlq = (float(d.max(initial=0.0)) for d, _ in defects)
     return MapValidationReport(
-        ok=not errors, L_max=float(l_norms.max()),
+        ok=not errors, L_max=sampled_l_max(m, L),
         block_structured=block_structured(P, L), corner_regular=corner,
         max_projector_defect=pd, max_self_adjointness_defect=sa,
         max_qlq_defect=qlq,
         errors=tuple(errors), warnings=warnings,
     )
+
+
+def sampled_l_max(m: BoundaryMap, L: np.ndarray) -> float:
+    """max ||L(y)|| over the sampled stack ``L`` and the breakpoints of a
+    piecewise map, where its pieces start: the L_max of C_infty."""
+    bps = m.meta.get("breakpoints") or []
+    stacks = [L, m.samples(bps)[1]] if bps else [L]
+    return max(float(np.linalg.norm(X, 2, axis=(1, 2)).max()) for X in stacks)
 
 
 # ---------------------------------------------------------------------------

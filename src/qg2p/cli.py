@@ -231,26 +231,21 @@ def build_map(cfg: RunConfig):
     return g, m
 
 
-def built_inputs(cfg: RunConfig):
+def checked_inputs(cfg: RunConfig):
     """(graph, map, mesh) of the config; nothing samples the map.  The one
     input boundary: a builder's plain TypeError, ValueError, AttributeError,
-    KeyError or ArithmeticError (a malformed entry) becomes a ConfigError."""
+    KeyError or ArithmeticError (a malformed entry) becomes a ConfigError; a
+    one-particle run needs a lifted map, and every run finite stiffness and
+    mass."""
     try:
         g, m = build_map(cfg)
-        return g, m, build_mesh(g, cfg.mesh)
+        mesh = build_mesh(g, cfg.mesh)
     except INPUT_ERRORS:
         raise
     except (TypeError, ValueError, AttributeError, KeyError,
             ArithmeticError) as exc:
         raise ConfigError(f"malformed config entry ({type(exc).__name__}: "
                           f"{exc})") from None
-
-
-def checked_inputs(cfg: RunConfig, inputs: tuple = None):
-    """(graph, map, mesh) of the config's ``built_inputs``, or ``inputs`` if
-    the caller has built them; a one-particle run needs a lifted map, and
-    every run finite stiffness and mass.  Nothing samples the map."""
-    g, m, mesh = built_inputs(cfg) if inputs is None else inputs
     if cfg.particles == 1 and "conditions" not in m.meta:
         raise ConfigError("one-particle runs need a map of kind 'lifted'")
     form_assembly.check_finite_scale(mesh, cfg.particles)
@@ -260,10 +255,11 @@ def checked_inputs(cfg: RunConfig, inputs: tuple = None):
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, pencils): the ``symmetry.sector_pencils`` of the
     config's particles and sector; the assembled form is freed on return.
-    Inputs failing ``checked_inputs`` raise first, then a two-particle mesh
-    whose assembly would not fit in the free memory (a SolveError, from
-    node counts alone), then a map with validate_map errors at the y-nodes."""
-    g, m, mesh = checked_inputs(cfg, inputs)
+    Inputs failing ``checked_inputs`` raise first (``inputs``, if given,
+    have passed it), then a two-particle mesh whose assembly would not fit
+    in the free memory (a SolveError, from node counts alone), then a map
+    with validate_map errors at the y-nodes."""
+    g, m, mesh = inputs or checked_inputs(cfg)
     if cfg.particles == 2:
         check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
                      form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
@@ -343,14 +339,13 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report["graph"] = {"edges": g.E, "vertices": g.V,
                        "total_length": g.total_length}
     idx = BoundaryIndexMap(g)
-    l_max = form_assembly.sampled_l_max(m, mesh.y_nodes)   # that of C_infty
     report["map"] = {
-        **asdict(mrep), "L_max": l_max,
+        **asdict(mrep),
         "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
         "local": bc_maps.is_local_two_particle(m, idx, mesh.y_nodes),
     }
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
-        l_max, min(g.lengths))
+        mrep.L_max, min(g.lengths))
     if cfg.map.get("kind") == "delta_example":
         report["notes"].append(
             "non-compact two-half-line configuration truncated to length "
@@ -372,13 +367,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
         "sector": cfg.sector,
         "num_eigs": cfg.num_eigs,
         "method": result.method,
-        "pencil_size": result.meta["pencil_size"],
-        "C_infty": result.meta["C_infty"],
         "h_max": mesh.h_max,
         "max_residual": float(result.residuals.max()),
-        **{key: result.meta[key] for key in (
-            "shifts", "slices", "sectors", "lu_fill_nnz", "inertia_certified",
-            "max_m_orth_defect", "warnings")},
+        **result.meta,
     })
     write_eigenvalue_csv(os.path.join(d, "eigenvalues.csv"), result)
     print(f"wrote {cfg.num_eigs} eigenvalues ({result.method}) to {d}")
@@ -438,7 +429,7 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     if cfg.sector == "fermion":
         raise ConfigError("example-delta solves the boson sector; "
                           "sector must be 'full' or 'boson'")
-    g, m, mesh = built_inputs(cfg)   # samples nothing: checked before assembly
+    g, m, mesh = checked_inputs(cfg)   # samples nothing: checked before assembly
     if len(set(mesh.nodes)) > 1:
         raise ConfigError("the folded example needs equal node counts")
     *_, pencils = assemble_from_config(replace(cfg, sector="boson"), (g, m, mesh))

@@ -122,13 +122,6 @@ class SpectrumResult:
         with its ``beyond`` members (``chain_counts``)."""
         return chain_counts(self.eigenvalues, self.beyond)
 
-    def multiplicities(self):
-        """(mean, size) of each chain of consecutive tied eigenvalues, the
-        last one's size counting its ``beyond`` members too."""
-        lam, sizes = self.eigenvalues, np.diff(np.unique(self.counts), prepend=0)
-        return [(float(np.mean(c)), n)
-                for c, n in zip(np.split(lam, _chain_cuts(lam)), sizes.tolist())]
-
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
         """The eigenvectors in full dofs, prolonged on the first read."""
@@ -525,7 +518,7 @@ def counting_function(eigenvalues: np.ndarray, lam):
 
 def chain_counts(eigenvalues: np.ndarray, beyond: int = 0) -> np.ndarray:
     """N at each sorted eigenvalue with every chain of consecutive tied
-    eigenvalues (as in ``multiplicities``) counted whole: each member gets
+    eigenvalues (``_chain_cuts``) counted whole: each member gets
     the index of the chain's last member plus one, plus ``beyond`` for the
     last chain, whose members past the given eigenvalues it counts."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .bc_maps import BoundaryMap, block_structured
+from .bc_maps import BoundaryMap, block_structured, sampled_l_max
 from .graph_core import BoundaryIndexMap, MetricGraph
 from .vertex_conditions import VertexConditions
 
@@ -144,7 +143,6 @@ class DiscreteForm:
     C_infty: float
     meta: dict = field(default_factory=dict)
     basis: sp.spmatrix = field(default=None, repr=False)
-    _reduced: tuple = field(default=None, init=False, repr=False)
 
     @property
     def N(self) -> sp.spmatrix:
@@ -165,13 +163,11 @@ class DiscreteForm:
 
     def reduced(self):
         """(A_r, M_r) with A_r = N^H (K - B) N, Hermitian-symmetrized."""
-        if self._reduced is None:
-            A = (self.N.conj().T @ self.operator() @ self.N).tocsr()
-            Mr = (self.N.conj().T @ self.M @ self.N).tocsr()
-            A = 0.5 * (A + A.conj().T)
-            Mr = 0.5 * (Mr + Mr.conj().T)
-            self._reduced = (_realify(A), _realify(Mr))
-        return self._reduced
+        A = (self.N.conj().T @ self.operator() @ self.N).tocsr()
+        Mr = (self.N.conj().T @ self.M @ self.N).tocsr()
+        A = 0.5 * (A + A.conj().T)
+        Mr = 0.5 * (Mr + Mr.conj().T)
+        return _realify(A), _realify(Mr)
 
 
 def nullspace_from_constraints(C: sp.spmatrix, ndof: int) -> sp.csr_matrix:
@@ -320,7 +316,8 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     the constraints of both adjacent sides.
 
     Assembly is the last reader of the map: ``meta`` records the
-    ``sampled_l_max`` at the y-nodes (the L_max of C_infty) and whether the
+    ``sampled_l_max`` of its y-node samples (the L_max of C_infty, which
+    ``validate_map`` reports at the same nodes) and whether the
     samples are ``block_structured``, that is exchange invariant (whether
     the exchange sectors split).
     """
@@ -384,22 +381,12 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     B = _realify(0.5 * (B + B.conj().T))
     C = coo(c_parts, (n_constraints, ndof))
 
-    l_max = sampled_l_max(m, ys, L)
+    l_max = sampled_l_max(m, L)
     return DiscreteForm(K=K, M=M, B=B, C=C,
                         C_infty=semibound_constant(l_max, min(g.lengths)),
                         meta={"mesh": mesh, "kind": "two_particle",
                               "L_max": l_max,
                               "block_structured": block_structured(P, L)})
-
-
-def sampled_l_max(m: BoundaryMap, ys: Sequence[float], L=None) -> float:
-    """max ||L(y)|| over ``ys`` (``L``: the L stack there, if sampled) and
-    the breakpoints of a piecewise map, where its pieces start."""
-    bps = m.meta.get("breakpoints") or []
-    stacks = [m.samples(ys)[1] if L is None else L]
-    if bps:
-        stacks.append(m.samples(bps)[1])
-    return max(float(np.linalg.norm(X, 2, axis=(1, 2)).max()) for X in stacks)
 
 
 def semibound_constant(l_max: float, l_min: float) -> float:

@@ -5,8 +5,9 @@ leaves them byte-identical.
     python tests/output_digest.py REV        # and REV's tree: differences only
 
 For each workload of ``perfbench/workloads.py`` at seeds 0 and 1, runs the
-workload's own command and ``spectrum`` in a fresh ``python -m qg2p.cli``
-process (``PYTHONPATH=<tree>/src``, ``OPENBLAS_NUM_THREADS=1``) and prints
+workload's own command, ``spectrum`` and ``validate`` in a fresh
+``python -m qg2p.cli`` process (``PYTHONPATH=<tree>/src``,
+``OPENBLAS_NUM_THREADS=1``) and prints
 one ``sha256  workload/seed/command/name`` line per output file, one for
 stdout (the output directory replaced by a placeholder), one for stderr
 and one for the exit code.  With REV it also digests ``git archive REV``,
@@ -45,7 +46,7 @@ def digest(tree: str, work: str) -> list:
             config = os.path.join(work, f"{workload}-{seed}.json")
             with open(config, "w") as fh:
                 json.dump(make_config(workload, seed), fh)
-            for cmd in (command, "spectrum"):
+            for cmd in (command, "spectrum", "validate"):
                 out = os.path.join(work, "out")
                 run = subprocess.run(
                     [sys.executable, "-m", "qg2p.cli", cmd, "--config", config,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qg2p import bc_maps, cli, eigensolve, form_assembly, symmetry
-from qg2p.cli import (ConfigError, built_inputs, load_config, main,
+from qg2p.cli import (ConfigError, checked_inputs, load_config, main,
                       matrix_from_json, parse_config)
 from qg2p.graph_core import build_graph
 from qg2p.spectral_analysis import lifted_spectrum
@@ -290,6 +290,23 @@ class TestSpectrumCommand:
                   "--out", str(out)])
             blobs.append((out / "eigenvalues.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("sector, num_eigs, method, split", [
+        ("full", 5, "shift-invert", True), ("boson", 27, "dense", False)])
+    def test_spectrum_json_keys(self, tmp_path, sector, num_eigs, method,
+                                split):
+        # a 9-node Dirichlet square: boson pencil 28 dofs, so 27 is dense
+        out = tmp_path / "out"
+        doc = dirichlet_square_doc(nodes=9, num_eigs=num_eigs, sector=sector)
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "spectrum.json").read_text())
+        assert meta["method"] == method
+        assert (meta["sectors"] is not None) == split
+        assert set(meta) == {
+            "sector", "num_eigs", "method", "pencil_size", "C_infty", "h_max",
+            "max_residual", "shifts", "slices", "sectors", "lu_fill_nnz",
+            "inertia_certified", "max_m_orth_defect", "warnings"}
 
     def test_explicit_lifted_conditions_equal_the_family(self, tmp_path):
         # the Robin family at alpha = 1.5 is (P, L) = (0, 1.5 I)
@@ -789,7 +806,7 @@ class TestExitCodes:
         else:
             del doc["map"][key]
         with pytest.raises(ConfigError, match=repr(key)):
-            built_inputs(parse_config(doc))
+            checked_inputs(parse_config(doc))
         code = main([command, "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -1025,7 +1042,7 @@ def test_exchange_coupled_map_splits_into_one_particle_sums(tmp_path, name):
         assert meta["method"] == "shift-invert" and meta["inertia_certified"]
         assert (meta["sectors"] is not None) == (sector == "full")
         assert np.abs(eigenvalue_column(out) - want).max() <= 1e-12 * want.max()
-        form = form_assembly.assemble_two_particle(*built_inputs(parse_config(doc)))
+        form = form_assembly.assemble_two_particle(*checked_inputs(parse_config(doc)))
         dense = eigensolve.solve(symmetry.sector_pencils(form, sector, split=False),
                                  k, force_dense=True)
         assert dense.method == "dense"
@@ -1100,7 +1117,7 @@ def test_a_form_and_the_cli_pencils_solve_bit_for_bit_alike(case, vectors):
     """``solve(form, k)`` takes the path of the CLI's pencils."""
     doc, sector = ONE_PATH_CASES[case]
     cfg = parse_config({**doc, "sector": sector})
-    form = form_assembly.assemble_two_particle(*built_inputs(cfg))
+    form = form_assembly.assemble_two_particle(*checked_inputs(cfg))
     if sector != "full":
         form = symmetry.assemble_symmetric_form(form, -1)
     *_, pencils = cli.assemble_from_config(cfg)

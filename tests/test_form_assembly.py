@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import YS, bump_interaction_map
 from test_loop_reference import assert_same_kernel, loop_nullspace
 from qg2p.bc_maps import (BoundaryMap, constant_map, lift_one_particle,
-                          piecewise_map, validate_map)
+                          piecewise_map, sampled_l_max, validate_map)
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
                                 assemble_two_particle, check_finite_scale,
-                                nullspace_from_constraints, sampled_l_max,
+                                nullspace_from_constraints,
                                 semibound_constant, stiffness_1d, mass_1d)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.eigensolve import solve
@@ -403,7 +403,17 @@ class TestTwoParticle:
 def map_constant(m, g):
     """The semiboundedness constant of map ``m`` on graph ``g``, its L_max
     sampled at the grid YS and the breakpoints."""
-    return semibound_constant(sampled_l_max(m, YS), min(g.lengths))
+    L = m.samples(YS)[1]
+    return semibound_constant(sampled_l_max(m, L), min(g.lengths))
+
+
+def two_step_map():
+    """Steps of L = 1e4 on [0.5605, 0.5655) and 2e4 on [0.813, 0.8135),
+    zero elsewhere."""
+    Z = np.zeros((4, 4))
+    return piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
+                         [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
+                          (Z, 2e4 * np.eye(4)), (Z, Z)])
 
 
 class TestSemiboundConstant:
@@ -425,13 +435,10 @@ class TestSemiboundConstant:
     def test_sampled_at_mesh_nodes_and_breakpoints(self, interval):
         # the 101-point grid YS misses both steps; mesh node 0.5625 sees
         # the first, only its breakpoint 0.813 sees the second
-        Z = np.zeros((4, 4))
-        m = piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
-                          [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
-                           (Z, 2e4 * np.eye(4)), (Z, Z)])
+        m, Z = two_step_map(), np.zeros((4, 4))
         assert map_constant(m, interval) > 0.0            # breakpoints
-        assert validate_map(m, YS).L_max == 0.0
         form = assemble_two_particle(interval, m, Mesh.uniform(interval, 17))
+        assert validate_map(m, YS).L_max == form.meta["L_max"] == 2e4
         # L_max = 2e4, delta = 1 / (4 L_max): C = 32 L_max^2
         assert form.C_infty == pytest.approx(32.0 * 2e4 ** 2)
         m1 = piecewise_map([0.0, 0.5605, 0.5655, 1.0],
@@ -440,16 +447,21 @@ class TestSemiboundConstant:
         form = assemble_two_particle(interval, m1, Mesh.uniform(interval, 17))
         assert form.C_infty == pytest.approx(32.0 * 1e4 ** 2)
 
+    @pytest.mark.parametrize("nodes", [9, 17, 33])
+    def test_validate_reports_the_l_max_of_c_infty(self, interval, nodes):
+        # one L_max: validate's at the y-nodes is the one C_infty is built from
+        m, mesh = two_step_map(), Mesh.uniform(interval, nodes)
+        form = assemble_two_particle(interval, m, mesh)
+        assert validate_map(m, mesh.y_nodes).L_max == form.meta["L_max"] == 2e4
+
     def test_assembly_samples_each_y_once(self, interval, monkeypatch):
         # the y-nodes once for P, L and L_max, then only the breakpoints
-        Z = np.zeros((4, 4))
-        m = piecewise_map([0.0, 0.5605, 0.5655, 0.813, 0.8135, 1.0],
-                          [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z),
-                           (Z, 2e4 * np.eye(4)), (Z, Z)])
+        m = two_step_map()
         mesh = Mesh.uniform(interval, 17)
         calls, orig = [], BoundaryMap.__call__
         monkeypatch.setattr(BoundaryMap, "__call__",
                             lambda m, y: calls.append(y) or orig(m, y))
         form = assemble_two_particle(interval, m, mesh)
         assert calls == [*mesh.y_nodes, *m.meta["breakpoints"]]
-        assert form.meta["L_max"] == sampled_l_max(m, mesh.y_nodes) == 2e4
+        L = m.samples(mesh.y_nodes)[1]
+        assert form.meta["L_max"] == sampled_l_max(m, L) == 2e4

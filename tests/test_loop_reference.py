@@ -24,12 +24,13 @@ from qg2p.bc_maps import (BoundaryMap, MapError, MapValidationReport,
                           _beta_blocks, block_structured, constant_map,
                           delta_example_map, fold_to_plane,
                           is_local_two_particle, is_noninteracting,
-                          lift_one_particle, piecewise_map, validate_map)
+                          lift_one_particle, piecewise_map, sampled_l_max,
+                          validate_map)
 from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 _realify, assemble_one_particle,
                                 assemble_two_particle,
                                 boundary_component_nodes,
-                                nullspace_from_constraints, sampled_l_max)
+                                nullspace_from_constraints)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.symmetry import exchange_permutation, sector_basis
 from qg2p.vertex_conditions import (VertexConditions, delta_family, is_local,
@@ -361,7 +362,7 @@ def loop_validate_map(m, ys=YS, tol=1e-9):
         "corner-regularity hypotheses not met "
         "(L != 0 or non-diagonal half-block near y = 0, 1)",)
     return MapValidationReport(
-        ok=not errors, L_max=loop_l_max(m, ys),
+        ok=not errors, L_max=loop_sampled_l_max(m, ys),
         block_structured=loop_block_structured(m, ys, tol),
         corner_regular=corner, max_projector_defect=pd,
         max_self_adjointness_defect=sa,
@@ -692,9 +693,9 @@ def test_validate_cases_cover_every_outcome():
 def test_l_max_and_clusters_match_loops(name):
     g, m, mesh = CASES[name]
     ys = mesh.y_nodes
-    assert validate_map(m, YS).L_max == loop_l_max(m)
-    assert validate_map(m, ys).L_max == loop_l_max(m, ys)
-    assert sampled_l_max(m, ys) == loop_sampled_l_max(m, ys)
+    assert validate_map(m, YS).L_max == loop_sampled_l_max(m)
+    assert validate_map(m, ys).L_max == loop_sampled_l_max(m, ys)
+    assert sampled_l_max(m, m.samples(ys)[1]) == loop_sampled_l_max(m, ys)
     counts = np.array([len(n) for n in loop_component_nodes(mesh)[0]])
     got = _coupling_clusters(*m.samples(ys), counts)
     want = loop_coupling_clusters(m, ys)
@@ -706,7 +707,7 @@ def test_sampled_l_max_with_breakpoints_matches_loop():
     m = VALIDATE_CASES["hermitian-0.001"]
     for ys in (YS, np.linspace(0.0, 1.0, 7)):
         want = loop_sampled_l_max(m, ys)
-        assert sampled_l_max(m, ys) == want
+        assert sampled_l_max(m, m.samples(ys)[1]) == want
 
 
 def test_wrong_shaped_sample_is_a_map_error_in_assembly():

@@ -68,7 +68,7 @@ def test_tracer_spans_an_analyze_request_with_strict_json_metrics(tmp_path):
     counts = [{key: m[key] for key in COUNTS if key in m} for m in metrics]
     assert counts[0] == counts[1]
 
-    g, m, mesh = cli.built_inputs(cli.load_config(str(config)))
+    g, m, mesh = cli.checked_inputs(cli.load_config(str(config)))
     form = form_assembly.assemble_two_particle(g, m, mesh)
     boson = symmetry.assemble_symmetric_form(form, +1)
     assert {key: counts[0][key] for key in (

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_interaction_map
+from test_loop_reference import assert_identical
 from qg2p.bc_maps import constant_map, delta_example_map, lift_one_particle
 from qg2p.eigensolve import counting_function, solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
@@ -230,5 +231,6 @@ class TestExchangeSectors:
         for form in (non_block, assemble_symmetric_form(block, +1), one):
             pencil, = sector_pencils(form)
             assert pencil.sector == form.meta.get("sector", "full")
-            assert pencil.A is form.reduced()[0] and pencil.N is form.N
+            for x, y in zip(pencil[:3], (*form.reduced(), form.N)):
+                assert_identical(x, y)      # A_r, M_r and N of the form
         assert len(sector_pencils(block, split=False)) == 1
