@@ -1,7 +1,7 @@
 """Piecewise-linear finite-element discretization of the quadratic forms.
 
 One-particle forms live on the direct sum of per-edge grids; two-particle
-forms on the disjoint union of tensor-product rectangle grids.  Boundary
+forms on its tensor square, whose blocks are the rectangle grids.  Boundary
 constraints P(y) Psi_bv(y) = 0 are eliminated through one orthonormal
 basis per form, computed on first use by one small SVD per connected
 block of the constraint rows; the reduced pencil stays symmetric.
@@ -78,18 +78,16 @@ class Mesh:
 
     @functools.cached_property
     def rect_dofs(self) -> dict:
-        """The 2-D layout: (a, b) -> the global dofs of rectangle D_ab as an
-        (n_a, n_b) array, rectangles in lexicographic (a, b) order."""
-        out, start = {}, 0
-        for a, b in itertools.product(range(self.graph.E), repeat=2):
-            shape = (self.nodes[a], self.nodes[b])
-            out[a, b] = start + np.arange(shape[0] * shape[1]).reshape(shape)
-            start += out[a, b].size
-        return out
+        """The 2-D layout, the tensor square of the 1-D one (dofs p, q make
+        dof p ndof1 + q): (a, b) -> the (n_a, n_b) block of D_ab, in (a, b) order."""
+        grid = np.arange(self.ndof2).reshape(self.ndof1, self.ndof1)
+        cut = np.cumsum((0,) + self.nodes)
+        return {(a, b): grid[cut[a]:cut[a + 1], cut[b]:cut[b + 1]]
+                for a, b in itertools.product(range(self.graph.E), repeat=2)}
 
     @property
     def ndof2(self) -> int:
-        """(sum of n_e)^2, the sum of n_a n_b over the rectangles."""
+        """ndof1^2, the sum of n_a n_b over the rectangles."""
         return self.ndof1 ** 2
 
 
@@ -107,6 +105,14 @@ def mass_1d(length: float, n: int) -> sp.csr_matrix:
     main[0] = main[-1] = 2.0 * h / 6.0
     off = np.full(n - 1, h / 6.0)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def stiffness_mass(mesh: Mesh) -> tuple:
+    """(K1, M1): the one-particle stiffness and mass, the per-edge
+    ``stiffness_1d`` and ``mass_1d`` as block diagonals."""
+    return tuple(sp.block_diag([f(e.length, n) for e, n in
+                                zip(mesh.graph.edges, mesh.nodes)], format="csr")
+                 for f in (stiffness_1d, mass_1d))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +230,7 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
     if vc.dim != 2 * g.E:
         raise AssemblyError(f"conditions are {vc.dim}-dimensional, "
                             f"graph needs {2 * g.E}")
-    K = sp.block_diag([stiffness_1d(e.length, n)
-                       for e, n in zip(g.edges, mesh.nodes)], format="csr")
-    M = sp.block_diag([mass_1d(e.length, n)
-                       for e, n in zip(g.edges, mesh.nodes)], format="csr")
+    K, M = stiffness_mass(mesh)
 
     # dof of one-particle position end E + e: the first or last node of e
     last = np.cumsum(mesh.nodes) - 1
@@ -299,21 +302,21 @@ def check_finite_scale(mesh: Mesh, particles: int = 2) -> None:
                             "edge length is too large or too small")
 
 
-# peak RSS of assemble_two_particle per two-particle dof (Mesh.ndof2): 526..684 B
+# peak RSS of assemble_two_particle per two-particle dof (Mesh.ndof2): 409..538 B
 # measured on E = 1 and 3 at 129..513 nodes per edge
 ASSEMBLY_BYTES_PER_DOF = 700
 
 
 def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
                           mesh: Mesh) -> DiscreteForm:
-    """Discretize the two-particle form on the disjoint rectangles.
+    """Discretize the two-particle form on the tensor square of the mesh.
 
-    Stiffness/mass are exact tensor products per rectangle; the boundary
-    term integrates <Psi_bv(y), L(y) Psi_bv(y)> with the 1-D boundary mass
-    matrix (L averaged per element, which keeps the term monotone in L);
-    constraints are enforced nodewise through P(y_j) and eliminated by the
-    form's kernel basis ``N``, computed on first use.  Corner nodes collect
-    the constraints of both adjacent sides.
+    Stiffness and mass are K1 x M1 + M1 x K1 and M1 x M1 of the one-particle
+    ``stiffness_mass``; the boundary term integrates <Psi_bv(y), L(y) Psi_bv(y)>
+    with the 1-D boundary mass matrix (L averaged per element, which keeps
+    the term monotone in L); constraints are enforced nodewise through
+    P(y_j) and eliminated by the form's kernel basis ``N``, computed on first
+    use.  Corner nodes collect the constraints of both adjacent sides.
 
     Assembly is the last reader of the map: ``meta`` records the
     ``sampled_l_max`` of its y-node samples (the L_max of C_infty, which
@@ -326,15 +329,9 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
         raise AssemblyError(f"map dimension {m.dim} != 4 E^2 = {idx.dim_full}")
 
     check_finite_scale(mesh)
-    E = g.E
-    k1 = [stiffness_1d(g.edges[e].length, mesh.nodes[e]) for e in range(E)]
-    m1 = [mass_1d(g.edges[e].length, mesh.nodes[e]) for e in range(E)]
-    K = sp.block_diag(
-        [sp.kron(k1[a], m1[b]) + sp.kron(m1[a], k1[b])
-         for a in range(E) for b in range(E)], format="csr")
-    M = sp.block_diag(
-        [sp.kron(m1[a], m1[b]) for a in range(E) for b in range(E)],
-        format="csr")
+    K1, M1 = stiffness_mass(mesh)
+    K = sp.kron(K1, M1, format="csr") + sp.kron(M1, K1, format="csr")
+    M = sp.kron(M1, M1, format="csr")
 
     comp_nodes = boundary_component_nodes(mesh, idx)
     ys = mesh.y_nodes

@@ -1,8 +1,8 @@
 """Particle-exchange symmetry on the discretized two-particle space.
 
-The exchange maps rectangle (a, b) node (i, j) to rectangle (b, a) node
-(j, i); it is an involution of the tensor-product mesh, so symmetric and
-antisymmetric sectors are spanned by explicit orbit combinations.
+The exchange maps dof p ndof1 + q to q ndof1 + p, the transpose of the
+tensor-square grid; it is an involution, so symmetric and antisymmetric
+sectors are spanned by explicit orbit combinations.
 """
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ class SymmetryError(ValueError):
 
 def exchange_permutation(mesh: Mesh) -> np.ndarray:
     """Permutation array p with (R psi)[k] = psi[p[k]] for the exchange R."""
-    perm = np.empty(mesh.ndof2, dtype=int)
-    for (a, b), dofs in mesh.rect_dofs.items():
-        perm[dofs] = mesh.rect_dofs[b, a].T
-    return perm
+    n = mesh.ndof1
+    return np.arange(n * n).reshape(n, n).T.ravel()
 
 
 def sector_basis(mesh: Mesh, sign: int) -> sp.csr_matrix:
@@ -85,7 +83,9 @@ def sector_pencils(form: DiscreteForm, sector: str = "full",
     into its boson and fermion pencils, unless not ``split``; any other
     form is its own pencil, the trivial sector."""
     split = split and "sector" not in form.meta and form.meta.get("block_structured")
-    signs = {"boson": (+1,), "fermion": (-1,)}.get(sector, (+1, -1) if split else ())
-    forms = [assemble_symmetric_form(form, sign) for sign in signs] or [form]
+    signs = {"full": (+1, -1) if split else (), "boson": (+1,), "fermion": (-1,)}
+    if sector not in signs:
+        raise SymmetryError(f"unknown sector {sector!r}")
+    forms = [assemble_symmetric_form(form, sign) for sign in signs[sector]] or [form]
     return [Pencil(*f.reduced(), f.N, f.meta.get("sector", "full"), f.C_infty,
                    f.meta) for f in forms]

@@ -12,10 +12,15 @@ one ``sha256  workload/seed/command/name`` line per output file, one for
 stdout (the output directory replaced by a placeholder), one for stderr
 and one for the exit code.  With REV it also digests ``git archive REV``,
 prints the lines that differ (``-`` REV, ``+`` this tree) and exits 1 if
-any do.  Everything it writes goes to a temp dir.
+any do.  For each output that differs it then prints how far its numbers
+moved: the largest relative difference |a - b| / max(|a|, |b|) of each
+numeric CSV column and of each numeric JSON leaf (list items pooled, as
+``key[]``) that is not equal, and the largest absolute difference.
+Everything it writes goes to a temp dir.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -24,6 +29,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -36,11 +43,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(tree: str, work: str) -> list:
-    """The digest lines of the workloads run from ``tree``'s sources."""
+def digest(tree: str, work: str) -> dict:
+    """{workload/seed/command/name: bytes} of the outputs of the workloads
+    run from ``tree``'s sources."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "OPENBLAS_NUM_THREADS": "1"}
-    lines = []
+    outputs = {}
     for workload, command in WORKLOADS.items():
         for seed in SEEDS:
             config = os.path.join(work, f"{workload}-{seed}.json")
@@ -54,19 +62,72 @@ def digest(tree: str, work: str) -> list:
                 name = f"{workload}/{seed}/{cmd}"
                 for f in sorted(os.listdir(out)) if os.path.isdir(out) else ():
                     with open(os.path.join(out, f), "rb") as fh:
-                        lines.append(f"{_sha(fh.read())}  {name}/{f}")
+                        outputs[f"{name}/{f}"] = fh.read()
                     os.remove(os.path.join(out, f))
-                lines += [f"{_sha(run.stdout.replace(out.encode(), b'<out>'))}  {name}/stdout",
-                          f"{_sha(run.stderr)}  {name}/stderr",
-                          f"{_sha(str(run.returncode).encode())}  {name}/exit"]
+                outputs[f"{name}/stdout"] = run.stdout.replace(out.encode(), b"<out>")
+                outputs[f"{name}/stderr"] = run.stderr
+                outputs[f"{name}/exit"] = str(run.returncode).encode()
+    return outputs
+
+
+def numbers(name: str, data: bytes) -> dict:
+    """{field: values} of a CSV (one field per numeric column) or a JSON
+    document (one per numeric leaf, list items pooled); {} otherwise."""
+    text = data.decode(errors="replace")
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        out = {}
+        for c, col in enumerate(header):
+            try:
+                out[col] = [float(r[c]) for r in rows]
+            except ValueError:
+                pass
+        return out
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return {}
+    out = {}
+
+    def walk(x, path):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v, path + "[]")
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            out.setdefault(path, []).append(float(x))
+    walk(doc, "")
+    return out
+
+
+def moved(name: str, ours: bytes, theirs: bytes) -> list:
+    """One line per numeric field of an output that differs between two
+    trees: its largest relative difference, or how its shape changed."""
+    a, b = numbers(name, theirs), numbers(name, ours)
+    lines = []
+    for field in sorted(set(a) | set(b)):
+        x, y = np.array(a.get(field, [])), np.array(b.get(field, []))
+        if x.shape != y.shape:
+            lines.append(f"  {name}  {field}: {x.size} values -> {y.size}")
+            continue
+        same = (x == y) | (np.isnan(x) & np.isnan(y))
+        with np.errstate(invalid="ignore"):
+            dif = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
+            rel = np.where(same, 0.0, dif / np.maximum(np.abs(x), np.abs(y)))
+        if dif.any():
+            lines.append(f"  {name}  {field}: relative {np.nanmax(rel):.3e}, "
+                         f"absolute {dif.max():.3e}")
     return lines
 
 
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as work:
         ours = digest(ROOT, work)
+        lines = [f"{_sha(data)}  {name}" for name, data in ours.items()]
         if not argv:
-            print("\n".join(ours))
+            print("\n".join(lines))
             return 0
         parent = os.path.join(work, "tree")
         archive = subprocess.run(["git", "-C", ROOT, "archive", argv[0]],
@@ -74,9 +135,13 @@ def main(argv) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent)
         theirs = digest(parent, work)
-    diff = [f"-{s}" for s in theirs if s not in ours] + [f"+{s}" for s in ours
-                                                         if s not in theirs]
-    print("\n".join(diff) or f"all {len(ours)} digests equal")
+    old = [f"{_sha(data)}  {name}" for name, data in theirs.items()]
+    diff = [f"-{s}" for s in old if s not in lines] + [f"+{s}" for s in lines
+                                                       if s not in old]
+    print("\n".join(diff) or f"all {len(lines)} digests equal")
+    for name in ours:
+        if name in theirs and ours[name] != theirs[name]:
+            print("\n".join(moved(name, ours[name], theirs[name])))
     return 1 if diff else 0
 
 

@@ -3,13 +3,31 @@ elements, from the closed forms of ``continuum``."""
 import numpy as np
 import pytest
 
-from continuum import SECTORS, dirichlet_interval_lift
-from qg2p.bc_maps import lift_one_particle
+from continuum import SECTORS, delta_star, dirichlet_interval_lift, pair_sums
+from qg2p.bc_maps import delta_example_map, lift_one_particle
 from qg2p.eigensolve import solve
 from qg2p.form_assembly import Mesh, assemble_two_particle
 from qg2p.graph_core import build_graph
 from qg2p.symmetry import sector_pencils
-from qg2p.vertex_conditions import standard_family
+from qg2p.vertex_conditions import delta_family, standard_family
+
+
+def relative_errors(g, m, exact, sector, node_counts):
+    """The relative error of each of the lowest len(exact) eigenvalues in
+    ``sector``, one row per uniform node count."""
+    err = []
+    for nodes in node_counts:
+        form = assemble_two_particle(g, m, Mesh.uniform(g, nodes))
+        lam = solve(sector_pencils(form, sector), len(exact),
+                    vectors=False).eigenvalues
+        err.append(np.abs(lam - exact) / exact)
+    return np.array(err)
+
+
+def assert_order_two(err):
+    """Each eigenvalue converges at the P1 order 2 +- 0.05 as h halves."""
+    order = np.log2(err[:-1] / err[1:])
+    assert np.abs(order - 2.0).max() <= 0.05, order
 
 
 def test_closed_form_counts_each_pair_once_per_sector():
@@ -24,15 +42,38 @@ def test_dirichlet_interval_lift_converges_at_order_two(sector):
     """On an edge of length 1.07, each of the lowest 6 eigenvalues at 33,
     65 and 129 nodes (h halving) converges to the continuum at the P1
     order 2, and is within 1e-3 of it at 129 nodes."""
-    length, k = 1.07, 6
+    length = 1.07
     g = build_graph({"edges": [["a", "b", length]]})
     m = lift_one_particle(standard_family("dirichlet", g), g)
-    exact = dirichlet_interval_lift(length, k, sector)
-    err = []
-    for nodes in (33, 65, 129):
-        form = assemble_two_particle(g, m, Mesh(g, (nodes,)))
-        lam = solve(sector_pencils(form, sector), k, vectors=False).eigenvalues
-        err.append(np.abs(lam - exact) / exact)
-    order = np.log2(np.array(err[:-1]) / np.array(err[1:]))
-    assert np.abs(order - 2.0).max() <= 0.05, order
+    err = relative_errors(g, m, dirichlet_interval_lift(length, 6, sector),
+                          sector, (33, 65, 129))
+    assert_order_two(err)
     assert err[-1].max() <= 1e-3
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_delta_star_lift_converges_at_order_two(sector):
+    """star3-delta's graph (legs 1.07, 0.93, 1.02, alpha = 2): each of the
+    lowest 6 eigenvalues at 17, 33 and 65 nodes per edge converges to the
+    sums of delta-star roots at order 2, and is within 5e-4 of them at 65."""
+    lengths, alpha = (1.07, 0.93, 1.02), 2.0
+    g = build_graph({"edges": [["c", f"l{i}", l] for i, l in enumerate(lengths)]})
+    m = lift_one_particle(delta_family(g, alpha), g)
+    exact = pair_sums(delta_star(lengths, alpha, 7), 6, sector)
+    err = relative_errors(g, m, exact, sector, (17, 33, 65))
+    assert_order_two(err)
+    assert err[-1].max() <= 5e-4
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_zero_potential_delta_example_converges_at_order_two(sector):
+    """With v = 0 the delta example is the Dirichlet square [-T, T]^2,
+    (pi / 2T)^2 (i^2 + j^2): each of the lowest 6 eigenvalues at 17, 33 and
+    65 nodes per half-line converges at order 2, and the boson ground state
+    is within 6e-5 at 65 nodes."""
+    T = 2.0
+    g, m = delta_example_map(lambda x, y: 0.0, T)
+    err = relative_errors(g, m, dirichlet_interval_lift(2 * T, 6, sector),
+                          sector, (17, 33, 65))
+    assert_order_two(err)
+    assert sector != "boson" or err[-1, 0] <= 6e-5

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import YS, bump_interaction_map
-from test_loop_reference import assert_same_kernel, loop_nullspace
+from test_loop_reference import (assert_identical, assert_same_kernel,
+                                 loop_nullspace)
 from qg2p.bc_maps import (BoundaryMap, constant_map, lift_one_particle,
                           piecewise_map, sampled_l_max, validate_map)
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
@@ -145,9 +146,9 @@ class TestMesh:
         assert mesh.ndof2 == 16 + 20 + 20 + 25
         assert list(mesh.rect_dofs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         offs = [d[0, 0] for d in mesh.rect_dofs.values()]
-        assert offs == [0, 16, 36, 56]
-        assert np.array_equal(np.concatenate(
-            [d.ravel() for d in mesh.rect_dofs.values()]), np.arange(81))
+        assert offs == [0, 4, 36, 40]       # rows cut at node 4 of 9, columns too
+        assert np.array_equal(np.sort(np.concatenate(
+            [d.ravel() for d in mesh.rect_dofs.values()])), np.arange(81))
 
     def test_grids_are_exact_tensor_products(self, two_edges):
         mesh = Mesh(two_edges, (4, 6))
@@ -352,6 +353,18 @@ class TestTwoParticle:
         m = lift_one_particle(standard_family("dirichlet", two_edges), two_edges)
         with pytest.raises(AssemblyError):
             assemble_two_particle(interval, m, Mesh.uniform(interval, 5))
+
+    def test_matrices_are_kronecker_products_of_one_particle(self):
+        """K = K1 x M1 + M1 x K1 and M = M1 x M1, bitwise, with K1 and M1 the
+        one-particle form's own matrices on an unequal 3-edge mesh."""
+        g = build_graph({"edges": [["c", "l1", 1.07], ["c", "l2", 0.93],
+                                   ["c", "l3", 1.02]]})
+        mesh = Mesh(g, (5, 7, 6))
+        vc = standard_family("dirichlet", g)
+        one = assemble_one_particle(g, vc, mesh)
+        two = assemble_two_particle(g, lift_one_particle(vc, g), mesh)
+        assert_identical(two.K, sp.kron(one.K, one.M) + sp.kron(one.M, one.K))
+        assert_identical(two.M, sp.kron(one.M, one.M))
 
     def test_hermiticity(self, interval):
         mesh = Mesh.uniform(interval, 21)

@@ -60,46 +60,45 @@ def assert_same_kernel(N, N0, C, tol=1e-12):
 # loop references
 
 
-def loop_rect_starts(mesh):
-    """({(a, b): dof of node (0, 0) of D_ab}, ndof2), accumulated over the
-    rectangles in lexicographic (a, b) order, each row-major."""
-    E, offsets, off = mesh.graph.E, {}, 0
-    for e1 in range(E):
-        for e2 in range(E):
-            offsets[e1, e2] = off
-            off += mesh.nodes[e1] * mesh.nodes[e2]
-    return offsets, off
+def loop_rect_dof(mesh):
+    """(dof, ndof2): dof(a, b, i, j) = (cut_a + i) ndof1 + cut_b + j is the
+    dof of node (i, j) of D_ab, with cut_e the nodes of the edges before e
+    and ndof1 those of all edges."""
+    cut, ndof1 = [], 0
+    for n in mesh.nodes:
+        cut.append(ndof1)
+        ndof1 += n
+    return (lambda a, b, i, j: (cut[a] + i) * ndof1 + cut[b] + j), ndof1 ** 2
 
 
 def loop_exchange_permutation(mesh):
     """perm[dof of (a, b, i, j)] = dof of (b, a, j, i), node by node."""
-    offsets, ndof = loop_rect_starts(mesh)
+    dof, ndof = loop_rect_dof(mesh)
     perm = np.full(ndof, -1)
-    for (a, b), off in offsets.items():
-        na, nb = mesh.nodes[a], mesh.nodes[b]
-        for i in range(na):
-            for j in range(nb):
-                perm[off + i * nb + j] = offsets[b, a] + j * na + i
+    for a in range(mesh.graph.E):
+        for b in range(mesh.graph.E):
+            for i in range(mesh.nodes[a]):
+                for j in range(mesh.nodes[b]):
+                    perm[dof(a, b, i, j)] = dof(b, a, j, i)
     return perm
 
 
 def loop_component_nodes(mesh):
     """(dofs, running edge) of each two-particle boundary component, from
-    one per-side formula for each side of each rectangle."""
+    one per-side formula for each side of each rectangle, node by node."""
     E = mesh.graph.E
     nodes, running = [None] * (4 * E * E), [None] * (4 * E * E)
-    offsets, _ = loop_rect_starts(mesh)
+    dof, _ = loop_rect_dof(mesh)
     for e1 in range(E):
         for e2 in range(E):
             na, nb = mesh.nodes[e1], mesh.nodes[e2]
-            off = offsets[e1, e2]
             for side, dofs, run in (
-                    (X0, off + np.arange(nb), e2),
-                    (XL, off + (na - 1) * nb + np.arange(nb), e2),
-                    (Y0, off + np.arange(na) * nb, e1),
-                    (YL, off + np.arange(na) * nb + (nb - 1), e1)):
+                    (X0, [dof(e1, e2, 0, j) for j in range(nb)], e2),
+                    (XL, [dof(e1, e2, na - 1, j) for j in range(nb)], e2),
+                    (Y0, [dof(e1, e2, i, 0) for i in range(na)], e1),
+                    (YL, [dof(e1, e2, i, nb - 1) for i in range(na)], e1)):
                 p = position(E, (e1, e2), side)
-                nodes[p], running[p] = dofs, run
+                nodes[p], running[p] = np.array(dofs), run
     return nodes, running
 
 

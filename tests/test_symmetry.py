@@ -234,3 +234,11 @@ class TestExchangeSectors:
             for x, y in zip(pencil[:3], (*form.reduced(), form.N)):
                 assert_identical(x, y)      # A_r, M_r and N of the form
         assert len(sector_pencils(block, split=False)) == 1
+
+    @pytest.mark.parametrize("sector", ["bosons", "Full", "", None])
+    def test_unknown_sector_name_rejected(self, interval, sector):
+        # a misspelt sector is an error, not a full-space split solve
+        form = assemble_two_particle(interval, bump_interaction_map(),
+                                     Mesh.uniform(interval, 7))
+        with pytest.raises(SymmetryError, match="unknown sector"):
+            sector_pencils(form, sector)
