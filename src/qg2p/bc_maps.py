@@ -16,6 +16,10 @@ from .vertex_conditions import ConditionError, VertexConditions, _hermitize
 
 TOL = 1e-9   # entry and defect tolerance of the map checks and predicates
 
+# `qg2p validate`'s peak RSS per sampled entry (len(ys) dim^2): 81..99 B on
+# E = 1, 2 and 3 at 500..16000 nodes per edge
+SAMPLE_BYTES_PER_ENTRY = 128
+
 
 class MapError(ValueError):
     """Boundary map violates a structural requirement."""

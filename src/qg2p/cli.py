@@ -252,18 +252,27 @@ def checked_inputs(cfg: RunConfig):
     return g, m, mesh
 
 
+def sampled_report(m, mesh: Mesh):
+    """``validate_map`` at the y-nodes, the map's first sampling, or a
+    SolveError when that would not fit in the free memory."""
+    ys = mesh.y_nodes
+    check_memory(f"sampling the map at {len(ys)} y-nodes",
+                 bc_maps.SAMPLE_BYTES_PER_ENTRY * len(ys) * m.dim ** 2)
+    return validate_map(m, ys)
+
+
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, pencils): the ``symmetry.sector_pencils`` of the
     config's particles and sector; the assembled form is freed on return.
     Inputs failing ``checked_inputs`` raise first (``inputs``, if given,
     have passed it), then a two-particle mesh whose assembly would not fit
     in the free memory (a SolveError, from node counts alone), then a map
-    with validate_map errors at the y-nodes."""
+    whose ``sampled_report`` fails (too large, or with map errors)."""
     g, m, mesh = inputs or checked_inputs(cfg)
     if cfg.particles == 2:
         check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
                      form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
-    report = validate_map(m, mesh.y_nodes)
+    report = sampled_report(m, mesh)
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
                        "error(s); see 'qg2p validate')")
@@ -330,7 +339,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
         g, m, mesh = checked_inputs(cfg)
-        mrep = validate_map(m, mesh.y_nodes)
+        mrep = sampled_report(m, mesh)
     except INPUT_ERRORS as exc:
         report["notes"].append(str(exc))
         print(_json_text(report, "validate report"))
@@ -438,9 +447,10 @@ def cmd_example_delta(cfg: RunConfig, outdir: str = None) -> int:
     psi = result.eigenvectors[:, 0].real   # sign fixed: the fold peaks at +1
     psi = psi / psi[np.argmax(np.abs(psi))]
 
-    # edge 0 carries the positive half-axis, edge 1 the negative one;
-    # rect_dofs lists D_00, D_01, D_10, D_11 in that order
-    p11, p12, p21, p22 = (psi[dofs] for dofs in mesh.rect_dofs.values())
+    # edge 0 carries the positive half-axis, edge 1 the negative one; equal
+    # node counts cut the ndof1 x ndof1 grid into D_00, D_01, D_10, D_11
+    (p11, p12), (p21, p22) = (np.hsplit(half, 2) for half in
+                              np.vsplit(psi.reshape(mesh.ndof1, mesh.ndof1), 2))
     folded = bc_maps.fold_to_plane(p11, p12, p21, p22)
     jump_x, jump_y = bc_maps.fold_axis_jumps(p11, p12, p21, p22)
 
@@ -506,7 +516,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (SolveError, spectral_analysis.AnalysisError,
             np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -8,8 +8,6 @@ block of the constraint rows; the reduced pencil stays symmetric.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,43 +74,36 @@ class Mesh:
     def ndof1(self) -> int:
         return int(sum(self.nodes))
 
-    @functools.cached_property
-    def rect_dofs(self) -> dict:
-        """The 2-D layout, the tensor square of the 1-D one (dofs p, q make
-        dof p ndof1 + q): (a, b) -> the (n_a, n_b) block of D_ab, in (a, b) order."""
-        grid = np.arange(self.ndof2).reshape(self.ndof1, self.ndof1)
-        cut = np.cumsum((0,) + self.nodes)
-        return {(a, b): grid[cut[a]:cut[a + 1], cut[b]:cut[b + 1]]
-                for a, b in itertools.product(range(self.graph.E), repeat=2)}
+    @property
+    def end_dofs(self) -> np.ndarray:
+        """The dof of one-particle position end E + e: first, last nodes."""
+        last = np.cumsum(self.nodes) - 1
+        return np.concatenate([last - np.array(self.nodes) + 1, last])
 
     @property
     def ndof2(self) -> int:
-        """ndof1^2, the sum of n_a n_b over the rectangles."""
+        """ndof1^2, the tensor square: dofs p, q make dof p ndof1 + q."""
         return self.ndof1 ** 2
 
 
-def stiffness_1d(length: float, n: int) -> sp.csr_matrix:
-    h = length / (n - 1)
-    main = np.full(n, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def mass_1d(length: float, n: int) -> sp.csr_matrix:
-    h = length / (n - 1)
-    main = np.full(n, 4.0 * h / 6.0)
-    main[0] = main[-1] = 2.0 * h / 6.0
-    off = np.full(n - 1, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+def p1_element(h) -> tuple:
+    """(stiffness, mass): the (..., 2, 2) element matrices
+    [[1, -1], [-1, 1]] / h and (h / 6) [[2, 1], [1, 2]] of P1 elements of
+    lengths ``h``."""
+    h = np.asarray(h, dtype=float)[..., None, None]
+    return (np.array([[1.0, -1.0], [-1.0, 1.0]]) / h,
+            h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 def stiffness_mass(mesh: Mesh) -> tuple:
-    """(K1, M1): the one-particle stiffness and mass, the per-edge
-    ``stiffness_1d`` and ``mass_1d`` as block diagonals."""
-    return tuple(sp.block_diag([f(e.length, n) for e, n in
-                                zip(mesh.graph.edges, mesh.nodes)], format="csr")
-                 for f in (stiffness_1d, mass_1d))
+    """(K1, M1): the one-particle stiffness and mass, the ``p1_element``
+    matrices of every element of every edge summed in one COO scatter."""
+    E, n = mesh.graph.E, mesh.ndof1
+    h = np.repeat([mesh.spacing(e) for e in range(E)], np.array(mesh.nodes) - 1)
+    left = np.delete(np.arange(n), mesh.end_dofs[E:])[:, None, None]
+    rows, cols = np.broadcast_arrays(left + [[0], [1]], left + [0, 1])
+    return tuple(sp.csr_matrix((x.ravel(), (rows.ravel(), cols.ravel())),
+                               shape=(n, n)) for x in p1_element(h))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +222,7 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
         raise AssemblyError(f"conditions are {vc.dim}-dimensional, "
                             f"graph needs {2 * g.E}")
     K, M = stiffness_mass(mesh)
-
-    # dof of one-particle position end E + e: the first or last node of e
-    last = np.cumsum(mesh.nodes) - 1
-    bdof = np.concatenate([last - np.array(mesh.nodes) + 1, last])
-
-    ndof = mesh.ndof1
+    bdof, ndof = mesh.end_dofs, mesh.ndof1
     B = sp.coo_matrix(
         (vc.L.flatten(), (np.repeat(bdof, 2 * g.E), np.tile(bdof, 2 * g.E))),
         shape=(ndof, ndof)).tocsr()
@@ -258,14 +244,13 @@ def assemble_one_particle(g: MetricGraph, vc: VertexConditions,
 
 def boundary_component_nodes(mesh: Mesh, idx: BoundaryIndexMap):
     """Global dofs of each of the 4 E^2 boundary components, one array per
-    component, ordered along its running edge."""
-    out = []
-    for half, s, a, b in zip(idx.half, *divmod(idx.end_pos, idx.E),
-                             idx.running_edge):
-        # half 0: row s (n_a - 1) of D_ab; half 1: that column of D_ba
-        dofs = mesh.rect_dofs[a, b] if half == 0 else mesh.rect_dofs[b, a].T
-        out.append(dofs[s * (mesh.nodes[a] - 1)])
-    return out
+    component, ordered along its running edge: on the ndof1 x ndof1 grid,
+    half 0 is row ``end_dofs[end_pos]`` over the running edge's dofs and
+    half 1 is that column."""
+    n, end = mesh.ndof1, mesh.end_dofs
+    runs = [np.arange(end[r], end[idx.E + r] + 1) for r in idx.running_edge]
+    return [end[p] * n + run if half == 0 else run * n + end[p]
+            for half, p, run in zip(idx.half, idx.end_pos, runs)]
 
 
 def _coupling_clusters(P: np.ndarray, L: np.ndarray, counts: np.ndarray):
@@ -286,17 +271,18 @@ def _coupling_clusters(P: np.ndarray, L: np.ndarray, counts: np.ndarray):
 
 def check_finite_scale(mesh: Mesh, particles: int = 2) -> None:
     """AssemblyError unless the stiffness and mass are representable.  With
-    the 1-D diagonals k = 2/h and m = 4h/6, the largest two-particle
-    entries, k_a m_b + m_a k_b and m_a m_b, must be finite, and the smallest
-    mass entry, (h_a/6)(h_b/6), must be a normal number.  One particle needs
-    k and m finite, and h/6 and the eigenvalue scale 3/h^2 normal."""
+    k, m the 1-D interior diagonals (two ``p1_element`` diagonals each) and s
+    the off-diagonal mass, the largest two-particle entries k_a m_b + m_a k_b
+    and m_a m_b must be finite and the smallest, s_a s_b, normal.  One
+    particle needs k and m finite, and s and the eigenvalue scale 3/h^2 normal."""
     h = np.array([mesh.spacing(e) for e in range(mesh.graph.E)])
     with np.errstate(all="ignore"):
-        k, m = 2.0 / h, 4.0 * h / 6.0
+        ke, me = p1_element(h)
+        k, m, s = ke[:, 0, 0] + ke[:, 1, 1], me[:, 0, 0] + me[:, 1, 1], me[:, 0, 1]
         big = [np.outer(k, m) + np.outer(m, k), np.outer(m, m)]
-        small = np.outer(h / 6.0, h / 6.0)
+        small = np.outer(s, s)
         if particles == 1:
-            big, small = [k, m, 3.0 / h ** 2], np.array([h / 6.0, 3.0 / h ** 2])
+            big, small = [k, m, 3.0 / h ** 2], np.array([s, 3.0 / h ** 2])
     if not (np.isfinite(big).all() and small.min() >= np.finfo(float).tiny):
         raise AssemblyError("stiffness or mass overflows or underflows: an "
                             "edge length is too large or too small")
@@ -341,7 +327,6 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
 
     b_parts, c_parts = [], []
     n_constraints = 0
-    melem = np.array([[2.0, 1.0], [1.0, 2.0]])
 
     for cl in clusters:
         ts = mesh.normalized(idx.running_edge[cl[0]])
@@ -354,7 +339,7 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
         # entries run over (j, ci, cj, di, dj) in that order, which fixes
         # the order in which duplicate entries are summed.
         lv = 0.5 * (Ls[:-1] + Ls[1:]) * w[:, None] * w[None, :]
-        me = (np.diff(ts) / 6.0)[:, None, None] * melem
+        me = p1_element(np.diff(ts))[1]
         J, CI, CJ, DI, DJ = np.ogrid[:len(ts) - 1, :len(cl), :len(cl), :2, :2]
         keep = np.broadcast_to((lv != 0.0)[..., None, None], lv.shape + (2, 2))
         b_parts.append((np.broadcast_to(nodes[CI, J + DI], keep.shape)[keep],

@@ -5,8 +5,8 @@ The two-particle eigenvalues of a lifted map are the sums mu_i + mu_j of
 the one-particle eigenvalues mu_1 < mu_2 < ...: every pair in the full
 space, i <= j in the boson sector and i < j in the fermion one.  On one
 Dirichlet interval of length l this is the Dirichlet square [0, l]^2,
-mu_i = (pi i / l)^2; on a delta-star the mu_i are the roots of a secular
-equation.
+mu_i = (pi i / l)^2; on a delta-star and on a Robin-Neumann interval the
+mu_i are the roots of a secular equation.
 """
 import numpy as np
 from scipy.optimize import brentq
@@ -52,3 +52,21 @@ def delta_star(lengths, alpha: float, count: int) -> np.ndarray:
     cross = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
     roots = [brentq(secular, ks[i], ks[i + 1], xtol=1e-15) for i in cross]
     return np.array(roots[:count]) ** 2
+
+
+def robin_neumann(length: float, alpha: float, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of -psi'' on [0, l] with
+    psi'(0) = -alpha psi(0) and psi'(l) = 0, for alpha > 0.  The bound
+    state psi = cosh kappa(l - x) gives -kappa^2 with kappa tanh kappa l =
+    alpha, between 0 and alpha + 1/l; psi = cos k(l - x) gives k^2 with
+    k tan kl = -alpha, that is k sin kl + alpha cos kl = 0, one root k in
+    each ((j - 1/2) pi / l, j pi / l)."""
+    kappa = brentq(lambda q: q * np.tanh(q * length) - alpha,
+                   1e-12, alpha + 1.0 / length, xtol=1e-15)
+
+    def secular(k):
+        return k * np.sin(k * length) + alpha * np.cos(k * length)
+
+    ks = [brentq(secular, (j - 0.5) * np.pi / length, j * np.pi / length,
+                 xtol=1e-15) for j in range(1, count)]
+    return np.array([-kappa ** 2] + [k ** 2 for k in ks])

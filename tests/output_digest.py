@@ -4,10 +4,11 @@ leaves them byte-identical.
     python tests/output_digest.py            # this working tree
     python tests/output_digest.py REV        # and REV's tree: differences only
 
-For each workload of ``perfbench/workloads.py`` at seeds 0 and 1, runs the
-workload's own command, ``spectrum`` and ``validate`` in a fresh
-``python -m qg2p.cli`` process (``PYTHONPATH=<tree>/src``,
-``OPENBLAS_NUM_THREADS=1``) and prints
+For each workload of ``perfbench/workloads.py`` at seeds 0 and 1, and for
+one-particle ``analyze`` runs on the graphs and maps of weyl-interval and
+star3-delta (``ONE_PARTICLE``), runs the command, ``spectrum`` and
+``validate`` in a fresh ``python -m qg2p.cli`` process
+(``PYTHONPATH=<tree>/src``, ``OPENBLAS_NUM_THREADS=1``) and prints
 one ``sha256  workload/seed/command/name`` line per output file, one for
 stdout (the output directory replaced by a placeholder), one for stderr
 and one for the exit code.  With REV it also digests ``git archive REV``,
@@ -37,10 +38,31 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import WORKLOADS, make_config  # noqa: E402
 
 SEEDS = (0, 1)
+# workload -> the num_eigs of its one-particle run, below its dofs
+ONE_PARTICLE = {"weyl-interval": 60, "star3-delta": 40}
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def make_run_config(name: str, seed: int) -> dict:
+    """The config of run ``name``: a workload's own, or for
+    ``<workload>-1p`` that workload's graph and map as a one-particle run
+    without the two-particle analysis keys (its window is in two-particle
+    eigenvalues)."""
+    if name in WORKLOADS:
+        return make_config(name, seed)
+    workload = name[:-len("-1p")]
+    doc = make_config(workload, seed)
+    analysis = {k: v for k, v in doc["analysis"].items()
+                if k not in ("bracketing", "lift_check", "window")}
+    return {**doc, "particles": 1, "num_eigs": ONE_PARTICLE[workload],
+            "analysis": analysis}
+
+
+# run name -> its own command
+RUNS = {**WORKLOADS, **{f"{w}-1p": "analyze" for w in ONE_PARTICLE}}
 
 
 def digest(tree: str, work: str) -> dict:
@@ -49,11 +71,11 @@ def digest(tree: str, work: str) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "OPENBLAS_NUM_THREADS": "1"}
     outputs = {}
-    for workload, command in WORKLOADS.items():
+    for workload, command in RUNS.items():
         for seed in SEEDS:
             config = os.path.join(work, f"{workload}-{seed}.json")
             with open(config, "w") as fh:
-                json.dump(make_config(workload, seed), fh)
+                json.dump(make_run_config(workload, seed), fh)
             for cmd in (command, "spectrum", "validate"):
                 out = os.path.join(work, "out")
                 run = subprocess.run(

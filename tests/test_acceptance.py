@@ -209,7 +209,8 @@ def test_09_delta_interaction_example(capsys):
     psi = res.eigenvectors[:, 0].real
     psi = psi / np.abs(psi).max()
 
-    p11, p12, p21, p22 = (psi[mesh.rect_dofs[a, b]]
+    n, grid = mesh.nodes[0], psi.reshape(mesh.ndof1, mesh.ndof1)
+    p11, p12, p21, p22 = (grid[a * n:(a + 1) * n, b * n:(b + 1) * n]
                           for a in (0, 1) for b in (0, 1))
     # continuity across the center vertex in the first variable
     cont = max(np.abs(p11[0, :] - p21[0, :]).max(),

@@ -889,6 +889,36 @@ class TestExitCodes:
                               "1000002000001 dofs needs about ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command, particles", [("validate", 2),
+                                                    ("spectrum", 1)])
+    def test_map_sampling_over_memory_budget_exits_3(
+            self, tmp_path, monkeypatch, capsys, command, particles):
+        # the 3-star's 36 x 36 map at 33 y-nodes: 33 * 36^2 * 128 B = 5.5 MB;
+        # validate and one particle assemble nothing that is checked first
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e6)
+        monkeypatch.setattr(cli, "validate_map",
+                            lambda *a: pytest.fail("the map was sampled"))
+        doc = dirichlet_square_doc(
+            graph={"edges": [["c", f"l{i}", 1.0] for i in (1, 2, 3)]},
+            particles=particles)
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr() == ("", (
+            "numerical failure: sampling the map at 33 y-nodes needs about "
+            "5 MB, 1 MB free\n"))
+
+    def test_memory_error_without_message_names_its_class(
+            self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "validate_map", exhausted)
+        code = main(["validate", "--config",
+                     write_config(tmp_path, dirichlet_square_doc(nodes=9))])
+        assert code == 3
+        assert capsys.readouterr() == ("", "numerical failure: MemoryError\n")
+
     def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
         # every Lanczos factor fails: the first sector's first slice at -1
         # falls back to the counted start, -1 again, whose own factor fails

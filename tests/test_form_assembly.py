@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import YS, bump_interaction_map
 from test_loop_reference import (assert_identical, assert_same_kernel,
-                                 loop_nullspace)
+                                 loop_nullspace, mass_1d, stiffness_1d)
 from qg2p.bc_maps import (BoundaryMap, constant_map, lift_one_particle,
                           piecewise_map, sampled_l_max, validate_map)
 from qg2p.form_assembly import (AssemblyError, Mesh, assemble_one_particle,
-                                assemble_two_particle, check_finite_scale,
+                                assemble_two_particle,
+                                boundary_component_nodes, check_finite_scale,
                                 nullspace_from_constraints,
-                                semibound_constant, stiffness_1d, mass_1d)
+                                semibound_constant, stiffness_mass)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.eigensolve import solve
 from qg2p.vertex_conditions import standard_family
@@ -141,24 +142,42 @@ class TestMesh:
         assert mesh.spacing(0) == pytest.approx(0.1)
         assert mesh.h_max == pytest.approx(0.1)
 
+    @staticmethod
+    def grid_block(mesh, a, b):
+        """D_ab: the ndof1 x ndof1 grid cut at the end dofs of edges a, b."""
+        E, end = mesh.graph.E, mesh.end_dofs
+        grid = np.arange(mesh.ndof2).reshape(mesh.ndof1, mesh.ndof1)
+        return grid[end[a]:end[E + a] + 1, end[b]:end[E + b] + 1]
+
     def test_rect_layout_covers_all_dofs(self, two_edges):
         mesh = Mesh(two_edges, (4, 5))
         assert mesh.ndof2 == 16 + 20 + 20 + 25
-        assert list(mesh.rect_dofs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        offs = [d[0, 0] for d in mesh.rect_dofs.values()]
-        assert offs == [0, 4, 36, 40]       # rows cut at node 4 of 9, columns too
+        assert mesh.end_dofs.tolist() == [0, 4, 3, 8]
+        blocks = [self.grid_block(mesh, a, b) for a in (0, 1) for b in (0, 1)]
+        assert [d[0, 0] for d in blocks] == [0, 4, 36, 40]
         assert np.array_equal(np.sort(np.concatenate(
-            [d.ravel() for d in mesh.rect_dofs.values()])), np.arange(81))
+            [d.ravel() for d in blocks])), np.arange(81))
+        # the sides are the rectangles' boundaries: rows and columns at ends
+        sides = boundary_component_nodes(mesh, BoundaryIndexMap(two_edges))
+        p, q = np.divmod(np.arange(81), 9)
+        ends = np.isin(p, [0, 3, 4, 8]) | np.isin(q, [0, 3, 4, 8])
+        assert np.array_equal(np.unique(np.concatenate(sides)),
+                              np.flatnonzero(ends))
 
     def test_grids_are_exact_tensor_products(self, two_edges):
         mesh = Mesh(two_edges, (4, 6))
-        assert mesh.rect_dofs[0, 1].shape == (4, 6)
-        assert mesh.rect_dofs[1, 0].shape == (6, 4)
+        assert self.grid_block(mesh, 0, 1).shape == (4, 6)
+        assert self.grid_block(mesh, 1, 0).shape == (6, 4)
+        idx = BoundaryIndexMap(two_edges)
+        for half, r, side in zip(idx.half, idx.running_edge,
+                                 boundary_component_nodes(mesh, idx)):
+            assert len(side) == mesh.nodes[r]
+            assert set(np.diff(side)) == {1 if half == 0 else mesh.ndof1}
 
     def test_1d_matrices_row_sums(self):
         # stiffness annihilates constants; mass integrates them to length
-        K = stiffness_1d(1.5, 7).toarray()
-        M = mass_1d(1.5, 7).toarray()
+        g = build_graph({"edges": [["a", "b", 1.5]]})
+        K, M = (X.toarray() for X in stiffness_mass(Mesh(g, (7,))))
         ones = np.ones(7)
         assert np.allclose(K @ ones, 0.0, atol=1e-13)
         assert ones @ M @ ones == pytest.approx(1.5)

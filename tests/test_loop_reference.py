@@ -30,7 +30,7 @@ from qg2p.form_assembly import (NULLSPACE_TOL, Mesh, _coupling_clusters,
                                 _realify, assemble_one_particle,
                                 assemble_two_particle,
                                 boundary_component_nodes,
-                                nullspace_from_constraints)
+                                nullspace_from_constraints, stiffness_mass)
 from qg2p.graph_core import BoundaryIndexMap, build_graph
 from qg2p.symmetry import exchange_permutation, sector_basis
 from qg2p.vertex_conditions import (VertexConditions, delta_family, is_local,
@@ -58,6 +58,26 @@ def assert_same_kernel(N, N0, C, tol=1e-12):
 
 # ---------------------------------------------------------------------------
 # loop references
+
+
+def stiffness_1d(length, n):
+    """The P1 stiffness of one edge: the tridiagonal (-1, 2, -1) / h with
+    1 / h at both ends."""
+    h = length / (n - 1)
+    main = np.full(n, 2.0 / h)
+    main[0] = main[-1] = 1.0 / h
+    off = np.full(n - 1, -1.0 / h)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def mass_1d(length, n):
+    """The P1 mass of one edge: the tridiagonal (h, 4 h, h) / 6 with
+    2 h / 6 at both ends."""
+    h = length / (n - 1)
+    main = np.full(n, 4.0 * h / 6.0)
+    main[0] = main[-1] = 2.0 * h / 6.0
+    off = np.full(n - 1, h / 6.0)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
 def loop_rect_dof(mesh):
@@ -483,6 +503,19 @@ def test_one_particle_constraints_match_loops(family):
 UNEVEN_MESHES = pytest.mark.parametrize("edges, nodes", [
     ([["a", "b", 0.7], ["b", "c", 1.3]], (4, 6)),
     ([["c", "l1", 1.0], ["c", "l2", 0.8], ["c", "l3", 1.2]], (5, 7, 9))])
+
+
+@pytest.mark.parametrize("lengths, nodes", [
+    ((1.07, 0.93, 1.02), (65, 65, 65)), ((0.3, 2.0, 1e-3), (7, 9, 11))])
+def test_stiffness_mass_is_the_block_diagonal_of_the_edge_formulas(lengths,
+                                                                    nodes):
+    """The element-by-element K1 and M1 equal the block diagonals of the
+    per-edge tridiagonal formulas bit for bit: doubling is exact, so
+    1/h + 1/h is 2/h and 2h/6 + 2h/6 is 4h/6."""
+    g = build_graph({"edges": [["c", f"l{i}", l] for i, l in enumerate(lengths)]})
+    for got, formula in zip(stiffness_mass(Mesh(g, nodes)), (stiffness_1d, mass_1d)):
+        assert_identical(got, sp.block_diag(
+            [formula(l, n) for l, n in zip(lengths, nodes)], format="csr"))
 
 
 @UNEVEN_MESHES
