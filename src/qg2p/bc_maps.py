@@ -113,16 +113,16 @@ def block_structured(P: np.ndarray, L: np.ndarray) -> bool:
                              M[:, :h, :h] - M[:, h:, h:]))
 
 
-def validate_map(m: BoundaryMap, ys: Sequence[float]) -> MapValidationReport:
-    """Per-sample projector / self-adjointness / QLQ checks at ``ys`` plus
-    the exchange-invariance flag ``block_structured``, corner regularity at
-    the samples y = 0, 1 and the ``sampled_l_max`` of the samples.
+def validate_map(m: BoundaryMap, ys, stacks=None) -> MapValidationReport:
+    """Per-sample projector / self-adjointness / QLQ checks of ``stacks``
+    (else ``m.samples(ys)``), the exchange-invariance flag ``block_structured``,
+    corner regularity at the samples y = 0, 1 and the ``sampled_l_max``.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).
     """
     ys = np.asarray(ys, dtype=float)
-    P, L = m.samples(ys)
+    P, L = stacks or m.samples(ys)
     Q = np.eye(m.dim) - P
 
     def norm(X):   # per sample; inf, without LAPACK, where X overflowed
@@ -192,15 +192,14 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), meta={"conditions": vc})
 
 
-def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
-                      ys: Sequence[float]) -> bool:
-    """True iff the samples at ``ys`` are y-constant and block-diagonal
+def is_noninteracting(P, L, idx: BoundaryIndexMap) -> bool:
+    """True iff the sample stacks P and L are y-constant and block-diagonal
     with identical blocks w.r.t. the fixed-second-edge decomposition of
     boundary values."""
     at = _beta_blocks(idx)
-    outside = np.ones((m.dim, m.dim), dtype=bool)
+    outside = np.ones(P.shape[1:], dtype=bool)
     outside[at] = False
-    for M in m.samples(ys):
+    for M in (P, L):
         blk = M[0][at]
         if (np.abs(M - M[0]).max() > TOL or np.abs(blk - blk[0]).max() > TOL
                 or np.abs(M[0][outside]).max(initial=0.0) > TOL):
@@ -208,9 +207,8 @@ def is_noninteracting(m: BoundaryMap, idx: BoundaryIndexMap,
     return True
 
 
-def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
-                          ys: Sequence[float]) -> bool:
-    """True iff P(y), L(y) at ``ys`` vanish outside the vertex-local
+def is_local_two_particle(P, L, idx: BoundaryIndexMap) -> bool:
+    """True iff the sample stacks P and L vanish outside the vertex-local
     blocks: entries may couple components only when their boundary
     edge-ends meet in the same vertex and each component's other edge is
     connected to its own."""
@@ -219,7 +217,7 @@ def is_local_two_particle(m: BoundaryMap, idx: BoundaryIndexMap,
                        in zip(idx.end_pos % idx.E, idx.running_edge)])
     ok_pair = (vtx[:, None] == vtx[None, :]) & inside[:, None] & inside[None, :]
     return not any(np.abs(M[:, ~ok_pair]).max(initial=0.0) > TOL
-                   for M in m.samples(ys))
+                   for M in (P, L))
 
 
 # ---------------------------------------------------------------------------

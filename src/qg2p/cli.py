@@ -253,32 +253,33 @@ def checked_inputs(cfg: RunConfig):
 
 
 def sampled_report(m, mesh: Mesh):
-    """``validate_map`` at the y-nodes, the map's first sampling, or a
-    SolveError when that would not fit in the free memory."""
+    """(``validate_map`` report, stacks) of the map's y-node samples, its
+    first sampling, or a SolveError when they would not fit in memory."""
     ys = mesh.y_nodes
     check_memory(f"sampling the map at {len(ys)} y-nodes",
                  bc_maps.SAMPLE_BYTES_PER_ENTRY * len(ys) * m.dim ** 2)
-    return validate_map(m, ys)
+    stacks = m.samples(ys)
+    return validate_map(m, ys, stacks), stacks
 
 
 def assemble_from_config(cfg: RunConfig, inputs: tuple = None):
     """(graph, map, mesh, pencils): the ``symmetry.sector_pencils`` of the
     config's particles and sector; the assembled form is freed on return.
     Inputs failing ``checked_inputs`` raise first (``inputs``, if given,
-    have passed it), then a two-particle mesh whose assembly would not fit
-    in the free memory (a SolveError, from node counts alone), then a map
-    whose ``sampled_report`` fails (too large, or with map errors)."""
+    have passed it), then a mesh whose assembly would not fit in the free
+    memory (a SolveError, from node counts alone), then map errors: of a
+    one-particle lift at y = 0 (it ignores y), else of ``sampled_report``."""
     g, m, mesh = inputs or checked_inputs(cfg)
-    if cfg.particles == 2:
-        check_memory(f"two-particle assembly of {mesh.ndof2} dofs",
-                     form_assembly.ASSEMBLY_BYTES_PER_DOF * mesh.ndof2)
-    report = sampled_report(m, mesh)
+    one = cfg.particles == 1
+    ndof = mesh.ndof1 if one else mesh.ndof2
+    check_memory(f"{'one' if one else 'two'}-particle assembly of {ndof} dofs",
+                 form_assembly.ASSEMBLY_BYTES_PER_DOF * ndof)
+    report = validate_map(m, [0.0]) if one else sampled_report(m, mesh)[0]
     if report.errors:
         raise MapError(f"{report.errors[0]} ({len(report.errors)} map "
                        "error(s); see 'qg2p validate')")
     form = (form_assembly.assemble_one_particle(g, m.meta["conditions"], mesh)
-            if cfg.particles == 1 else
-            form_assembly.assemble_two_particle(g, m, mesh))
+            if one else form_assembly.assemble_two_particle(g, m, mesh))
     return g, m, mesh, symmetry.sector_pencils(form, cfg.sector)
 
 
@@ -339,7 +340,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
         g, m, mesh = checked_inputs(cfg)
-        mrep = sampled_report(m, mesh)
+        mrep, (P, L) = sampled_report(m, mesh)
     except INPUT_ERRORS as exc:
         report["notes"].append(str(exc))
         print(_json_text(report, "validate report"))
@@ -350,8 +351,8 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     idx = BoundaryIndexMap(g)
     report["map"] = {
         **asdict(mrep),
-        "noninteracting": bc_maps.is_noninteracting(m, idx, mesh.y_nodes),
-        "local": bc_maps.is_local_two_particle(m, idx, mesh.y_nodes),
+        "noninteracting": bc_maps.is_noninteracting(P, L, idx),
+        "local": bc_maps.is_local_two_particle(P, L, idx),
     }
     report["semiboundedness_constant"] = form_assembly.semibound_constant(
         mrep.L_max, min(g.lengths))

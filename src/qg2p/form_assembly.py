@@ -288,8 +288,9 @@ def check_finite_scale(mesh: Mesh, particles: int = 2) -> None:
                             "edge length is too large or too small")
 
 
-# peak RSS of assemble_two_particle per two-particle dof (Mesh.ndof2): 409..538 B
-# measured on E = 1 and 3 at 129..513 nodes per edge
+# peak RSS of a run's assembly per dof of its own: 409..538 B per Mesh.ndof2
+# (assemble_two_particle, E = 1 and 3, 129..513 nodes per edge) and 312 B per
+# Mesh.ndof1 (assemble_one_particle and its N, E = 3, 1 and 3 million dofs)
 ASSEMBLY_BYTES_PER_DOF = 700
 
 

@@ -104,12 +104,12 @@ class TestLifts:
             vc = standard_family(fam, two_edges, **kw)
             m = lift_one_particle(vc, two_edges)
             assert m.meta["conditions"] is vc
-            assert is_noninteracting(m, idx, YS)
+            assert is_noninteracting(*m.samples(YS), idx)
             assert validate_map(m, YS).ok
 
     def test_bump_map_is_interacting(self, interval):
         idx = BoundaryIndexMap(interval)
-        assert not is_noninteracting(bump_interaction_map(), idx, YS)
+        assert not is_noninteracting(*bump_interaction_map().samples(YS), idx)
 
     def test_robin_lift_values(self, interval):
         vc = standard_family("robin", interval, alpha=2.0)
@@ -121,7 +121,7 @@ class TestLifts:
     def test_lift_locality_matches_one_particle(self, star3):
         vc = standard_family("dirichlet", star3)
         m = lift_one_particle(vc, star3)
-        assert is_local_two_particle(m, BoundaryIndexMap(star3), YS)
+        assert is_local_two_particle(*m.samples(YS), BoundaryIndexMap(star3))
 
 
 class TestDeltaExample:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -211,6 +214,17 @@ class TestValidateCommand:
         g, _ = build(load_config(write_config(tmp_path, doc)))
         assert sorted(seen) == list(form_assembly.Mesh(g, (5, 8)).y_nodes)
 
+    def test_stacks_the_map_once(self, tmp_path, capsys, monkeypatch):
+        # the checks, the noninteracting and the local flags read one stack
+        stacked, samples = [], bc_maps.BoundaryMap.samples
+        monkeypatch.setattr(bc_maps.BoundaryMap, "samples", lambda m, ys: (
+            stacked.append(len(ys)) or samples(m, ys)))
+        code = main(["validate", "--config",
+                     write_config(tmp_path, star3_delta_doc())])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["map"]["noninteracting"]
+        assert report["map"]["local"] and stacked == [17]
+
     def test_one_particle_config_needs_a_lift(self, tmp_path, capsys):
         # the rule of spectrum and analyze (test_one_particle_run_needs_a_lift)
         doc = piecewise_doc(np.eye(4), particles=1)
@@ -259,6 +273,24 @@ class TestSpectrumCommand:
                 assert [rec["pencil_size"] for rec in meta["sectors"]] == [28, 21]
         assert errs[9] / errs[33] > 3.0 and errs[33] / errs[65] > 3.0
         assert errs[65] / (2 * np.pi**2) < 0.02
+
+    @pytest.mark.parametrize("command", ["spectrum", "analyze"])
+    def test_one_particle_run_evaluates_its_lift_at_one_y(
+            self, tmp_path, monkeypatch, command):
+        # the lift does not depend on y: its check needs the sample y = 0
+        seen, build = [], cli.build_map
+
+        def recording_map(cfg):
+            g, m = build(cfg)
+            ev = m.eval_fn
+            m.eval_fn = lambda y: seen.append(y) or ev(y)
+            return g, m
+
+        monkeypatch.setattr(cli, "build_map", recording_map)
+        code = main([command, "--config", write_config(
+            tmp_path, star3_delta_doc(particles=1, analysis={"weyl": False})),
+            "--out", str(tmp_path / "out")])
+        assert code == 0 and seen == [0.0]
 
     def test_boson_sector_matches_lift_oracle(self, tmp_path):
         from qg2p.eigensolve import solve
@@ -783,6 +815,20 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "analyze"])
+    def test_non_projector_lift_rejected_at_one_sample(self, tmp_path, capsys,
+                                                       command):
+        # a one-particle run checks its lift at y = 0 alone: one map error
+        doc = dirichlet_square_doc(nodes=9, particles=1, map={
+            "kind": "lifted", "P": matrix_to_json(0.5 * np.eye(2)),
+            "L": matrix_to_json(np.zeros((2, 2)))})
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: P(y=0) is not an orthogonal projector (defect 2.50e-01) "
+            "(1 map error(s); see 'qg2p validate')\n")
+
     def test_non_block_map_in_sector_is_validation_failure(self, tmp_path,
                                                           capsys):
         P = np.diag([1.0, 0.0, 0.0, 0.0])   # a projector, halves differ
@@ -875,6 +921,23 @@ class TestExitCodes:
             "numerical failure: two-particle assembly of 9801 dofs needs "
             "about 7 MB, 1 MB free\n")
 
+    def test_one_particle_assembly_over_memory_budget_exits_3(
+            self, tmp_path, monkeypatch, capsys):
+        # 3 x 2000 one-particle dofs on the 3-star: about 4 MB, checked
+        # before the lift's one sample
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e6)
+        monkeypatch.setattr(cli, "validate_map",
+                            lambda *a: pytest.fail("the map was sampled"))
+        monkeypatch.setattr(form_assembly, "assemble_one_particle",
+                            lambda *a: pytest.fail("assembled"))
+        doc = star3_delta_doc(2000, particles=1)
+        code = main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr() == ("", (
+            "numerical failure: one-particle assembly of 6000 dofs needs "
+            "about 4 MB, 1 MB free\n"))
+
     def test_assembly_size_is_checked_before_the_map_is_sampled(
             self, tmp_path, monkeypatch, capsys):
         # 10^6 + 1 nodes: the size check needs the node counts alone
@@ -889,12 +952,11 @@ class TestExitCodes:
                               "1000002000001 dofs needs about ")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("command, particles", [("validate", 2),
-                                                    ("spectrum", 1)])
+    @pytest.mark.parametrize("command, particles", [("validate", 2)])
     def test_map_sampling_over_memory_budget_exits_3(
             self, tmp_path, monkeypatch, capsys, command, particles):
         # the 3-star's 36 x 36 map at 33 y-nodes: 33 * 36^2 * 128 B = 5.5 MB;
-        # validate and one particle assemble nothing that is checked first
+        # validate assembles nothing that is checked first
         monkeypatch.setattr(eigensolve, "available_memory", lambda: 1e6)
         monkeypatch.setattr(cli, "validate_map",
                             lambda *a: pytest.fail("the map was sampled"))
@@ -1096,6 +1158,27 @@ def one_sided_doc():
     P = np.zeros((4, 4))
     P[0, 0] = 1.0
     return piecewise_doc(P, nodes=17, num_eigs=10)
+
+
+def test_one_particle_run_stays_small_in_a_fresh_interpreter(tmp_path):
+    """12 000 one-particle dofs of the 3-star delta lift at 4000 nodes per
+    edge: the child's own peak RSS stays under 150 MB (importing qg2p.cli
+    takes about 60 MB; the lift's 36 x 36 samples at all 4000 y-nodes
+    would take about 400 MB more).  The peak is the child's VmHWM: its
+    ru_maxrss keeps the peak of the process it was forked from."""
+    child = ("import sys\n"
+             "from qg2p.cli import main\n"
+             "code = main(['spectrum', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+             "sys.exit(code)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    doc = star3_delta_doc(4000, num_eigs=20, particles=1)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, write_config(tmp_path, doc),
+         str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 150 * 1024   # kB
 
 
 LIFETIME_RUNS = {

@@ -599,7 +599,7 @@ def test_is_local_two_particle_matches_loop(name):
         if trial % 2:          # in one piece, so at some samples only
             poke(rng, pieces[trial % 4 // 2][trial % 3 == 0])
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
-        got = is_local_two_particle(m, idx, YS)
+        got = is_local_two_particle(*m.samples(YS), idx)
         assert got == loop_is_local_two_particle(m, g)
         seen.add(got)
     assert seen == {True, False}
@@ -618,7 +618,7 @@ def test_is_noninteracting_matches_loop(name):
             poke(rng, P if trial % 2 else L)
         pieces = [(P, L), (P, L if trial % 5 else 2.0 * L)]
         m = piecewise_map([0.0, 0.5, 1.0], pieces)
-        got = is_noninteracting(m, idx, YS)
+        got = is_noninteracting(*m.samples(YS), idx)
         assert got == loop_is_noninteracting(m, idx.E)
         seen.add(got)
     assert seen == {True, False}
