@@ -117,6 +117,7 @@ def validate_map(m: BoundaryMap, ys, stacks=None) -> MapValidationReport:
     """Per-sample projector / self-adjointness / QLQ checks of ``stacks``
     (else ``m.samples(ys)``), the exchange-invariance flag ``block_structured``,
     corner regularity at the samples y = 0, 1 and the ``sampled_l_max``.
+    Stacks of one sample, of a map that ignores y, stand for every y.
 
     A non-projector sample is a hard error; a corner-regularity failure
     only downgrades the flag (the operator is still defined via the form).
@@ -124,6 +125,7 @@ def validate_map(m: BoundaryMap, ys, stacks=None) -> MapValidationReport:
     ys = np.asarray(ys, dtype=float)
     P, L = stacks or m.samples(ys)
     Q = np.eye(m.dim) - P
+    at = np.arange(len(ys)) if len(P) == len(ys) else np.zeros(len(ys), int)
 
     def norm(X):   # per sample; inf, without LAPACK, where X overflowed
         finite = np.isfinite(X).all(axis=(1, 2))
@@ -137,10 +139,10 @@ def validate_map(m: BoundaryMap, ys, stacks=None) -> MapValidationReport:
         (norm(L - Q @ L @ Q), "L(y={:.6g}) violates L = Q L Q (defect {:.2e})"),
     )
     # messages in the per-sample order: every defect of y_0, then of y_1, ...
-    errors = [msg.format(y, d[i]) for i, y in enumerate(ys)
+    errors = [msg.format(y, d[i]) for i, y in zip(at, ys)
               for d, msg in defects if d[i] > TOL]
 
-    near = (ys <= 1e-12) | (ys >= 1.0 - 1e-12)
+    near = at[(ys <= 1e-12) | (ys >= 1.0 - 1e-12)]
     h = m.dim // 2
     tl = P[near, :h, :h]
     diag = np.diagonal(tl, axis1=1, axis2=2)

@@ -252,13 +252,15 @@ def checked_inputs(cfg: RunConfig):
     return g, m, mesh
 
 
-def sampled_report(m, mesh: Mesh):
+def sampled_report(m, mesh: Mesh, one: bool = False):
     """(``validate_map`` report, stacks) of the map's y-node samples, its
-    first sampling, or a SolveError when they would not fit in memory."""
+    first sampling, or a SolveError when they would not fit in memory.  A
+    one-particle lift ignores y: its one sample, at y = 0, stands for all."""
     ys = mesh.y_nodes
-    check_memory(f"sampling the map at {len(ys)} y-nodes",
-                 bc_maps.SAMPLE_BYTES_PER_ENTRY * len(ys) * m.dim ** 2)
-    stacks = m.samples(ys)
+    at = [0.0] if one else ys
+    check_memory(f"sampling the map at {len(at)} y-nodes",
+                 bc_maps.SAMPLE_BYTES_PER_ENTRY * len(at) * m.dim ** 2)
+    stacks = m.samples(at)
     return validate_map(m, ys, stacks), stacks
 
 
@@ -340,7 +342,7 @@ def cmd_validate(cfg: RunConfig, outdir: str = None) -> int:
     report = {"graph": {}, "map": {}, "notes": []}
     try:
         g, m, mesh = checked_inputs(cfg)
-        mrep, (P, L) = sampled_report(m, mesh)
+        mrep, (P, L) = sampled_report(m, mesh, cfg.particles == 1)
     except INPUT_ERRORS as exc:
         report["notes"].append(str(exc))
         print(_json_text(report, "validate report"))

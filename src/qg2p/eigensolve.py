@@ -8,6 +8,7 @@ Lanczos cannot give k eigenvalues of each, k > min(n_s) - 2; else by
 shift-invert Lanczos in slices from -1 up, one loop over the pencils, each
 slice certified by the Sylvester inertia count at its cut.  The lowest k
 of the union of their spectra, the full one, are the result.
+A ``symmetry.on_interior`` pencil is solved and counted with no factor.
 The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
 reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
 LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
@@ -18,6 +19,7 @@ import functools
 import os
 import resource
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -190,9 +192,8 @@ def solve(pencils, k: int, force_dense: bool = False,
         meta.update(shifts=[], slices=0, lu_fill_nnz=0, inertia_certified=None)
     else:
         solved = [(p.lam, p.U, p.res, p.shifts)
-                  for p in _sliced_lanczos([(p.A, p.M) for p in pencils], k,
-                                           -1.05 * meta["C_infty"] - 1.0, meta,
-                                           vectors)]
+                  for p in _sliced_lanczos(pencils, k, -1.05 * meta["C_infty"] - 1.0,
+                                           meta, vectors)]
     # the lowest k of the union take a prefix of each pencil's eigenvalues;
     # the rest accepted may continue the k-th's chain
     lam = np.concatenate([s[0] for s in solved])
@@ -289,16 +290,45 @@ def _inertia(A, M, tau: float):
         return None
 
 
-def _start(A, M, floor: float) -> float:
-    """The first of -1, -16, -256, ... whose count reads 0, no eigenvalue
-    below it; an unreadable count moves on.  The first candidate below
-    ``floor`` is floor itself, and the rest go on from it."""
+def _start(count, floor: float) -> float:
+    """The first of -1, -16, -256, ... whose ``count`` (of eigenvalues below
+    it, or None) reads 0; an unreadable count moves on.  The first
+    candidate below ``floor`` is floor itself, and the rest go on from it."""
     sigma = -1.0
     for _ in range(START_STEPS):
-        if _inertia(A, M, sigma) == 0:
+        if count(sigma) == 0:
             return sigma
         sigma = floor if sigma > floor > 16.0 * sigma else 16.0 * sigma
     raise SolveError(f"no shift below the spectrum found above {sigma:.3e}")
+
+
+class _Diagonalised:
+    """A - sigma M of a ``symmetry.on_interior`` pencil, from its
+    ``symmetry.interior_grid`` (mu, V, rows), built once the form is freed:
+    y -> rows^H vec(V [(V^T X V) / (mu_p + mu_q - sigma)] V^T), X the grid of
+    rows y, solves it (fast diagonalisation, Lynch, Rice & Thomas 1964); the
+    sums mu_p + mu_q over p <= q (boson), p < q (fermion), all (full) count it."""
+
+    def __init__(self, pencil):
+        mu, self.V, self.rows = symmetry.interior_grid(pencil)
+        self.mu, self.rows_h = mu, self.rows.conj().T
+        pairs = (slice(None),) * 2 if pencil.sector == "full" else np.triu_indices(
+            len(mu), int(pencil.sector == "fermion"))
+        self.levels = np.sort(np.add.outer(mu, mu)[pairs], axis=None)
+
+    def factor(self, sigma: float):
+        """Lanczos's view of a factor of A - sigma M: a solve, no fill."""
+        d = np.add.outer(self.mu, self.mu - sigma)
+        return SimpleNamespace(solve=functools.partial(self._solve, d), nnz=0)
+
+    def _solve(self, d, b):
+        V, X = self.V, (self.rows @ b).reshape(len(self.V), -1)
+        return self.rows_h @ (V @ ((V.T @ X @ V) / d) @ V.T).ravel()
+
+    def count(self, tau: float):
+        """Number of eigenvalues below tau; None when tau is one."""
+        n = int(np.searchsorted(self.levels, tau))
+        return None if n < len(self.levels) and self.levels[n] == tau else n
 
 
 def _lanczos(lu, M, m: int, sigma: float, v0):
@@ -376,10 +406,15 @@ class _Slices:
     first slice) with the accepted eigenvalues ``lam`` below it, the floor
     of the start shifts, the spacing near the cut, the accepted shifts and
     the lowest k accepted eigenvalues' residuals ``res`` and, unless values
-    only, their vectors ``U``."""
+    only, their vectors ``U``.  Its shifts are factored and counted by
+    ``shift`` (a ``_Diagonalised``), else by SuperLU."""
 
-    def __init__(self, A, M, floor: float, k: int, vectors: bool = True):
+    def __init__(self, A, M, floor: float, k: int, vectors: bool = True, shift=None):
         self.A, self.M, self.floor = A, M, floor
+        self.factor = shift.factor if shift else lambda s: _factor(A, M, s)
+        self.count = shift.count if shift else lambda tau: _inertia(A, M, tau)
+        # V, the levels, one shift's denominators and three grids of an apply
+        self.grid_bytes = 6 * shift.V.nbytes if shift else 0
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
@@ -398,11 +433,11 @@ class _Slices:
             tau = self.tau
             s = (tau if tau > -np.inf else -1.0) + offset
             try:
-                lu = _factor(A, M, s)
+                lu = self.factor(s)
             except RuntimeError as exc:
                 if tau > -np.inf:
                     raise SolveError(f"factor of A - {s:.6e} M: {exc}") from None
-                self.tau, offset = _start(A, M, self.floor), 0.0   # -1 is an eigenvalue
+                self.tau, offset = _start(self.count, self.floor), 0.0   # -1 is an eigenvalue
                 continue
             # twice: the cut's count builds a factor of about this fill, copying L, U
             check_memory(what, need + 2 * lu.nnz * (self.dtype.itemsize + 4))
@@ -435,10 +470,10 @@ class _Slices:
                 m, offset = min(2 * m, n - 2), 2 * offset
                 continue
             cut = 0.5 * (lam[new[top - 1]] + lam[new[top]])
-            nu = _inertia(A, M, cut)
+            nu = self.count(cut)
             if nu is not None and nu != count + top:
                 if tau == -np.inf:        # the first slice: rerun from a counted start
-                    self.tau, offset = _start(A, M, self.floor), 0.0
+                    self.tau, offset = _start(self.count, self.floor), 0.0
                 else:
                     offset = offset / 2 if offset > 0 else offset - r / 2
                 continue
@@ -483,12 +518,13 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
     if not np.isfinite(floor):
         raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
                          "shifts have no floor")
-    states = [_Slices(A, M, floor, k, vectors) for A, M in pencils]
+    states = [_Slices(p.A, p.M, floor, k, vectors, p.interior and _Diagonalised(p))
+              for p in pencils]
     total = sum(p.n for p in states)
     # one slice's Lanczos basis and every pencil's accepted columns, or
     # values only one slice's candidate block
     need = (LANCZOS_BASIS + (k if vectors else SLICE)) * total * max(
-        p.dtype.itemsize for p in states)
+        p.dtype.itemsize for p in states) + sum(p.grid_bytes for p in states)
     what = f"sliced eigensolve of a {total}-dof pencil"
     check_memory(what, need)
     shifts = []

@@ -261,12 +261,12 @@ class TestSpectrumCommand:
             errs[nodes] = abs(lam0 - 2 * np.pi**2)
             meta = json.loads((out / "spectrum.json").read_text())
             assert meta["max_m_orth_defect"] < 1e-10 and meta["warnings"] == []
-            # 49, 961 and 3969 dofs: one certified slice at -1 per sector
+            # 49, 961 and 3969 dofs: one certified slice at -1 per sector,
+            # every edge end Dirichlet, so diagonalised with no factor
             assert meta["method"] == "shift-invert"
-            assert meta["inertia_certified"] is True
+            assert meta["inertia_certified"] is True and meta["lu_fill_nnz"] == 0
             for rec in meta["sectors"]:
                 assert rec["shifts"] == [-1.0] and rec["slices"] == 1
-                assert meta["lu_fill_nnz"] > rec["pencil_size"]
             assert sum(rec["pencil_size"] for rec in meta["sectors"]) \
                 == meta["pencil_size"] == (nodes - 2) ** 2
             if nodes == 9:
@@ -984,6 +984,7 @@ class TestExitCodes:
     def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
         # every Lanczos factor fails: the first sector's first slice at -1
         # falls back to the counted start, -1 again, whose own factor fails
+        # (the delta lift's pencils have free edge ends: SuperLU factors)
         factor, built = eigensolve._factor, []
 
         def singular(A, M, sigma, count=False):
@@ -994,7 +995,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(eigensolve, "_factor", singular)
         code = main(["spectrum", "--config", write_config(
-            tmp_path, dirichlet_square_doc(nodes=21)),
+            tmp_path, star3_delta_doc(nodes=21)),
             "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3 and built == [-1.0, -1.0]
@@ -1160,25 +1161,81 @@ def one_sided_doc():
     return piecewise_doc(P, nodes=17, num_eigs=10)
 
 
+def child_peak_kb(tmp_path, command, doc):
+    """(exit code, stderr, VmHWM in kB) of ``qg2p <command>`` on ``doc`` in
+    a fresh interpreter with one BLAS thread.  The peak is the child's
+    VmHWM: its ru_maxrss keeps the peak of the process it was forked from."""
+    child = ("import sys\n"
+             "from qg2p.cli import main\n"
+             "code = main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+             "sys.exit(code)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command, write_config(tmp_path, doc),
+         str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    return proc.returncode, proc.stderr, int(proc.stdout.split()[-1])
+
+
 def test_one_particle_run_stays_small_in_a_fresh_interpreter(tmp_path):
     """12 000 one-particle dofs of the 3-star delta lift at 4000 nodes per
     edge: the child's own peak RSS stays under 150 MB (importing qg2p.cli
     takes about 60 MB; the lift's 36 x 36 samples at all 4000 y-nodes
-    would take about 400 MB more).  The peak is the child's VmHWM: its
-    ru_maxrss keeps the peak of the process it was forked from."""
-    child = ("import sys\n"
-             "from qg2p.cli import main\n"
-             "code = main(['spectrum', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-             "sys.exit(code)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    doc = star3_delta_doc(4000, num_eigs=20, particles=1)
-    proc = subprocess.run(
-        [sys.executable, "-c", child, write_config(tmp_path, doc),
-         str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) < 150 * 1024   # kB
+    would take about 400 MB more)."""
+    code, err, peak = child_peak_kb(
+        tmp_path, "spectrum", star3_delta_doc(4000, num_eigs=20, particles=1))
+    assert code == 0, err
+    assert peak < 150 * 1024
+
+
+def test_one_particle_validate_stays_small_in_a_fresh_interpreter(tmp_path):
+    """``validate`` of the same lift samples it once, at y = 0, for all
+    4000 y-nodes: under 150 MB where every y-node's sample took 465 MB."""
+    code, err, peak = child_peak_kb(
+        tmp_path, "validate", star3_delta_doc(4000, particles=1))
+    assert code == 0, err
+    assert peak < 150 * 1024
+
+
+def p_zero_doc(nodes=17):
+    """bracket-dense's map: P = 0, L = diag(l, l) with l = [[2, 0.5],
+    [0.5, 1]] on [0.3, 0.7), zero elsewhere."""
+    zero, L = np.zeros((4, 4)), np.zeros((4, 4))
+    L[:2, :2] = L[2:, 2:] = [[2.0, 0.5], [0.5, 1.0]]
+    pieces = [{"P": matrix_to_json(zero), "L": matrix_to_json(X)}
+              for X in (zero, L, zero)]
+    return {"graph": {"edges": [["a", "b", 1.0]]},
+            "map": {"kind": "piecewise", "breakpoints": [0.0, 0.3, 0.7, 1.0],
+                    "pieces": pieces},
+            "mesh": {"nodes": nodes}, "num_eigs": 10}
+
+
+FACTOR_PATH_CASES = {   # doc, whether its pencils skip the sparse factor
+    "dirichlet-lift": (dirichlet_square_doc(nodes=17), True),
+    "dirichlet-lift-fermion": (dirichlet_square_doc(nodes=17, sector="fermion"),
+                               True),
+    "delta-star-lift": (star3_delta_doc(), False),
+    "p-zero-map": (p_zero_doc(), False),
+    "dirichlet-but-one-vertex": (star3_delta_doc(map={
+        "kind": "lifted", "family": "mixed",
+        "mask": ["dirichlet"] * 5 + ["neumann"]}), False),     # not at l3
+    "one-particle": (dirichlet_square_doc(nodes=65, particles=1), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_PATH_CASES))
+def test_only_pencils_on_the_interior_grid_skip_the_factor(tmp_path, case):
+    """A pencil whose basis lives on the interior tensor grid is solved by
+    fast diagonalisation, with no LU fill; every other one by SuperLU."""
+    doc, interior = FACTOR_PATH_CASES[case]
+    *_, pencils = cli.assemble_from_config(parse_config(doc))
+    assert [p.interior for p in pencils] == [interior] * len(pencils)
+    assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+    assert meta["method"] == "shift-invert" and meta["inertia_certified"]
+    assert (meta["lu_fill_nnz"] == 0) == interior and meta["lu_fill_nnz"] >= 0
 
 
 LIFETIME_RUNS = {

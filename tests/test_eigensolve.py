@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qg2p import eigensolve
+from qg2p import eigensolve, symmetry
 from qg2p.cli import write_eigenvalue_csv
 from conftest import bump_interaction_map
 from qg2p.bc_maps import (constant_map, delta_example_map, lift_one_particle,
@@ -365,6 +365,58 @@ class TestExchangeSplit:
         assert res.meta["inertia_certified"] is True
 
 
+def grid_cases():
+    """Dirichlet lifts (graph, node counts, k): every edge end constrained."""
+    interval = build_graph({"edges": [["a", "b", 1.0]]})
+    two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
+    return {"interval-17": (interval, (17, ), 40),
+            "interval-33": (interval, (33, ), 100),
+            "two-edge": (two, (9, 15), 60)}
+
+
+GRID_CASES = grid_cases()
+
+
+def grid_pencil(name, sector):
+    """(pencil, k): the Dirichlet lift's one pencil in ``sector``, "full"
+    unsplit."""
+    g, nodes, k = GRID_CASES[name]
+    form = assemble_two_particle(
+        g, lift_one_particle(standard_family("dirichlet", g), g), Mesh(g, nodes))
+    pencil, = symmetry.sector_pencils(form, sector, split=False)
+    return pencil, k
+
+
+@pytest.mark.parametrize("sector", ["full", "boson", "fermion"])
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+class TestInteriorGrid:
+    """The diagonalised path against the dense eigh of the assembled pencil
+    and SuperLU's counts, neither of which reads the 1-D eigenpairs."""
+
+    def test_slices_match_the_dense_pencil(self, name, sector):
+        pencil, k = grid_pencil(name, sector)
+        assert pencil.interior and pencil.sector == sector
+        dense, res = (solve([pencil], k, force_dense=force) for force in (True, False))
+        assert dense.method == "dense" and res.method == "shift-invert"
+        assert res.meta["lu_fill_nnz"] == 0 and res.meta["inertia_certified"] is True
+        scale = np.abs(dense.eigenvalues).max()
+        assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
+        assert res.residuals.max() < 1e-8 and res.meta["max_m_orth_defect"] <= 1e-10
+
+    def test_counts_equal_superlu_inertia(self, name, sector):
+        pencil, k = grid_pencil(name, sector)
+        shift = eigensolve._Diagonalised(pencil)
+        levels = np.unique(shift.levels)[:2 * k]
+        mid = 0.5 * (levels[:-1] + levels[1:])
+        # the closest pair: sums that tie in the continuum (on the square,
+        # pi^2 (1 + 49) = pi^2 (25 + 25)) split by the mesh alone
+        close = np.argmin(np.diff(levels) / levels[1:])
+        taus = [levels[0] - 1.0, mid[0], mid[k // 2], mid[k], mid[-1], mid[close]]
+        for tau in taus:
+            assert shift.count(tau) == eigensolve._inertia(pencil.A, pencil.M, tau)
+        assert shift.count(levels[3]) is None
+
+
 class TestStartShift:
     def test_star_delta_lift_starts_at_minus_one(self, monkeypatch):
         g, m, mesh, k = SPLIT_CASES["star-delta-lift"]
@@ -419,7 +471,8 @@ class TestStartShift:
         form = singular_at_minus_one()
         A, M = form.reduced()
         assert eigensolve._inertia(A, M, -1.0) is None
-        assert eigensolve._start(A, M, -1.0) == -16.0
+        assert eigensolve._start(lambda tau: eigensolve._inertia(A, M, tau),
+                                 -1.0) == -16.0
         res = solve(form, 3)
         assert res.meta["shifts"][0] == -16.0
         assert res.meta["inertia_certified"] is True
@@ -431,7 +484,7 @@ class TestStartShift:
         d = solve(form, 10, force_dense=True)
         start, lanczos, events = eigensolve._start, eigensolve._lanczos, []
         monkeypatch.setattr(eigensolve, "_start", lambda *a:
-                            events.append(("start", a[2])) or start(*a))
+                            events.append(("start", a[1])) or start(*a))
         monkeypatch.setattr(eigensolve, "_lanczos", lambda *a, **kw:
                             events.append(("lanczos", kw["sigma"]))
                             or lanczos(*a, **kw))
@@ -514,12 +567,10 @@ class TestStartShift:
         scale = np.abs(d.eigenvalues).max()
         assert np.abs(it.eigenvalues - d.eigenvalues).max() / scale <= 1e-12
 
-    def test_start_goes_on_from_the_floor(self, monkeypatch):
+    def test_start_goes_on_from_the_floor(self):
         tried = []
-        monkeypatch.setattr(eigensolve, "_inertia",
-                            lambda A, M, tau: tried.append(tau) or 1)
         with pytest.raises(SolveError, match="no shift below the spectrum"):
-            eigensolve._start(None, None, -100.0)
+            eigensolve._start(lambda tau: tried.append(tau) or 1, -100.0)
         assert tried[:5] == [-1.0, -16.0, -100.0, -1600.0, -25600.0]
         assert len(tried) == eigensolve.START_STEPS
 
@@ -623,6 +674,20 @@ class TestMemoryGuard:
         assert res.method == "shift-invert"
         assert res.meta["warnings"] == []
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
+
+    def test_guard_charges_the_interior_grid(self, monkeypatch):
+        # one slice's basis and the k columns, then V, the sorted sums, one
+        # shift's denominators and three grids of an apply: 6 n_i^2 8 B
+        pencil, k = grid_pencil("interval-17", "full")
+        basis = (eigensolve.LANCZOS_BASIS + k) * pencil.A.shape[0] * 8
+        grid = 6 * 8 * 15 ** 2
+        monkeypatch.setattr(eigensolve, "available_memory",
+                            lambda: basis + grid - 1)
+        with pytest.raises(SolveError, match="sliced eigensolve of a 225-dof "
+                                             "pencil needs about 1 MB, 1 MB free"):
+            solve([pencil], k)
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: basis + grid)
+        assert solve([pencil], k).meta["lu_fill_nnz"] == 0
 
     def test_cgroup_limit_caps_available_memory(self, monkeypatch):
         files = {"/sys/fs/cgroup/memory/memory.limit_in_bytes": 3e9,
