@@ -194,19 +194,22 @@ def lift_one_particle(vc: VertexConditions, g: MetricGraph) -> BoundaryMap:
     return BoundaryMap(dim=n, eval_fn=lambda y: (P, L), meta={"conditions": vc})
 
 
-def is_noninteracting(P, L, idx: BoundaryIndexMap) -> bool:
-    """True iff the sample stacks P and L are y-constant and block-diagonal
-    with identical blocks w.r.t. the fixed-second-edge decomposition of
-    boundary values."""
+def lift_defect(P, L, idx: BoundaryIndexMap) -> tuple:
+    """(defect, (P1, L1)): the first samples' first blocks of ``_beta_blocks``,
+    and how far the sample stacks P and L are from their ``lift_one_particle``,
+    the largest entry of a change over y, of a block less the first block,
+    or outside the blocks; the defect is 0.0 for a bitwise lift."""
     at = _beta_blocks(idx)
     outside = np.ones(P.shape[1:], dtype=bool)
     outside[at] = False
-    for M in (P, L):
-        blk = M[0][at]
-        if (np.abs(M - M[0]).max() > TOL or np.abs(blk - blk[0]).max() > TOL
-                or np.abs(M[0][outside]).max(initial=0.0) > TOL):
-            return False
-    return True
+    defect = max(float(np.abs(D).max(initial=0.0)) for M in (P, L)
+                 for D in (M - M[0], M[0][at] - M[0][at][0], M[0][outside]))
+    return defect, (P[0][at][0], L[0][at][0])
+
+
+def is_noninteracting(P, L, idx: BoundaryIndexMap) -> bool:
+    """True iff the sample stacks P and L are a lift to within TOL."""
+    return lift_defect(P, L, idx)[0] <= TOL
 
 
 def is_local_two_particle(P, L, idx: BoundaryIndexMap) -> bool:

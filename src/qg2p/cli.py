@@ -390,9 +390,11 @@ def cmd_spectrum(cfg: RunConfig, outdir: str = None) -> int:
 
 def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
     g, m, mesh, pencils = assemble_from_config(cfg)
+    l_max = pencils[0].meta.get("L_max")
     toggles = cfg.analysis      # one solve, for the bracketing's n too
     result = solve(pencils, max(cfg.num_eigs, toggles.get("bracketing", {"n": 0})["n"]),
                    vectors=False)
+    del pencils                 # the analyses' own solves run without them
     lam, counts = result.eigenvalues[:cfg.num_eigs], result.counts[:cfg.num_eigs]
     window = toggles.get("window")
     analysis = {"sector": cfg.sector, "num_eigs": cfg.num_eigs}
@@ -419,7 +421,7 @@ def cmd_analyze(cfg: RunConfig, outdir: str = None) -> int:
 
     if "bracketing" in toggles:
         analysis["bracketing"] = asdict(spectral_analysis.bracketing_run(
-            mesh, pencils[0].meta["L_max"], cfg.sector,
+            mesh, l_max, cfg.sector,
             toggles["bracketing"]["n"], result.eigenvalues))
 
     if toggles.get("lift_check") and "conditions" in m.meta:

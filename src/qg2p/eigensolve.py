@@ -8,7 +8,9 @@ Lanczos cannot give k eigenvalues of each, k > min(n_s) - 2; else by
 shift-invert Lanczos in slices from -1 up, one loop over the pencils, each
 slice certified by the Sylvester inertia count at its cut.  The lowest k
 of the union of their spectra, the full one, are the result.
-A ``symmetry.on_interior`` pencil is solved and counted with no factor.
+A pencil with a ``lift`` (the two-particle lift of one-particle conditions,
+``symmetry.sector_pencils``) is solved and counted with no sparse factor,
+from the one-particle reduced eigenpairs, once one probe solve confirms it.
 The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
 reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
 LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
@@ -38,6 +40,7 @@ LANCZOS_BASIS = 3 * SLICE + 1
 LANCZOS_RESTARTS = 50   # thick restarts per slice before giving up
 EPS = np.finfo(float).eps / 2   # LAPACK's dlamch("E"), ARPACK's tol = 0
 START_STEPS = 60    # fallback shifts tried: -1, -16, -256, ... (see _start)
+PROBE_TOL = 1e-8    # relative error of a lifted pencil's probe solve
 
 
 class SolveError(RuntimeError):
@@ -303,18 +306,26 @@ def _start(count, floor: float) -> float:
 
 
 class _Diagonalised:
-    """A - sigma M of a ``symmetry.on_interior`` pencil, from its
-    ``symmetry.interior_grid`` (mu, V, rows), built once the form is freed:
-    y -> rows^H vec(V [(V^T X V) / (mu_p + mu_q - sigma)] V^T), X the grid of
-    rows y, solves it (fast diagonalisation, Lynch, Rice & Thomas 1964); the
-    sums mu_p + mu_q over p <= q (boson), p < q (fermion), all (full) count it."""
+    """A - sigma M of a pencil with a ``lift`` (A1, M1, N1), from mu, V of
+    A1 V = M1 V diag(mu), V^H M1 V = I, one dense ``eigh`` built once the
+    form is freed, and G = N1 V: y -> N^H vec(G [(G^H X conj(G)) /
+    (mu_p + mu_q - sigma)] G^T), X the ndof1 x ndof1 grid of N y, solves it
+    (fast diagonalisation, Lynch, Rice & Thomas 1964), and the sums
+    mu_p + mu_q over p <= q (boson), p < q (fermion), all (full) count it."""
 
     def __init__(self, pencil):
-        mu, self.V, self.rows = symmetry.interior_grid(pencil)
-        self.mu, self.rows_h = mu, self.rows.conj().T
+        A1, M1, N1 = pencil.lift
+        self.mu, V = sla.eigh(A1.toarray(), M1.toarray())
+        self.G = N1 @ V
+        self.Gc, self.N, self.NH = self.G.conj(), pencil.N, pencil.N.T.conj(copy=False)
+        self.real = not (np.iscomplexobj(pencil.A.data) or np.iscomplexobj(pencil.M.data))
         pairs = (slice(None),) * 2 if pencil.sector == "full" else np.triu_indices(
-            len(mu), int(pencil.sector == "fermion"))
-        self.levels = np.sort(np.add.outer(mu, mu)[pairs], axis=None)
+            len(self.mu), int(pencil.sector == "fermion"))
+        self.levels = np.sort(np.add.outer(self.mu, self.mu)[pairs], axis=None)
+        # G, its conjugate and an apply's two products of G's size, the
+        # sums, one shift's denominators and the apply's two ndof1^2 grids
+        self.nbytes = (4 * self.G.nbytes + self.levels.nbytes + 8 * len(self.mu) ** 2
+                       + 2 * len(self.G) ** 2 * self.G.itemsize)
 
     def factor(self, sigma: float):
         """Lanczos's view of a factor of A - sigma M: a solve, no fill."""
@@ -322,13 +333,28 @@ class _Diagonalised:
         return SimpleNamespace(solve=functools.partial(self._solve, d), nnz=0)
 
     def _solve(self, d, b):
-        V, X = self.V, (self.rows @ b).reshape(len(self.V), -1)
-        return self.rows_h @ (V @ ((V.T @ X @ V) / d) @ V.T).ravel()
+        n = len(self.G)
+        Z = (self.Gc.T @ (self.N @ b).reshape(n, n) @ self.Gc) / d
+        x = self.NH @ (self.G @ Z @ self.G.T).ravel()
+        return x.real if self.real else x
 
     def count(self, tau: float):
         """Number of eigenvalues below tau; None when tau is one."""
         n = int(np.searchsorted(self.levels, tau))
         return None if n < len(self.levels) and self.levels[n] == tau else n
+
+
+def _diagonalised(pencil):
+    """The pencil's ``_Diagonalised`` when it has a ``lift`` and the probe
+    solve of b = (A - s M) v, s below every sum, gives v back to PROBE_TOL;
+    else None, and SuperLU factors the pencil."""
+    if pencil.lift is None:
+        return None
+    shift, A, M = _Diagonalised(pencil), pencil.A, pencil.M
+    s = 2.0 * shift.mu[0] - max(1.0, 2.0 * abs(shift.mu[0]))
+    v = np.random.default_rng(8231).standard_normal(A.shape[0])
+    x = shift.factor(s).solve(A @ v - s * (M @ v))
+    return shift if np.linalg.norm(x - v) <= PROBE_TOL * np.linalg.norm(v) else None
 
 
 def _lanczos(lu, M, m: int, sigma: float, v0):
@@ -413,8 +439,7 @@ class _Slices:
         self.A, self.M, self.floor = A, M, floor
         self.factor = shift.factor if shift else lambda s: _factor(A, M, s)
         self.count = shift.count if shift else lambda tau: _inertia(A, M, tau)
-        # V, the levels, one shift's denominators and three grids of an apply
-        self.grid_bytes = 6 * shift.V.nbytes if shift else 0
+        self.grid_bytes = shift.nbytes if shift else 0
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
@@ -518,8 +543,7 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
     if not np.isfinite(floor):
         raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
                          "shifts have no floor")
-    states = [_Slices(p.A, p.M, floor, k, vectors, p.interior and _Diagonalised(p))
-              for p in pencils]
+    states = [_Slices(p.A, p.M, floor, k, vectors, _diagonalised(p)) for p in pencils]
     total = sum(p.n for p in states)
     # one slice's Lanczos basis and every pencil's accepted columns, or
     # values only one slice's candidate block

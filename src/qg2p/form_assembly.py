@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .bc_maps import BoundaryMap, block_structured, sampled_l_max
+from .bc_maps import BoundaryMap, block_structured, lift_defect, sampled_l_max
 from .graph_core import BoundaryIndexMap, MetricGraph
 from .vertex_conditions import VertexConditions
 
@@ -309,7 +309,9 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     ``sampled_l_max`` of its y-node samples (the L_max of C_infty, which
     ``validate_map`` reports at the same nodes) and whether the
     samples are ``block_structured``, that is exchange invariant (whether
-    the exchange sectors split).
+    the exchange sectors split).  When the samples are bitwise a lift
+    (``lift_defect`` 0.0), ``meta["lift"]`` is the one-particle (P1, L1)
+    they lift, else None.
     """
     idx = BoundaryIndexMap(g)
     if m.dim != idx.dim_full:
@@ -365,11 +367,13 @@ def assemble_two_particle(g: MetricGraph, m: BoundaryMap,
     C = coo(c_parts, (n_constraints, ndof))
 
     l_max = sampled_l_max(m, L)
+    defect, pair = lift_defect(P, L, idx)
     return DiscreteForm(K=K, M=M, B=B, C=C,
                         C_infty=semibound_constant(l_max, min(g.lengths)),
                         meta={"mesh": mesh, "kind": "two_particle",
                               "L_max": l_max,
-                              "block_structured": block_structured(P, L)})
+                              "block_structured": block_structured(P, L),
+                              "lift": pair if defect == 0.0 else None})
 
 
 def semibound_constant(l_max: float, l_min: float) -> float:

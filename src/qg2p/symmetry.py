@@ -10,11 +10,11 @@ from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .form_assembly import (DiscreteForm, Mesh, nullspace_from_constraints,
-                            stiffness_mass)
+from .form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
+                            nullspace_from_constraints)
+from .vertex_conditions import VertexConditions
 
 
 class SymmetryError(ValueError):
@@ -73,46 +73,22 @@ def assemble_symmetric_form(form: DiscreteForm, sign: int) -> DiscreteForm:
 
 # what the solver runs on: one sector's reduced pencil A u = lam M u
 # (DiscreteForm.reduced), the basis N that prolongs u to full dofs, the
-# sector's name, the form's C_infty and meta, ``on_interior``, no K, M, B or C
-Pencil = namedtuple("Pencil", "A M N sector C_infty meta interior")
+# sector's name, the form's C_infty and meta, ``lift``, no K, M, B or C
+Pencil = namedtuple("Pencil", "A M N sector C_infty meta lift")
 
 
-def _interior(mesh: Mesh) -> tuple:
-    """(I, the one-particle dofs but ``Mesh.end_dofs``; the dofs of I x I)."""
-    inner = np.delete(np.arange(mesh.ndof1), mesh.end_dofs)
-    return inner, (inner[:, None] * mesh.ndof1 + inner).ravel()
-
-
-def on_interior(form: DiscreteForm) -> bool:
-    """Whether N lives on the interior tensor grid I x I of a two-particle
-    ``form`` and spans its sector there, n_i^2 (full), n_i (n_i + 1) / 2
-    (boson) or n_i (n_i - 1) / 2 (fermion) columns: every edge-end dof is
-    constrained away.  B lives on edge-end rows, so the pencil is then
-    (K1_i x M1_i + M1_i x K1_i, M1_i x M1_i) on the sector."""
-    if form.meta.get("kind") != "two_particle":
-        return False
-    mesh, N = form.meta["mesh"], form.N.tocsr()
-    ni = mesh.ndof1 - len(mesh.end_dofs)
-    dim = {"full": ni * ni, "boson": ni * (ni + 1) // 2, "fermion": ni * (ni - 1) // 2}
-    return (N.shape[1] == dim[form.meta.get("sector", "full")]
-            and bool(np.diff(N.indptr)[_interior(mesh)[1]].sum() == N.nnz))
-
-
-def interior_grid(pencil: Pencil) -> tuple:
-    """(mu, V, rows) of a pencil ``on_interior``: N's rows on I x I, and
-    K1_i V = M1_i V diag(mu), V^T M1_i V = I on I.  A uniform edge's K and M
-    are tridiagonal Toeplitz, so they commute, and the eigenvectors W of K
-    (one implicit-QL ``eigh_tridiagonal`` per edge, orthogonal to 1e-15)
-    make W^T M W diagonal; a dense generalized ``eigh`` would page in 1.5 MB."""
-    mesh = pencil.meta["mesh"]
-    inner, rows = _interior(mesh)
-    K1, M1 = (X[inner][:, inner] for X in stiffness_mass(mesh))
-    d, e, ends = K1.diagonal(), K1.diagonal(1), np.cumsum(np.array(mesh.nodes) - 2)
-    kappa, W = zip(*(sla.eigh_tridiagonal(d[a:b], e[a:b - 1], lapack_driver="stev")
-                     for a, b in zip(ends - np.array(mesh.nodes) + 2, ends)))
-    W = sla.block_diag(*W)
-    m = (W * (M1 @ W)).sum(axis=0)
-    return np.concatenate(kappa) / m, W / np.sqrt(m), pencil.N.tocsr()[rows]
+def lifted_pencil(form: DiscreteForm):
+    """(A1_r, M1_r, N1): the reduced one-particle pencil and basis of the
+    (P1, L1) whose lift assembly found the samples of a two-particle
+    ``form`` to be (``meta["lift"]``), else None.  The form's pencil is
+    then (A1 x M1 + M1 x A1, M1 x M1) on ker C1 x ker C1, restricted to its
+    sector, up to the order in which assembly sums the entries of B."""
+    pair = form.meta.get("lift")
+    if pair is None:
+        return None
+    mesh = form.meta["mesh"]
+    one = assemble_one_particle(mesh.graph, VertexConditions(*pair), mesh)
+    return (*one.reduced(), one.N)
 
 
 def sector_pencils(form: DiscreteForm, sector: str = "full",
@@ -121,11 +97,19 @@ def sector_pencils(form: DiscreteForm, sector: str = "full",
     form to the solver.  "full" splits a full-space two-particle form whose
     map assembly found exchange invariant (``meta["block_structured"]``)
     into its boson and fermion pencils, unless not ``split``; any other
-    form is its own pencil, the trivial sector."""
+    form is its own pencil, the trivial sector.  The ``lifted_pencil`` of
+    the form, built once, is the ``lift`` of each pencil whose n_s columns
+    are n1^2 (full), n1 (n1 + 1) / 2 (boson) or n1 (n1 - 1) / 2 (fermion)
+    of its n1 columns, every pair of one-particle basis vectors; else None."""
     split = split and "sector" not in form.meta and form.meta.get("block_structured")
     signs = {"full": (+1, -1) if split else (), "boson": (+1,), "fermion": (-1,)}
     if sector not in signs:
         raise SymmetryError(f"unknown sector {sector!r}")
     forms = [assemble_symmetric_form(form, sign) for sign in signs[sector]] or [form]
-    return [Pencil(*f.reduced(), f.N, f.meta.get("sector", "full"), f.C_infty,
-                   f.meta, on_interior(f)) for f in forms]
+    pencils = [Pencil(*f.reduced(), f.N, f.meta.get("sector", "full"), f.C_infty,
+                      f.meta, None) for f in forms]
+    lift = lifted_pencil(form)
+    n1 = lift[2].shape[1] if lift else 0
+    dims = {"full": n1 * n1, "boson": n1 * (n1 + 1) // 2, "fermion": n1 * (n1 - 1) // 2}
+    return [p._replace(lift=lift) if lift and p.N.shape[1] == dims[p.sector] else p
+            for p in pencils]

@@ -984,7 +984,7 @@ class TestExitCodes:
     def test_failed_slice_factor_exits_3(self, tmp_path, monkeypatch, capsys):
         # every Lanczos factor fails: the first sector's first slice at -1
         # falls back to the counted start, -1 again, whose own factor fails
-        # (the delta lift's pencils have free edge ends: SuperLU factors)
+        # (the equal-traces map couples the halves, no lift: SuperLU factors)
         factor, built = eigensolve._factor, []
 
         def singular(A, M, sigma, count=False):
@@ -995,7 +995,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(eigensolve, "_factor", singular)
         code = main(["spectrum", "--config", write_config(
-            tmp_path, star3_delta_doc(nodes=21)),
+            tmp_path, exchange_coupled_doc("equal-traces", 21, 10)),
             "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3 and built == [-1.0, -1.0]
@@ -1031,7 +1031,8 @@ class TestExitCodes:
 
 def test_sector_solve_runs_one_nullspace(monkeypatch):
     """A sector run computes only S null(C S), never the full-space basis;
-    a split full-space run computes one per sector, and no third."""
+    a split full-space run computes one per sector.  A lift adds exactly
+    one more, the one-particle basis of its ``lift`` (ndof1 columns)."""
     calls = []
     orig = form_assembly.nullspace_from_constraints
 
@@ -1044,14 +1045,18 @@ def test_sector_solve_runs_one_nullspace(monkeypatch):
     cfg = parse_config(dirichlet_square_doc(nodes=15, sector="boson"))
     *_, pencils = cli.assemble_from_config(cfg)
     eigensolve.solve(pencils, cfg.num_eigs)
-    assert len(calls) == 1
+    assert sorted(cols for _, cols in calls) == [15, 15 * 16 // 2]
 
-    calls.clear()
-    cfg = parse_config(dirichlet_square_doc(nodes=15))    # 169 dofs, k = 5
-    *_, pencils = cli.assemble_from_config(cfg)
-    res = eigensolve.solve(pencils, cfg.num_eigs)
-    assert res.method == "shift-invert" and len(res.meta["sectors"]) == 2
-    assert len(calls) == 2 and all(cols < 15 ** 2 for _, cols in calls)
+    for doc, lift in ((dirichlet_square_doc(nodes=15), True),    # 169 dofs, k = 5
+                      (p_zero_doc(15), False)):
+        calls.clear()
+        cfg = parse_config(doc)
+        *_, pencils = cli.assemble_from_config(cfg)
+        res = eigensolve.solve(pencils, cfg.num_eigs)
+        assert res.method == "shift-invert" and len(res.meta["sectors"]) == 2
+        assert all(cols < 15 ** 2 for _, cols in calls)
+        assert len(calls) == 2 + lift
+        assert [cols for _, cols in calls].count(15) == lift
 
 
 def recorded_solves(monkeypatch):
@@ -1115,14 +1120,20 @@ def exchange_coupled_maps():
                              (np.diag([1.0, 0.0]), zero1))}
 
 
+def exchange_coupled_doc(name, nodes, num_eigs):
+    """The config of an ``exchange_coupled_maps`` map."""
+    length, P, L, *_ = exchange_coupled_maps()[name]
+    return {"graph": {"edges": [["a", "b", length]]},
+            "map": {"kind": "constant", "P": matrix_to_json(P),
+                    "L": matrix_to_json(L)},
+            "mesh": {"nodes": nodes}, "num_eigs": num_eigs}
+
+
 @pytest.mark.parametrize("name", sorted(exchange_coupled_maps()))
 def test_exchange_coupled_map_splits_into_one_particle_sums(tmp_path, name):
-    length, P, L, boson, fermion = exchange_coupled_maps()[name]
+    *_, boson, fermion = exchange_coupled_maps()[name]
     nodes, k = 33, 40
-    doc = {"graph": {"edges": [["a", "b", length]]},
-           "map": {"kind": "constant", "P": matrix_to_json(P),
-                   "L": matrix_to_json(L)},
-           "mesh": {"nodes": nodes}, "num_eigs": k}
+    doc = exchange_coupled_doc(name, nodes, k)
     g = build_graph(doc["graph"])
     oracle = {sector: lift_of(g, *pl, nodes, k, sector)
               for sector, pl in (("boson", boson), ("fermion", fermion))}
@@ -1198,7 +1209,7 @@ def test_one_particle_validate_stays_small_in_a_fresh_interpreter(tmp_path):
     assert peak < 150 * 1024
 
 
-def p_zero_doc(nodes=17):
+def p_zero_doc(nodes=17, **extra):
     """bracket-dense's map: P = 0, L = diag(l, l) with l = [[2, 0.5],
     [0.5, 1]] on [0.3, 0.7), zero elsewhere."""
     zero, L = np.zeros((4, 4)), np.zeros((4, 4))
@@ -1208,44 +1219,46 @@ def p_zero_doc(nodes=17):
     return {"graph": {"edges": [["a", "b", 1.0]]},
             "map": {"kind": "piecewise", "breakpoints": [0.0, 0.3, 0.7, 1.0],
                     "pieces": pieces},
-            "mesh": {"nodes": nodes}, "num_eigs": 10}
+            "mesh": {"nodes": nodes}, "num_eigs": 10, **extra}
 
 
 FACTOR_PATH_CASES = {   # doc, whether its pencils skip the sparse factor
     "dirichlet-lift": (dirichlet_square_doc(nodes=17), True),
     "dirichlet-lift-fermion": (dirichlet_square_doc(nodes=17, sector="fermion"),
                                True),
-    "delta-star-lift": (star3_delta_doc(), False),
+    "delta-star-lift": (star3_delta_doc(), True),
     "p-zero-map": (p_zero_doc(), False),
     "dirichlet-but-one-vertex": (star3_delta_doc(map={
         "kind": "lifted", "family": "mixed",
-        "mask": ["dirichlet"] * 5 + ["neumann"]}), False),     # not at l3
+        "mask": ["dirichlet"] * 5 + ["neumann"]}), True),     # not at l3
     "one-particle": (dirichlet_square_doc(nodes=65, particles=1), False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FACTOR_PATH_CASES))
-def test_only_pencils_on_the_interior_grid_skip_the_factor(tmp_path, case):
-    """A pencil whose basis lives on the interior tensor grid is solved by
-    fast diagonalisation, with no LU fill; every other one by SuperLU."""
-    doc, interior = FACTOR_PATH_CASES[case]
+def test_only_lifted_pencils_skip_the_factor(tmp_path, case):
+    """A two-particle pencil whose map is bitwise a lift is solved by fast
+    diagonalisation, with no LU fill; every other one by SuperLU."""
+    doc, lift = FACTOR_PATH_CASES[case]
     *_, pencils = cli.assemble_from_config(parse_config(doc))
-    assert [p.interior for p in pencils] == [interior] * len(pencils)
+    assert [p.lift is not None for p in pencils] == [lift] * len(pencils)
     assert main(["spectrum", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 0
     meta = json.loads((tmp_path / "out" / "spectrum.json").read_text())
     assert meta["method"] == "shift-invert" and meta["inertia_certified"]
-    assert (meta["lu_fill_nnz"] == 0) == interior and meta["lu_fill_nnz"] >= 0
+    assert (meta["lu_fill_nnz"] == 0) == lift and meta["lu_fill_nnz"] >= 0
 
 
-LIFETIME_RUNS = {
-    "analyze-split": ("analyze", star3_delta_doc(33, analysis={
-        "weyl": False, "bracketing": {"n": 10}, "lift_check": True}), []),
-    "spectrum-split": ("spectrum", star3_delta_doc(), []),
-    "spectrum-fermion": ("spectrum", star3_delta_doc(), ["--sector", "fermion"]),
-    "example-delta": ("example-delta", TestExampleDeltaCommand.DOC, []),
+LIFETIME_RUNS = {   # command, doc, flags, whether the first factor is a lift's
+    "analyze-split": ("analyze", p_zero_doc(33, analysis={
+        "weyl": False, "bracketing": {"n": 10}}), [], False),
+    "spectrum-split": ("spectrum", p_zero_doc(), [], False),
+    "spectrum-fermion": ("spectrum", p_zero_doc(), ["--sector", "fermion"], False),
+    "example-delta": ("example-delta", TestExampleDeltaCommand.DOC, [], False),
     "analyze-trivial": ("analyze", {**one_sided_doc(),
-                                    "analysis": {"weyl": False}}, []),
+                                    "analysis": {"weyl": False}}, [], False),
+    "analyze-lift": ("analyze", star3_delta_doc(33, analysis={
+        "weyl": False, "bracketing": {"n": 10}, "lift_check": True}), [], True),
 }
 
 
@@ -1253,27 +1266,59 @@ LIFETIME_RUNS = {
 def test_no_assembled_matrix_lives_at_the_first_factor(tmp_path, monkeypatch,
                                                        run):
     """The commands hold only the pencils across the solve: by the first
-    factor, the K, M and B of every two-particle assembly are freed."""
-    command, doc, flags = LIFETIME_RUNS[run]
-    refs, shifts = [], []
-    assemble, factor = form_assembly.assemble_two_particle, eigensolve._factor
+    factor, a SuperLU one or a lift's ``_Diagonalised``, the K, M and B of
+    every two-particle assembly are freed."""
+    command, doc, flags, lift = LIFETIME_RUNS[run]
+    refs, built = [], []
+    assemble = form_assembly.assemble_two_particle
 
     def recorded(*args):
         form = assemble(*args)
         refs.extend(weakref.ref(X) for X in (form.K, form.M, form.B))
         return form
 
-    def checked(*args, **kwargs):
-        if not shifts:
-            assert refs and [r() for r in refs] == [None] * len(refs)
-        shifts.append(args[2])
-        return factor(*args, **kwargs)
+    def checked(factor):
+        def first_checked(*args, **kwargs):
+            if not built:
+                assert refs and [r() for r in refs] == [None] * len(refs)
+            built.append(factor.__name__)
+            return factor(*args, **kwargs)
+        return first_checked
 
     monkeypatch.setattr(form_assembly, "assemble_two_particle", recorded)
-    monkeypatch.setattr(eigensolve, "_factor", checked)
+    for name in ("_factor", "_Diagonalised"):
+        monkeypatch.setattr(eigensolve, name, checked(getattr(eigensolve, name)))
     assert main([command, "--config", write_config(tmp_path, doc), *flags,
                  "--out", str(tmp_path / "out")]) == 0
-    assert shifts
+    assert built[0] == ("_Diagonalised" if lift else "_factor")
+
+
+def test_analyze_drops_its_pencils_before_the_analyses(tmp_path, monkeypatch):
+    """The bracketing and the lift check solve their own one-particle
+    pencils once the run's own pencils are freed."""
+    from qg2p import spectral_analysis
+    refs, checked = [], []
+
+    def solved(pencils, k, **kwargs):
+        refs.extend(weakref.ref(X) for p in pencils for X in (p.A, p.M, p.N))
+        return eigensolve.solve(pencils, k, **kwargs)
+
+    def freed(fn):
+        def run(*args):
+            checked.append(fn.__name__)
+            assert refs and [r() for r in refs] == [None] * len(refs)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(cli, "solve", solved)
+    for name in ("bracketing_run", "lifted_spectrum"):
+        monkeypatch.setattr(spectral_analysis, name,
+                            freed(getattr(spectral_analysis, name)))
+    doc = star3_delta_doc(analysis={"weyl": False, "bracketing": {"n": 10},
+                                    "lift_check": True})
+    assert main(["analyze", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert set(checked) == {"bracketing_run", "lifted_spectrum"}
 
 
 ONE_PATH_CASES = {"split": (star3_delta_doc(), "full"),

@@ -19,7 +19,8 @@ from qg2p.form_assembly import (DiscreteForm, Mesh, assemble_one_particle,
 from qg2p.graph_core import build_graph
 from qg2p.spectral_analysis import lift_spectrum
 from qg2p.symmetry import exchange_permutation
-from qg2p.vertex_conditions import delta_family, standard_family
+from qg2p.vertex_conditions import (VertexConditions, delta_family,
+                                    standard_family)
 from test_loop_reference import random_projector_map
 
 
@@ -272,6 +273,8 @@ def split_cases():
     two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
     star = build_graph({"edges": [["c", "l1", 1.0], ["c", "l2", 0.8],
                                   ["c", "l3", 1.2]]})
+    # a repulsive bump at the vertex: L varies with y, no lift
+    line, repulsive = delta_example_map(lambda x, y: 2.0 * np.exp(-(x * x + y * y)), 1.0)
     return {
         "bump": (interval, bump_interaction_map(), Mesh.uniform(interval, 25), 40),
         "piecewise": (interval, piecewise_interaction_map(),
@@ -279,6 +282,7 @@ def split_cases():
         "complex": (two, complex_block_map(), Mesh.uniform(two, 12), 30),
         "star-delta-lift": (star, lift_one_particle(delta_family(star, 2.1), star),
                             Mesh.uniform(star, 9), 20),
+        "delta-example": (line, repulsive, Mesh.uniform(line, 9), 20),
     }
 
 
@@ -365,63 +369,116 @@ class TestExchangeSplit:
         assert res.meta["inertia_certified"] is True
 
 
-def grid_cases():
-    """Dirichlet lifts (graph, node counts, k): every edge end constrained."""
+def complex_conditions(g, seed=7):
+    """Explicit complex-Hermitian one-particle (P, L): rank-1 P on a complex
+    vector of the 2E edge ends, L = Q H Q with complex Hermitian H."""
+    rng = np.random.default_rng(seed)
+    n = 2 * g.E
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    P = np.outer(v, v.conj()) / np.vdot(v, v).real
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return VertexConditions.from_pl(P, H + H.conj().T)
+
+
+def lift_cases():
+    """Lifts (graph, one-particle conditions, node counts, k)."""
     interval = build_graph({"edges": [["a", "b", 1.0]]})
     two = build_graph({"edges": [["a", "b", 0.7], ["b", "c", 1.3]]})
-    return {"interval-17": (interval, (17, ), 40),
-            "interval-33": (interval, (33, ), 100),
-            "two-edge": (two, (9, 15), 60)}
+    unequal = build_graph({"edges": [["a", "b", 1.0], ["b", "c", 0.8]]})
+    star = build_graph({"edges": [["c", "l1", 1.07], ["c", "l2", 0.93],
+                                  ["c", "l3", 1.02]]})
+    return {"interval-17": (interval, standard_family("dirichlet", interval), (17, ), 40),
+            "interval-33": (interval, standard_family("dirichlet", interval), (33, ), 100),
+            "two-edge": (two, standard_family("dirichlet", two), (9, 15), 60),
+            "delta-star": (star, delta_family(star, 2.0), (11, 9, 10), 40),
+            "mixed-star": (star, standard_family(
+                "mixed", star, mask=["dirichlet"] * 5 + ["neumann"]), (11, 9, 10), 40),
+            "robin": (unequal, standard_family("robin", unequal, alpha=1.3), (13, 11), 40),
+            "neumann": (unequal, standard_family("neumann", unequal), (13, 11), 40),
+            "complex": (unequal, complex_conditions(unequal), (13, 11), 40)}
 
 
-GRID_CASES = grid_cases()
+LIFT_CASES = lift_cases()
+GRID_CASES = ("interval-17", "interval-33", "two-edge")   # Dirichlet lifts
 
 
-def grid_pencil(name, sector):
-    """(pencil, k): the Dirichlet lift's one pencil in ``sector``, "full"
-    unsplit."""
-    g, nodes, k = GRID_CASES[name]
-    form = assemble_two_particle(
-        g, lift_one_particle(standard_family("dirichlet", g), g), Mesh(g, nodes))
+def lift_pencil(name, sector):
+    """(pencil, k): the lift's one pencil in ``sector``, "full" unsplit."""
+    g, vc, nodes, k = LIFT_CASES[name]
+    form = assemble_two_particle(g, lift_one_particle(vc, g), Mesh(g, nodes))
     pencil, = symmetry.sector_pencils(form, sector, split=False)
     return pencil, k
 
 
-@pytest.mark.parametrize("sector", ["full", "boson", "fermion"])
-@pytest.mark.parametrize("name", sorted(GRID_CASES))
-class TestInteriorGrid:
+class LiftedPencilChecks:
     """The diagonalised path against the dense eigh of the assembled pencil
-    and SuperLU's counts, neither of which reads the 1-D eigenpairs."""
+    and SuperLU's counts, neither of which reads the one-particle
+    eigenpairs: the check that ``lift_check``, which compares the result
+    with sums of those eigenpairs, no longer is."""
 
     def test_slices_match_the_dense_pencil(self, name, sector):
-        pencil, k = grid_pencil(name, sector)
-        assert pencil.interior and pencil.sector == sector
+        pencil, k = lift_pencil(name, sector)
+        assert pencil.lift is not None and pencil.sector == sector
         dense, res = (solve([pencil], k, force_dense=force) for force in (True, False))
         assert dense.method == "dense" and res.method == "shift-invert"
         assert res.meta["lu_fill_nnz"] == 0 and res.meta["inertia_certified"] is True
-        scale = np.abs(dense.eigenvalues).max()
+        scale = max(1.0, np.abs(dense.eigenvalues).max())
         assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
         assert res.residuals.max() < 1e-8 and res.meta["max_m_orth_defect"] <= 1e-10
 
     def test_counts_equal_superlu_inertia(self, name, sector):
-        pencil, k = grid_pencil(name, sector)
+        pencil, k = lift_pencil(name, sector)
         shift = eigensolve._Diagonalised(pencil)
-        levels = np.unique(shift.levels)[:2 * k]
+        # sums that tie to roundoff (the zeros of two Neumann edges) are one
+        levels = np.unique(shift.levels)
+        levels = levels[np.append(True, np.diff(levels) > 1e-10 * np.maximum(
+            1.0, np.abs(levels[1:])))][:2 * k]
         mid = 0.5 * (levels[:-1] + levels[1:])
         # the closest pair: sums that tie in the continuum (on the square,
         # pi^2 (1 + 49) = pi^2 (25 + 25)) split by the mesh alone
-        close = np.argmin(np.diff(levels) / levels[1:])
+        close = np.argmin(np.diff(levels) / np.maximum(1.0, np.abs(levels[1:])))
         taus = [levels[0] - 1.0, mid[0], mid[k // 2], mid[k], mid[-1], mid[close]]
         for tau in taus:
             assert shift.count(tau) == eigensolve._inertia(pencil.A, pencil.M, tau)
         assert shift.count(levels[3]) is None
 
 
+@pytest.mark.parametrize("sector", ["full", "boson", "fermion"])
+@pytest.mark.parametrize("name", GRID_CASES)
+class TestInteriorGrid(LiftedPencilChecks):
+    """Dirichlet lifts: every edge end is constrained away, so the basis
+    lives on the interior tensor grid."""
+
+
+@pytest.mark.parametrize("sector", ["full", "boson", "fermion"])
+@pytest.mark.parametrize("name", sorted(set(LIFT_CASES) - set(GRID_CASES)))
+class TestLiftedPencils(LiftedPencilChecks):
+    """Lifts with free edge ends: delta, Dirichlet but at one leaf, Robin,
+    Neumann and complex Hermitian."""
+
+
+def test_tampered_lift_fails_the_probe_and_keeps_superlu():
+    """A pencil whose lift is not its own fails the probe solve: SuperLU
+    factors it, and the spectrum still matches dense."""
+    pencil, k = lift_pencil("delta-star", "boson")
+    g, _, nodes, _ = LIFT_CASES["delta-star"]
+    other = assemble_two_particle(g, lift_one_particle(delta_family(g, 2.5), g),
+                                  Mesh(g, nodes))
+    tampered = pencil._replace(lift=symmetry.lifted_pencil(other))
+    assert tampered.lift[2].shape == pencil.lift[2].shape
+    assert eigensolve._diagonalised(pencil) is not None
+    assert eigensolve._diagonalised(tampered) is None
+    dense, res = (solve([tampered], k, force_dense=force) for force in (True, False))
+    assert res.meta["lu_fill_nnz"] > 0 and res.meta["inertia_certified"] is True
+    scale = max(1.0, np.abs(dense.eigenvalues).max())
+    assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
+
+
 class TestStartShift:
-    def test_star_delta_lift_starts_at_minus_one(self, monkeypatch):
-        g, m, mesh, k = SPLIT_CASES["star-delta-lift"]
+    def test_delta_example_starts_at_minus_one(self, monkeypatch):
+        g, m, mesh, k = SPLIT_CASES["delta-example"]
         form = assemble_two_particle(g, m, mesh)
-        assert form.C_infty > 0
+        assert form.C_infty > 0 and form.meta["lift"] is None
         dense = solve(form, k, force_dense=True).eigenvalues
         events, inertia, lanczos = [], eigensolve._inertia, eigensolve._lanczos
         monkeypatch.setattr(eigensolve, "_inertia", lambda A, M, tau:
@@ -676,11 +733,12 @@ class TestMemoryGuard:
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
 
     def test_guard_charges_the_interior_grid(self, monkeypatch):
-        # one slice's basis and the k columns, then V, the sorted sums, one
-        # shift's denominators and three grids of an apply: 6 n_i^2 8 B
-        pencil, k = grid_pencil("interval-17", "full")
+        # one slice's basis and the k columns, then G (17 x 15) and three
+        # more of its size, the 15^2 sorted sums, one shift's 15^2
+        # denominators and two 17 x 17 grids of an apply
+        pencil, k = lift_pencil("interval-17", "full")
         basis = (eigensolve.LANCZOS_BASIS + k) * pencil.A.shape[0] * 8
-        grid = 6 * 8 * 15 ** 2
+        grid = (4 * 17 * 15 + 2 * 15 ** 2 + 2 * 17 ** 2) * 8
         monkeypatch.setattr(eigensolve, "available_memory",
                             lambda: basis + grid - 1)
         with pytest.raises(SolveError, match="sliced eigensolve of a 225-dof "
