@@ -13,7 +13,8 @@ A pencil with a ``lift`` (the two-particle lift of one-particle conditions,
 from the one-particle reduced eigenpairs, once one probe solve confirms it.
 The kernel is thick-restart Lanczos (Wu & Simon 2000) with DGKS full
 reorthogonalisation (Daniel, Gragg, Kaufman & Stewart 1976) on at most
-LANCZOS_BASIS = 3 SLICE + 1 = 241 vectors.
+3 w + 1 vectors for slices of at most w eigenvalues: w = SLICE = 80 where
+each shift costs a sparse factor, SLICE / 2 = 40 where it costs none.
 """
 from __future__ import annotations
 
@@ -31,12 +32,11 @@ from . import symmetry
 from .form_assembly import DiscreteForm
 
 TIE_TOL = 1e-8
-SLICE = 80          # eigenvalues asked per shift
+SLICE = 80          # eigenvalues asked per factored shift, half per unfactored
 BLOCK = 16          # columns per residual and defect block
 COMPACT_ROWS = 64   # basis rows per block of a thick restart's compaction
 SLICE_TRIES = 6     # re-centred attempts per slice before giving up
-# weyl-interval's m = 80 slices converge in 180..220 vectors, no restart
-LANCZOS_BASIS = 3 * SLICE + 1
+LANCZOS_BASIS = 3 * SLICE + 1  # the largest basis of any slice
 LANCZOS_RESTARTS = 50   # thick restarts per slice before giving up
 EPS = np.finfo(float).eps / 2   # LAPACK's dlamch("E"), ARPACK's tol = 0
 START_STEPS = 60    # fallback shifts tried: -1, -16, -256, ... (see _start)
@@ -357,10 +357,11 @@ def _diagonalised(pencil):
     return shift if np.linalg.norm(x - v) <= PROBE_TOL * np.linalg.norm(v) else None
 
 
-def _lanczos(lu, M, m: int, sigma: float, v0):
+def _lanczos(lu, M, m: int, sigma: float, v0, cap: int):
     """(lam, Q, Y): the m eigenvalues nearest sigma of the pencil whose
     factor ``lu`` is of A - sigma M, with M-orthonormal Ritz vectors Q @ Y,
-    by thick-restart Lanczos on OP = (A - sigma M)^-1 M from OP v0.
+    by thick-restart Lanczos on OP = (A - sigma M)^-1 M from OP v0 on a
+    basis of at most ``cap`` vectors.
 
     OP is M-self-adjoint, so the projected T is real: tridiagonal, and
     after a restart the kept Ritz values with an arrow to the residual.
@@ -370,7 +371,7 @@ def _lanczos(lu, M, m: int, sigma: float, v0):
     max(5, m // 8) steps the m largest |theta| (lam = sigma + 1 / theta)
     face ARPACK's test at tol = 0, |beta y_last| <= EPS max(EPS^(2/3), |theta|)."""
     n = M.shape[0]
-    cap = min(LANCZOS_BASIS, n)
+    cap = min(cap, n)
     w = lu.solve(M @ v0)
     Q = np.zeros((n, cap + 1), dtype=w.dtype, order="F")
     T = np.zeros((cap, cap))
@@ -433,13 +434,17 @@ class _Slices:
     of the start shifts, the spacing near the cut, the accepted shifts and
     the lowest k accepted eigenvalues' residuals ``res`` and, unless values
     only, their vectors ``U``.  Its shifts are factored and counted by
-    ``shift`` (a ``_Diagonalised``), else by SuperLU."""
+    ``shift`` (a ``_Diagonalised``), else by SuperLU, whose factors a slice
+    of up to ``width`` = SLICE eigenvalues pays off; a ``shift`` has none,
+    and its slices of half that width hold half the Lanczos basis, ``cap``."""
 
     def __init__(self, A, M, floor: float, k: int, vectors: bool = True, shift=None):
         self.A, self.M, self.floor = A, M, floor
         self.factor = shift.factor if shift else lambda s: _factor(A, M, s)
         self.count = shift.count if shift else lambda tau: _inertia(A, M, tau)
         self.grid_bytes = shift.nbytes if shift else 0
+        self.width = SLICE // 2 if shift else SLICE
+        self.cap = min(LANCZOS_BASIS, 3 * self.width + 1)
         self.n = A.shape[0]
         self.dtype = np.result_type(A.dtype, M.dtype)
         self.v0 = np.random.default_rng(8231).standard_normal(self.n)
@@ -467,7 +472,7 @@ class _Slices:
             # twice: the cut's count builds a factor of about this fill, copying L, U
             check_memory(what, need + 2 * lu.nnz * (self.dtype.itemsize + 4))
             self.fill = max(self.fill, lu.nnz)
-            lam, Q, Y = _lanczos(lu, M, m, sigma=s, v0=self.v0)
+            lam, Q, Y = _lanczos(lu, M, m, sigma=s, v0=self.v0, cap=self.cap)
             lu = None                     # one factor alive at a time
             order = np.argsort(lam)
             lam, Y = lam[order], Y[:, order]
@@ -534,21 +539,23 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
 
     The loop always advances the pencil with the lowest cut and stops once
     k accepted eigenvalues lie below that cut, up to which every pencil's
-    count is certified.  A slice asks for its pencil's expected share of
-    the k, less those it has, but at least that share of the eigenvalues
-    still missing; the share is the pencil's part of the eigenvalues below
-    the lowest cut, or of the dofs before any are known.  One pencil is
-    the plain sliced solve.
+    count is certified.  A slice asks for 9/8 of its pencil's need, plus 2:
+    its expected share of the k, less those it has, but at least that share
+    of the eigenvalues still missing; the share is the pencil's part of the
+    eigenvalues below the lowest cut, or of the dofs before any are known.
+    A need over the pencil's ``width`` is asked in equal slices, not in
+    full ones and a small tail.  One pencil is the plain sliced solve.
     """
     if not np.isfinite(floor):
         raise SolveError(f"non-finite C_infty ({meta['C_infty']}): the start "
                          "shifts have no floor")
     states = [_Slices(p.A, p.M, floor, k, vectors, _diagonalised(p)) for p in pencils]
     total = sum(p.n for p in states)
-    # one slice's Lanczos basis and every pencil's accepted columns, or
-    # values only one slice's candidate block
-    need = (LANCZOS_BASIS + (k if vectors else SLICE)) * total * max(
-        p.dtype.itemsize for p in states) + sum(p.grid_bytes for p in states)
+    # the slices run one at a time: the largest pencil's Lanczos basis and,
+    # values only, its candidate block; with vectors every pencil's k columns
+    need = max(p.dtype.itemsize for p in states) * (
+        max((p.cap + (0 if vectors else p.width)) * p.n for p in states)
+        + (k * total if vectors else 0)) + sum(p.grid_bytes for p in states)
     what = f"sliced eigensolve of a {total}-dof pencil"
     check_memory(what, need)
     shifts = []
@@ -561,7 +568,9 @@ def _sliced_lanczos(pencils, k: int, floor: float, meta: dict, vectors: bool):
                  else low.n / total)
         m = max(int(np.ceil(share * k)) - len(low.lam),
                 int(np.ceil(share * (k - sum(below)))))
-        low.advance(min(SLICE, max(8, m * 9 // 8 + 2), low.n - 2), what, need)
+        want = max(8, m * 9 // 8 + 2)
+        parts = -(-want // low.width) if m > low.width else 1
+        low.advance(min(-(-want // parts), low.width, low.n - 2), what, need)
         shifts.append(low.shifts[-1])
     meta.update(shifts=shifts, slices=len(shifts),
                 lu_fill_nnz=int(max(p.fill for p in states)),

@@ -895,16 +895,24 @@ class TestExitCodes:
 
     def test_sliced_solve_over_memory_budget_exits_3(self, tmp_path,
                                                      monkeypatch, capsys):
-        # the assembly of 441 dofs needs 0.31 MB, the slices of the 361
-        # reduced dofs (k + 3 SLICE + 1) n 8 = 0.71 MB
-        monkeypatch.setattr(eigensolve, "available_memory", lambda: 5e5)
-        code = main(["spectrum", "--config",   # 361 dofs, k = 5: Lanczos
-                     write_config(tmp_path, dirichlet_square_doc(nodes=21)),
+        # the assembly of 441 dofs needs 0.31 MB; the slices of the 190 +
+        # 171 reduced dofs one 121-vector basis of the boson pencil, the k
+        # columns of both, and each pencil's G (21 x 19) and three more of
+        # its size, 19^2 denominators and two 21 x 21 grids, and both
+        # pencils' 361 sums: 0.35 MB
+        need = (121 * 190 + 40 * 361
+                + 2 * (4 * 21 * 19 + 19 ** 2 + 2 * 21 ** 2) + 361) * 8
+        config = write_config(tmp_path, dirichlet_square_doc(nodes=21, num_eigs=40))
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: need - 1)
+        code = main(["spectrum", "--config", config,   # k = 40: Lanczos
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("numerical failure: sliced eigensolve")
         assert len(err.strip().splitlines()) == 1
+        monkeypatch.setattr(eigensolve, "available_memory", lambda: need)
+        assert main(["spectrum", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_assembly_over_memory_budget_exits_3(self, tmp_path, monkeypatch,
                                                  capsys):

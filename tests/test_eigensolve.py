@@ -93,6 +93,15 @@ def step_map():
                          [(Z, Z), (Z, 1e4 * np.eye(4)), (Z, Z)])
 
 
+def bracket_map_form(nodes=41):
+    """An interacting piecewise interval map: P = 0, and L = diag(l, l) with
+    l = [[2, 0.5], [0.5, 1]] on y in [0.3, 0.7), zero elsewhere."""
+    g, Z = build_graph({"edges": [["a", "b", 1.0]]}), np.zeros((4, 4))
+    L = np.kron(np.eye(2), [[2.0, 0.5], [0.5, 1.0]])
+    m = piecewise_map([0.0, 0.3, 0.7, 1.0], [(Z, Z), (Z, L), (Z, Z)])
+    return assemble_two_particle(g, m, Mesh.uniform(g, nodes))
+
+
 def step_map_form(interval):
     """The step map's pencil: its lowest eigenvalues are near -2.75e5, far
     below the shift C_infty = 0 gave."""
@@ -144,6 +153,19 @@ def drop_middle(monkeypatch, times):
     return calls
 
 
+def lanczos_calls(monkeypatch):
+    """Record (m, basis columns) of every Lanczos run."""
+    orig, calls = eigensolve._lanczos, []
+
+    def logged(lu, M, m, *args, **kwargs):
+        lam, Q, Y = orig(lu, M, m, *args, **kwargs)
+        calls.append((m, Q.shape[1]))
+        return lam, Q, Y
+
+    monkeypatch.setattr(eigensolve, "_lanczos", logged)
+    return calls
+
+
 class TestSlicing:
     def test_slices_match_lifted_spectrum(self, interval):
         form, lam1 = dirichlet_lift(interval, 33)
@@ -156,6 +178,47 @@ class TestSlicing:
         assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
         assert res.meta["max_m_orth_defect"] <= 1e-10
         assert res.residuals.max() < 1e-8
+
+    @pytest.mark.parametrize("lifted", [True, False])
+    def test_slice_width_follows_the_cost_of_a_shift(self, interval, monkeypatch,
+                                                     lifted):
+        # a diagonalised shift costs no factor: slices of at most SLICE / 2
+        # on 3 SLICE / 2 + 1 vectors; a factored one keeps SLICE and 3 SLICE + 1
+        if lifted:
+            pencil, k = lift_pencil("interval-33", "full")
+            pencils, width = [pencil], SLICE // 2
+        else:
+            pencils, k, width = dirichlet_lift(interval, 33)[0], 2 * SLICE + 40, SLICE
+        calls = lanczos_calls(monkeypatch)
+        res = solve(pencils, k)
+        assert (res.meta["lu_fill_nnz"] == 0) is lifted
+        assert res.meta["slices"] == len(calls) >= 3
+        assert max(m for m, _ in calls) <= width
+        assert max(size for _, size in calls) <= 3 * width + 1
+
+    def test_need_over_the_width_is_split_evenly(self, interval, monkeypatch):
+        # k = 120 asks 9/8 k + 2 = 137: two slices of 69 and of 9/8 + 2 of
+        # what the first left, not a full slice of 80 and a tail of 48
+        form, lam1 = dirichlet_lift(interval, 33)
+        k = SLICE + 40
+        calls = lanczos_calls(monkeypatch)
+        res = solve(form, k)
+        (first, _), (second, _) = calls
+        assert first == -(-(k * 9 // 8 + 2) // 2)
+        assert 0 <= first - second <= k // 8
+        exact = lift_spectrum(lam1, k)
+        assert np.abs(res.eigenvalues - exact).max() / exact.max() <= 1e-12
+
+    def test_split_factored_sectors_match_dense(self):
+        # bracket-dense's interacting map: two factored sector pencils of
+        # 861 and 820 dofs, each asked for more than SLICE
+        form, k = bracket_map_form(), 200
+        res, dense = solve(form, k), solve(form, k, force_dense=True)
+        assert res.method == "shift-invert" and res.meta["lu_fill_nnz"] > 0
+        assert all(rec["slices"] >= 2 for rec in res.meta["sectors"])
+        assert res.meta["inertia_certified"] is True
+        scale = np.abs(dense.eigenvalues).max()
+        assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
 
     def test_dropped_eigenvalue_is_retried(self, interval, monkeypatch):
         form, lam1 = dirichlet_lift(interval, 17)
@@ -638,7 +701,7 @@ def lanczos_run(A, M, sigma, m, v0=None):
     A, M = A.tocsc(), M.tocsc()
     v0 = np.random.default_rng(8231).standard_normal(A.shape[0]) if v0 is None else v0
     lam, Q, Y = eigensolve._lanczos(eigensolve._factor(A, M, sigma), M, m,
-                                    sigma=sigma, v0=v0)
+                                    sigma=sigma, v0=v0, cap=eigensolve.LANCZOS_BASIS)
     order = np.argsort(lam)
     dense = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     near = np.sort(dense[np.argsort(np.abs(dense - sigma), kind="stable")[:m]])
@@ -653,7 +716,8 @@ def kernel_peak(A, M, sigma, m):
     v0 = np.random.default_rng(8231).standard_normal(A.shape[0])
     tracemalloc.start()
     try:
-        Q = eigensolve._lanczos(lu, M, m, sigma=sigma, v0=v0)[1]
+        Q = eigensolve._lanczos(lu, M, m, sigma=sigma, v0=v0,
+                                cap=eigensolve.LANCZOS_BASIS)[1]
         return tracemalloc.get_traced_memory()[1], Q.shape[1]
     finally:
         tracemalloc.stop()
@@ -732,17 +796,18 @@ class TestMemoryGuard:
         assert res.meta["warnings"] == []
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, rtol=1e-12)
 
-    def test_guard_charges_the_interior_grid(self, monkeypatch):
-        # one slice's basis and the k columns, then G (17 x 15) and three
-        # more of its size, the 15^2 sorted sums, one shift's 15^2
-        # denominators and two 17 x 17 grids of an apply
+    def test_guard_charges_a_diagonalised_pencil_its_own_basis(self, monkeypatch):
+        # one slice's basis at the unfactored cap 3 SLICE / 2 + 1 and the k
+        # columns, then G (17 x 15) and three more of its size, the 15^2
+        # sorted sums, one shift's 15^2 denominators and two 17 x 17 grids
+        # of an apply
         pencil, k = lift_pencil("interval-17", "full")
-        basis = (eigensolve.LANCZOS_BASIS + k) * pencil.A.shape[0] * 8
+        basis = (3 * SLICE // 2 + 1 + k) * pencil.A.shape[0] * 8
         grid = (4 * 17 * 15 + 2 * 15 ** 2 + 2 * 17 ** 2) * 8
         monkeypatch.setattr(eigensolve, "available_memory",
                             lambda: basis + grid - 1)
         with pytest.raises(SolveError, match="sliced eigensolve of a 225-dof "
-                                             "pencil needs about 1 MB, 1 MB free"):
+                                             "pencil needs about 0 MB, 0 MB free"):
             solve([pencil], k)
         monkeypatch.setattr(eigensolve, "available_memory", lambda: basis + grid)
         assert solve([pencil], k).meta["lu_fill_nnz"] == 0
